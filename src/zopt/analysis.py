@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .oracle import OracleConfig, sample_directions
+from .oracle import OracleConfig, _mean_and_stderr, oracle_eval, sample_directions
 from .problems import TestProblem
 from .rng import substream
 from .sets import Box, FeasibleSet, WholeSpace, gradient_map
@@ -306,8 +306,8 @@ def probe_deviation(
     """Estimate deviation moments and the projected decrease at one point.
 
     Requires a quadratic problem so the smoothed gradient is the analytic
-    gradient; the objective must support batch evaluation for vectorized
-    sampling. Draws come from substream `counter` of cfg.seed.
+    gradient.  All num_samples estimates come from one batched oracle_eval
+    call. Draws come from substream `counter` of cfg.seed.
     """
     if num_samples < 2:
         raise ValueError("num_samples must be at least 2")
@@ -315,24 +315,16 @@ def probe_deviation(
     n = x.size
     h = theorem_step_size("constrained", n, problem.lip_const) if step_size is None else step_size
     grad = problem.grad(x)
-    u = sample_directions(cfg, n, counter, num_samples)
-    fx = problem.objective(x)
-    fxp = problem.objective.batch(x[None, :] + cfg.mu * u)
-    g = ((fxp - fx) / cfg.mu)[:, None] * cfg.apply_b(u)
+    g = oracle_eval(problem.objective, x, sample_directions(cfg, n, counter, num_samples), cfg)
 
     xi = g - grad
     xi_norms = np.linalg.norm(xi, axis=1)
     xi_sq = xi_norms**2
     g_sq = np.einsum("ij,ij->i", g, g)
     t_values = _prox_values_batch(feasible_set, x, problem.lip_const, g)
-
-    def mse(samples: np.ndarray) -> tuple[float, float]:
-        return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(samples.size))
-
-    mean_xi, se_xi = mse(xi_norms)
-    mean_xi_sq, se_xi_sq = mse(xi_sq)
-    mean_g_sq, se_g_sq = mse(g_sq)
-    t_mean, t_se = mse(t_values)
+    (mean_xi, se_xi), (mean_xi_sq, se_xi_sq), (mean_g_sq, se_g_sq), (t_mean, t_se) = (
+        map(float, _mean_and_stderr(samples)) for samples in (xi_norms, xi_sq, g_sq, t_values)
+    )
     return DeviationProbe(
         x=x,
         grad=grad,
@@ -431,10 +423,7 @@ def verify_oracle_inequalities(
     for i in range(num_probes):
         x = feasible_set.sample(gen)
         grad = problem.grad(x)
-        u = sample_directions(cfg, n, i, 1)[0]
-        fx = problem.objective(x)
-        fxp = problem.objective(x + cfg.mu * u)
-        g = ((fxp - fx) / cfg.mu) * cfg.apply_b(u)
+        g = oracle_eval(problem.objective, x, sample_directions(cfg, n, i, 1)[0], cfg)
         xi = g - grad
         s = gradient_map(feasible_set, x, g, h)
         v = gradient_map(feasible_set, x, grad, h)

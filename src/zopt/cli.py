@@ -22,32 +22,33 @@ from .oracle import OracleConfig
 __all__ = ["main"]
 
 
+def _count_below(flag: str, value: int, minimum: int) -> bool:
+    """Print a one-line error when a count option is below its minimum."""
+    if value < minimum:
+        print(f"{flag} must be >= {minimum}, got {value}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_run(args) -> int:
+    if _count_below("--jobs", args.jobs, 1):
+        return 2
+    env_seed = os.environ.get(harness.SEED_ENV_VAR)
     try:
         config = harness.load_config(args.config)
-    except harness.ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if harness.SEED_ENV_VAR in os.environ:
-        try:
-            seed = int(os.environ[harness.SEED_ENV_VAR])
-        except ValueError:
-            print(
-                f"{harness.SEED_ENV_VAR} must be an integer, got "
-                f"{os.environ[harness.SEED_ENV_VAR]!r}",
-                file=sys.stderr,
-            )
-            return 2
-        config = harness.apply_seed_override(config, seed)
-        print(f"seeds rebased on {harness.SEED_ENV_VAR}={seed}")
-    try:
+        if env_seed is not None:
+            try:
+                seed = int(env_seed)
+            except ValueError:
+                raise harness.ConfigError(
+                    f"{harness.SEED_ENV_VAR} must be an integer, got {env_seed!r}"
+                ) from None
+            config = harness.apply_seed_override(config, seed)
+            print(f"seeds rebased on {harness.SEED_ENV_VAR}={seed}")
         series = harness.run_experiment(
             config, jobs=args.jobs, full=args.full, out_dir=args.out_dir
         )
-    except harness.FullRunRequired as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except harness.ConfigError as exc:
+    except (harness.ConfigError, harness.FullRunRequired) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except RuntimeError as exc:
@@ -104,6 +105,8 @@ def _cmd_suggest(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if _count_below("--probes", args.probes, 1) or _count_below("--samples", args.samples, 2):
+        return 2
     # Fixed desk-scale quadratic instance on a box; the checks are exact
     # inequalities, so any instance should report zero violations.
     problem = problems.make_least_squares(m=5, n=20, noise_std=0.1, seed=args.seed)

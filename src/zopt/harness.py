@@ -28,7 +28,7 @@ from .analysis import (
     unconstrained_gap_bound,
 )
 from .oracle import OracleConfig
-from .problems import LeastSquaresObjective, make_least_squares
+from .problems import TestProblem, make_least_squares
 from .rng import substream
 from .sets import set_from_spec
 from .solvers import (
@@ -159,14 +159,19 @@ class _SectionReader:
             self.error(section, key, f"[{section}] {key} must be >= {minimum}, got {value}")
         return value
 
-    def get_float(self, section: str, key: str, default=None, required=False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return default
+    def to_float(self, section: str, key: str, raw: str, expected="a number", positive=False):
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
-            self.error(section, key, f"[{section}] {key} must be a number, got {raw!r}")
+            self.error(section, key, f"[{section}] {key} must be {expected}, got {raw!r}")
+        if not math.isfinite(value) or (positive and value <= 0):
+            kind = "positive and finite" if positive else "finite"
+            self.error(section, key, f"[{section}] {key} must be {kind}, got {raw!r}")
+        return value
+
+    def get_float(self, section: str, key: str, default=None, required=False, positive=False):
+        raw = self.get(section, key, required=required)
+        return default if raw is None else self.to_float(section, key, raw, positive=positive)
 
     def get_bool(self, section: str, key: str, default: bool) -> bool:
         raw = self.get(section, key)
@@ -221,30 +226,16 @@ def load_config(path) -> ExperimentConfig:
     mu = None
     eps = None
     if mu_raw.lower() in ("auto", "suggest"):
-        eps = reader.get_float("solver", "eps", required=True)
-        if eps <= 0:
-            reader.error("solver", "eps", "eps must be positive")
+        eps = reader.get_float("solver", "eps", required=True, positive=True)
     else:
-        try:
-            mu = float(mu_raw)
-        except ValueError:
-            reader.error("solver", "mu", f"mu must be a number or 'auto', got {mu_raw!r}")
-        if mu <= 0:
-            reader.error("solver", "mu", "mu must be positive")
+        mu = reader.to_float("solver", "mu", mu_raw, "a number or 'auto'", positive=True)
 
     step_raw = reader.get("solver", "step_size", required=True)
     step_size = None
     if step_raw.lower() not in ("theorem", "auto"):
-        try:
-            step_size = float(step_raw)
-        except ValueError:
-            reader.error(
-                "solver",
-                "step_size",
-                f"step_size must be a number or 'theorem', got {step_raw!r}",
-            )
-        if step_size <= 0:
-            reader.error("solver", "step_size", "step_size must be positive")
+        step_size = reader.to_float(
+            "solver", "step_size", step_raw, "a number or 'theorem'", positive=True
+        )
 
     num_iters = reader.get_int("solver", "num_iters", required=True, minimum=0)
     record_stride = reader.get_int(
@@ -285,6 +276,9 @@ def load_config(path) -> ExperimentConfig:
         bound_overlay=bound_overlay,
         source_path=path,
     )
+    bad_seed = _seed_range_error(cfg)
+    if bad_seed is not None:
+        reader.error(*bad_seed)
     if scenario == "constrained" and set_spec is not None:
         try:
             feasible = set_from_spec(set_spec, n)
@@ -299,11 +293,28 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
+def _seed_range_error(config: ExperimentConfig) -> tuple[str, str, str] | None:
+    """(section, key, message) for the first seed outside [0, 2**64), else None."""
+    last_run_seed = config.run_seed_base + config.num_runs - 1
+    for section, key, label, value in (
+        ("problem", "problem_seed", "problem_seed", config.problem_seed),
+        ("experiment", "x0_seed", "x0_seed", config.x0_seed),
+        ("experiment", "run_seed_base", "run_seed_base + num_runs - 1", last_run_seed),
+    ):
+        if not 0 <= value < 2**64:
+            return section, key, f"[{section}] {label} = {value} is outside [0, 2**64)"
+    return None
+
+
 def apply_seed_override(config: ExperimentConfig, seed: int) -> ExperimentConfig:
     """Rebase all seeds on one value (problem, x0, and run seeds)."""
-    return replace(
+    config = replace(
         config, problem_seed=seed, x0_seed=seed + 1, run_seed_base=seed + 2
     )
+    bad_seed = _seed_range_error(config)
+    if bad_seed is not None:
+        raise ConfigError(f"seed override {seed}: {bad_seed[2]}", path=config.source_path)
+    return config
 
 
 def checkpoint_grid(num_iters: int) -> np.ndarray:
@@ -508,15 +519,13 @@ def read_series_csv(path) -> AggregateSeries:
 @dataclass(frozen=True, eq=False)
 class _RunTask:
     index: int
-    a_matrix: np.ndarray
-    b_vector: np.ndarray
+    problem: TestProblem
     x0: np.ndarray
     mu: float
     seed: int
     step_size: float
     num_iters: int
     record_stride: int
-    lip_const: float
     set_spec: dict | None
     collect_sigma: bool
 
@@ -530,34 +539,32 @@ class _RunOutcome:
 
 
 def _execute_run(task: _RunTask) -> _RunOutcome:
-    objective = LeastSquaresObjective(task.a_matrix, task.b_vector)
+    problem = task.problem
     solver_cfg = SolverConfig(
         oracle=OracleConfig(mu=task.mu, seed=task.seed),
         step_size=task.step_size,
         num_iters=task.num_iters,
         record_stride=task.record_stride,
-        lip_const=task.lip_const,
+        lip_const=problem.lip_const,
     )
     sigma_sq = None
     on_iterate = None
     if task.collect_sigma:
-        n = objective.dim
+        n = problem.dim
         sigma_sq = np.empty(task.num_iters + 1)
-        smoothing_term = task.mu**2 * task.lip_const**2 * (n + 6) ** 3 / 2.0
-        a = objective.a_matrix
-        b = objective.b_vector
+        smoothing_term = task.mu**2 * problem.lip_const**2 * (n + 6) ** 3 / 2.0
 
         def on_iterate(k, x):
-            g = 2.0 * (a.T @ (a @ x - b))
+            g = problem.grad(x)
             sigma_sq[k] = smoothing_term + 2.0 * (n + 4) * float(g @ g)
 
     try:
         if task.set_spec is None:
-            record = random_search(objective, task.x0, solver_cfg, on_iterate=on_iterate)
+            record = random_search(problem.objective, task.x0, solver_cfg, on_iterate=on_iterate)
         else:
-            feasible = set_from_spec(task.set_spec, objective.dim)
+            feasible = set_from_spec(task.set_spec, problem.dim)
             record = projected_random_search(
-                objective, feasible, task.x0, solver_cfg, on_iterate=on_iterate
+                problem.objective, feasible, task.x0, solver_cfg, on_iterate=on_iterate
             )
     except DivergenceError as exc:
         return _RunOutcome(task.index, None, None, str(exc))
@@ -586,6 +593,9 @@ def run_experiment(
     recorded in the metadata and skipped by the aggregation; if every run
     diverges a RuntimeError is raised.
     """
+    if config.num_iters == 0 and config.svg_path is not None:
+        message = "[outputs] svg_path needs [solver] num_iters >= 1 (a log-log chart needs k > 0)"
+        raise ConfigError(message, path=config.source_path)
     cost = config.num_iters * config.num_runs * config.n
     if cost > FULL_GATE_COST and not full:
         raise FullRunRequired(
@@ -657,15 +667,13 @@ def run_experiment(
     tasks = [
         _RunTask(
             index=i,
-            a_matrix=problem.a_matrix,
-            b_vector=problem.b_vector,
+            problem=problem,
             x0=x0,
             mu=float(mu),
             seed=config.run_seed_base + i,
             step_size=float(step),
             num_iters=config.num_iters,
             record_stride=config.record_stride,
-            lip_const=lip,
             set_spec=config.set_spec,
             collect_sigma=collect_sigma,
         )

@@ -8,7 +8,9 @@ replaces the integral.  The two-point estimate
     g = ((f(x + mu * u) - f(x)) / mu) * B u
 
 uses exactly two function evaluations and is an unbiased estimate of the
-gradient of the smoothed objective f_mu(x) = E[f(x + mu * u)].
+gradient of the smoothed objective f_mu(x) = E[f(x + mu * u)].  oracle_eval
+is its only implementation: one direction (n,) gives one estimate, a (k, n)
+block gives k estimates as rows from one shared f(x).
 
 All sampling is counter-based (see zopt.rng): a draw is fully determined by
 (config.seed, counter), so concurrent callers stay reproducible as long as
@@ -172,18 +174,23 @@ def oracle_eval(
 ) -> np.ndarray:
     """Two-point gradient estimate ((f(x + mu u) - f(x)) / mu) * B u.
 
-    Consumes exactly two evaluations of f; pass fx to reuse an already paid
-    evaluation at x (then only f(x + mu u) is spent here).
+    u is one direction (n,) or a (k, n) block of k directions, whose rows
+    share one f(x) and whose shifted points go to f.batch when f has one
+    (so a row may differ from a single call in the last bits, as may a
+    dense B u).  Pass fx to reuse an already paid evaluation at x.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if x.shape != u.shape:
+    if x.ndim != 1 or u.ndim not in (1, 2) or u.shape[-1] != x.size:
         raise ValueError(f"shape mismatch: x {x.shape} vs u {u.shape}")
     _check_dim(cfg, x.size)
     if fx is None:
         fx = _eval_one(f, x)
-    fxp = _eval_one(f, x + cfg.mu * u)
-    return ((fxp - fx) / cfg.mu) * cfg.apply_b(u)
+    if u.ndim == 1:
+        fxp = _eval_one(f, x + cfg.mu * u)
+        return ((fxp - fx) / cfg.mu) * cfg.apply_b(u)
+    fxp = _eval_many(f, x + cfg.mu * u)
+    return ((fxp - fx) / cfg.mu)[:, None] * cfg.apply_b(u)
 
 
 def _mean_and_stderr(samples: np.ndarray) -> tuple:
@@ -224,9 +231,5 @@ def estimate_smoothed_gradient(
     if num_samples < 2:
         raise ValueError("num_samples must be at least 2 for a standard error")
     x = np.asarray(x, dtype=float)
-    u = sample_directions(cfg, x.size, counter, num_samples)
-    fx = _eval_one(f, x)
-    fxp = _eval_many(f, x[None, :] + cfg.mu * u)
-    g = ((fxp - fx) / cfg.mu)[:, None] * cfg.apply_b(u)
-    mean, stderr = _mean_and_stderr(g)
-    return MonteCarloEstimate(mean, stderr, num_samples)
+    g = oracle_eval(f, x, sample_directions(cfg, x.size, counter, num_samples), cfg)
+    return MonteCarloEstimate(*_mean_and_stderr(g), num_samples)

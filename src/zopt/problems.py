@@ -101,8 +101,6 @@ class ProblemConstants:
     pl_const_top: float
     rank: int
     _u: np.ndarray = field(repr=False)
-    _s: np.ndarray = field(repr=False)
-    _vt: np.ndarray = field(repr=False)
 
     def opt_value(self, b_vector: np.ndarray) -> float:
         """min_x ||A x - b||^2: squared residual of b off the range of A."""
@@ -110,10 +108,6 @@ class ProblemConstants:
         coeffs = self._u.T @ b
         residual = b - self._u @ coeffs
         return float(residual @ residual)
-
-    def min_norm_solution(self, b_vector: np.ndarray) -> np.ndarray:
-        b = np.asarray(b_vector, dtype=float)
-        return self._vt.T @ ((self._u.T @ b) / self._s)
 
 
 def problem_constants(a_matrix: np.ndarray) -> ProblemConstants:
@@ -123,7 +117,7 @@ def problem_constants(a_matrix: np.ndarray) -> ProblemConstants:
     Raises for an all-zero matrix, which has no meaningful constants.
     """
     a = np.asarray(a_matrix, dtype=float)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         raise ValueError("matrix has rank 0, the problem is degenerate")
     rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
@@ -135,8 +129,6 @@ def problem_constants(a_matrix: np.ndarray) -> ProblemConstants:
         pl_const_top=2.0 * float(s[0]) ** 2,
         rank=rank,
         _u=u[:, :rank],
-        _s=s[:rank],
-        _vt=vt[:rank],
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -283,6 +284,54 @@ class TestDeviationChecks:
         assert rows[0] == "check,trials,violations,margin"
         assert len(rows) == len(report.checks) + 1
         assert "ok" in report.as_text()
+
+
+class TestPinnedAnalysisBits:
+    # Outputs of the analysis path on one fixed instance, pinned to the bit
+    # like tests/data/pinned_desk.csv: any change to the estimator's
+    # arithmetic or its order shows up here, not only in the benchmark.
+    problem = make_least_squares(5, 20, 0.1, 0)
+    box = Box(-0.5, 0.5, dim=20)
+    cfg = OracleConfig(mu=1e-3, seed=0)
+
+    def test_verify_csv_rows(self):
+        report = verify_oracle_inequalities(
+            self.problem, self.box, self.cfg, num_probes=200, num_samples=2000, seed=0
+        )
+        assert report.csv_rows() == [
+            "check,trials,violations,margin",
+            "projection_inner_product,200,0,5166.413092402612",
+            "jensen_ordering,4,0,96.66148521182072",
+            "deviation_norm_bound,4,0,358.0225202557904",
+            "projected_decrease_bound,4,0,281234.92689704854",
+        ]
+
+    def test_probe_deviation_fields(self):
+        x = self.box.project(np.random.default_rng(1).standard_normal(20))
+        probe = probe_deviation(self.problem, self.box, self.cfg, x, 2000, counter=5)
+        scalars = {
+            "mean_xi_norm": 426.1826224814961,
+            "se_xi_norm": 7.178424603890744,
+            "mean_xi_sq": 284639.6575128997,
+            "se_xi_sq": 10808.58875195523,
+            "mean_g_sq": 298105.1251515962,
+            "se_g_sq": 11632.953788671537,
+            "grad_sq": 13385.139816935596,
+            "t_mean": 65469.862560324145,
+            "t_se": 1563.8472001734283,
+            "q_value": 6769.747517980855,
+        }
+        for name, value in scalars.items():
+            assert type(getattr(probe, name)) is float, name
+            assert getattr(probe, name) == value, name
+        digests = {
+            "grad": "f45cd803a27ff5332051155ed25acd13bb8f8adc5d456a75c130928b616e4cf1",
+            "s_example": "05440a76123d809bea8ddf7dbb5a4893188b74434088de9079fc0f290e8ee627",
+            "v": "b64ab3f36e91cb8b212ee9f9ac14e58a86c284df1ddbfda5a3d63a6777f8a868",
+        }
+        for name, digest in digests.items():
+            data = np.ascontiguousarray(getattr(probe, name)).tobytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 class TestBoundInputsValidation:

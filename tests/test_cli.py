@@ -73,6 +73,20 @@ class TestVerify:
         assert "VIOLATED" not in out
         assert csv_path.read_text().startswith("check,trials,violations,margin")
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--probes", "0", "--probes must be >= 1, got 0"),
+            ("--probes", "-3", "--probes must be >= 1, got -3"),
+            ("--samples", "1", "--samples must be >= 2, got 1"),
+        ],
+    )
+    def test_bad_counts_exit_2(self, capsys, flag, value, message):
+        assert main(["verify", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
 
 class TestRun:
     def test_end_to_end(self, tmp_path, capsys):
@@ -122,5 +136,26 @@ class TestRun:
     def test_bad_seed_env_rejected(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(RUN_CONFIG)
-        monkeypatch.setenv("ZOPT_SEED", "not-a-number")
-        assert main(["run", "--config", str(cfg)]) == 2
+        # the rebase sets run_seed_base = v + 2; the 2 runs use seeds v + 2 and v + 3
+        for value in ("not-a-number", "-5", str(2**64 - 1), str(2**64 - 3)):
+            monkeypatch.setenv("ZOPT_SEED", value)
+            assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2, value
+            captured = capsys.readouterr()
+            assert len(captured.err.splitlines()) == 1, value
+            assert "ZOPT_SEED" in captured.err or value in captured.err, value
+        assert not (tmp_path / "cli_out.csv").exists()
+
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(RUN_CONFIG)
+        assert main(["run", "--config", str(cfg), "--jobs", "0"]) == 2
+        assert capsys.readouterr().err == "--jobs must be >= 1, got 0\n"
+
+    def test_zero_iters_with_svg_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            RUN_CONFIG.replace("num_iters = 150", "num_iters = 0") + "svg_path = cli_out.svg\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "svg_path" in err and "num_iters" in err

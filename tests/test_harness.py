@@ -197,6 +197,33 @@ class TestConfigParsing:
         assert err.value.line == 2
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("mu = 1e-5", "mu = nan", 14),
+            ("mu = 1e-5", "mu = -inf", 14),
+            ("mu = 1e-5", "mu = auto\neps = nan", 15),
+            ("step_size = theorem", "step_size = inf", 15),
+            ("noise_std = 0.1", "noise_std = nan", 10),
+            ("run_seed_base = 100", f"run_seed_base = {2**64 - 2}", 4),
+            ("x0_seed = 9", f"x0_seed = {2**64}", 5),
+            ("problem_seed = 7", f"problem_seed = {2**64}", 11),
+        ],
+    )
+    def test_bad_value_is_line_anchored(self, tmp_path, old, new, line):
+        path = tmp_path / "exp.cfg"
+        path.write_text(GOOD_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"{path}:{line}: ")
+
+    def test_last_run_seed_may_reach_the_top_of_the_range(self, tmp_path):
+        # num_runs = 3 runs use seeds run_seed_base .. run_seed_base + 2
+        path = tmp_path / "exp.cfg"
+        path.write_text(GOOD_CONFIG.replace("run_seed_base = 100", f"run_seed_base = {2**64 - 3}"))
+        assert load_config(path).run_seed_base == 2**64 - 3
+
     def test_missing_key_reports_section(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(GOOD_CONFIG.replace("num_iters = 200\n", ""))
@@ -237,6 +264,11 @@ class TestConfigParsing:
         assert cfg.problem_seed == 5000
         assert cfg.x0_seed == 5001
         assert cfg.run_seed_base == 5002
+
+    @pytest.mark.parametrize("seed", [-5, 2**64 - 1, 2**64 - 4])
+    def test_seed_override_out_of_range(self, seed):
+        with pytest.raises(ConfigError, match="outside"):
+            apply_seed_override(small_config(), seed)
 
     def test_shipped_configs_parse(self):
         import pathlib
@@ -295,6 +327,18 @@ class TestRunExperiment:
         x0 = substream(9, 0).standard_normal(8)
         assert series.mean_f[0] == problem.objective(x0)
         assert read_series_csv(tmp_path / "d.csv").same_as(series)
+
+    def test_zero_iters_with_svg_rejected_before_any_run(self, tmp_path, monkeypatch):
+        def no_run(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "_execute_run", no_run)
+        cfg = small_config(
+            num_runs=1, num_iters=0, record_stride=1, csv_path="d.csv", svg_path="d.svg"
+        )
+        with pytest.raises(ConfigError, match=r"svg_path.*num_iters"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_full_gate_blocks_large_runs(self):
         cfg = small_config(num_iters=10**7, num_runs=25, n=100, m=3)

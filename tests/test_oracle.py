@@ -126,6 +126,54 @@ class TestOracleEval:
             oracle_eval(lambda x: float("nan"), np.zeros(2), np.ones(2), cfg)
 
 
+class TestOracleEvalBlock:
+    # f has no batch method and B is the identity or diagonal, so every row
+    # of a block call does the same float operations as a single call: each
+    # entry of B u is then one product in either BLAS path
+    N = 6
+
+    @staticmethod
+    def f(p):
+        return float(np.sum(np.arange(1.0, 7.0) * p**2) + p[0])
+
+    @pytest.mark.parametrize("b_matrix", [None, np.diag(np.arange(1.0, 7.0))])
+    @pytest.mark.parametrize("fx", [None, 1.25])
+    def test_block_equals_single_calls(self, b_matrix, fx):
+        gen = np.random.default_rng(4)
+        x = gen.standard_normal(self.N)
+        u = gen.standard_normal((9, self.N))
+        cfg = OracleConfig(mu=1e-2, b_matrix=b_matrix, seed=0)
+        block = oracle_eval(self.f, x, u, cfg, fx=fx)
+        singles = np.array([oracle_eval(self.f, x, row, cfg, fx=fx) for row in u])
+        assert block.shape == (9, self.N)
+        assert np.array_equal(block, singles)
+
+    def test_block_shares_one_evaluation_at_x(self):
+        calls = []
+
+        def f(p):
+            calls.append(1)
+            return float(p @ p)
+
+        oracle_eval(f, np.ones(3), np.ones((5, 3)), OracleConfig(mu=0.1, seed=0))
+        assert len(calls) == 1 + 5
+
+    @pytest.mark.parametrize("shape", [(4, N + 1), (2, 4, N), (N + 1,)])
+    def test_bad_direction_shape_rejected(self, shape):
+        cfg = OracleConfig(mu=0.1, seed=0)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            oracle_eval(self.f, np.zeros(self.N), np.ones(shape), cfg)
+
+    def test_nonfinite_value_in_block_raises(self):
+        def f(p):
+            return float("inf") if p[0] > 0.5 else float(p @ p)
+
+        u = np.zeros((3, 2))
+        u[1, 0] = 100.0
+        with pytest.raises(EvaluationError):
+            oracle_eval(f, np.zeros(2), u, OracleConfig(mu=0.1, seed=0))
+
+
 class TestSmoothedEstimates:
     def test_value_mode_scalar_quadratic(self):
         # smoothing x^2 with scale mu adds exactly mu^2 at the origin
