@@ -60,10 +60,8 @@ from .solvers import (
     RunRecord,
     SolverConfig,
     best_iterate,
-    load_run_record,
     projected_random_search,
     random_search,
-    save_run_record,
     suggest_params,
     theorem_step_size,
 )

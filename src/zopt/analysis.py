@@ -152,8 +152,13 @@ def oracle_variance_candidate(
     if mode == "c11":
         if grad_norm is None or grad_norm < 0:
             raise ValueError("mode 'c11' requires a nonnegative grad_norm")
-        return mu**2 * lip_const**2 * (n + 6) ** 3 / 2.0 + 2.0 * (n + 4) * grad_norm**2
+        return _c11_sigma_sq(mu, n, lip_const, grad_norm**2)
     raise ValueError(f"mode must be 'c00' or 'c11', got {mode!r}")
+
+
+def _c11_sigma_sq(mu: float, n: int, lip_const: float, grad_sq):
+    """The c11 candidate from squared gradient norms (a float or an array), unvalidated."""
+    return mu**2 * lip_const**2 * (n + 6) ** 3 / 2.0 + 2.0 * (n + 4) * grad_sq
 
 
 def prox_quantity(

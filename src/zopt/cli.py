@@ -107,6 +107,9 @@ def _cmd_suggest(args) -> int:
 def _cmd_verify(args) -> int:
     if _count_below("--probes", args.probes, 1) or _count_below("--samples", args.samples, 2):
         return 2
+    if not 0 <= args.seed < 2**64:
+        print(f"--seed must be in [0, 2**64), got {args.seed}", file=sys.stderr)
+        return 2
     # Fixed desk-scale quadratic instance on a box; the checks are exact
     # inequalities, so any instance should report zero violations.
     problem = problems.make_least_squares(m=5, n=20, noise_std=0.1, seed=args.seed)

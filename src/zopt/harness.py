@@ -23,6 +23,7 @@ import numpy as np
 
 from .analysis import (
     BoundInputs,
+    _c11_sigma_sq,
     constrained_gap_bound,
     constrained_opt_value,
     unconstrained_gap_bound,
@@ -30,7 +31,7 @@ from .analysis import (
 from .oracle import OracleConfig
 from .problems import TestProblem, make_least_squares
 from .rng import substream
-from .sets import set_from_spec
+from .sets import FeasibleSet, set_from_spec
 from .solvers import (
     DivergenceError,
     RunRecord,
@@ -191,7 +192,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", path=path) from exc
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
@@ -526,7 +527,7 @@ class _RunTask:
     step_size: float
     num_iters: int
     record_stride: int
-    set_spec: dict | None
+    feasible_set: FeasibleSet | None
     collect_sigma: bool
 
 
@@ -547,27 +548,27 @@ def _execute_run(task: _RunTask) -> _RunOutcome:
         record_stride=task.record_stride,
         lip_const=problem.lip_const,
     )
-    sigma_sq = None
+    grad_sq = None
     on_iterate = None
     if task.collect_sigma:
-        n = problem.dim
-        sigma_sq = np.empty(task.num_iters + 1)
-        smoothing_term = task.mu**2 * problem.lip_const**2 * (n + 6) ** 3 / 2.0
+        grad_sq = np.empty(task.num_iters + 1)
 
         def on_iterate(k, x):
             g = problem.grad(x)
-            sigma_sq[k] = smoothing_term + 2.0 * (n + 4) * float(g @ g)
+            grad_sq[k] = g @ g
 
     try:
-        if task.set_spec is None:
+        if task.feasible_set is None:
             record = random_search(problem.objective, task.x0, solver_cfg, on_iterate=on_iterate)
         else:
-            feasible = set_from_spec(task.set_spec, problem.dim)
             record = projected_random_search(
-                problem.objective, feasible, task.x0, solver_cfg, on_iterate=on_iterate
+                problem.objective, task.feasible_set, task.x0, solver_cfg, on_iterate=on_iterate
             )
     except DivergenceError as exc:
         return _RunOutcome(task.index, None, None, str(exc))
+    sigma_sq = None
+    if grad_sq is not None:
+        sigma_sq = _c11_sigma_sq(task.mu, problem.dim, problem.lip_const, grad_sq)
     return _RunOutcome(task.index, record, sigma_sq, None)
 
 
@@ -674,7 +675,7 @@ def run_experiment(
             step_size=float(step),
             num_iters=config.num_iters,
             record_stride=config.record_stride,
-            set_spec=config.set_spec,
+            feasible_set=feasible,
             collect_sigma=collect_sigma,
         )
         for i in range(config.num_runs)

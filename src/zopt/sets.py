@@ -48,7 +48,7 @@ class FeasibleSet:
     def project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def contains(self, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         raise NotImplementedError
 
     def diameter(self) -> float:
@@ -69,7 +69,7 @@ class WholeSpace(FeasibleSet):
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.array(self._check(x), dtype=float)
 
-    def contains(self, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         self._check(x)
         return True
 
@@ -107,10 +107,11 @@ class Box(FeasibleSet):
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.clip(self._check(x), self.lower, self.upper)
 
-    def contains(self, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         x = self._check(x)
         return bool(
-            np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol)
+            np.all(x >= self.lower - MEMBERSHIP_TOL)
+            and np.all(x <= self.upper + MEMBERSHIP_TOL)
         )
 
     def diameter(self) -> float:
@@ -152,9 +153,9 @@ class Ball(FeasibleSet):
         scale = np.where(norm > threshold, self.radius / np.maximum(norm, 1e-300), 1.0)
         return self.center + offset * scale
 
-    def contains(self, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         x = self._check(x)
-        slack = tol * max(1.0, self.radius)
+        slack = MEMBERSHIP_TOL * max(1.0, self.radius)
         return bool(np.linalg.norm(x - self.center) <= self.radius + slack)
 
     def diameter(self) -> float:

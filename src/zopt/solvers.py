@@ -30,8 +30,6 @@ __all__ = [
     "best_iterate",
     "suggest_params",
     "theorem_step_size",
-    "save_run_record",
-    "load_run_record",
 ]
 
 # Abort threshold for runaway trajectories, relative to max(1, f(x0)).
@@ -77,29 +75,50 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class RunRecord:
-    """Trajectory summary of one run.
+    """Trajectory summary of one run: what the loop measured.
 
-    values holds f(x_k) for every k = 0..num_iters; best_values is its
-    running minimum (nonincreasing by construction).  Iterate vectors are
-    stored only at stride points plus the endpoint.
+    values holds f(x_k) for every k = 0..num_iters.  Iterate vectors are
+    stored only at stride points plus the endpoint x_N.  Everything else is
+    derived from these fields on access.
     """
 
-    seed: int
     config: SolverConfig
-    num_iters: int
     values: np.ndarray
-    best_values: np.ndarray
-    iterate_ks: np.ndarray
     iterates: np.ndarray
-    final_point: np.ndarray
     best_k: int
     best_point: np.ndarray
-    eval_count: int
     feasibility_violations: int = 0
+
+    @property
+    def seed(self) -> int:
+        return self.config.oracle.seed
+
+    @property
+    def num_iters(self) -> int:
+        return self.values.size - 1
+
+    @property
+    def best_values(self) -> np.ndarray:
+        """Running minimum of values, exact since a non-finite value aborts a run."""
+        return np.minimum.accumulate(self.values)
 
     @property
     def best_value(self) -> float:
         return float(self.values[self.best_k])
+
+    @property
+    def iterate_ks(self) -> np.ndarray:
+        """Iteration index of each stored iterate: the stride grid plus N."""
+        ks = np.arange(0, self.num_iters + 1, self.config.record_stride, dtype=np.int64)
+        return ks if ks[-1] == self.num_iters else np.append(ks, self.num_iters)
+
+    @property
+    def final_point(self) -> np.ndarray:
+        return self.iterates[-1]
+
+    @property
+    def eval_count(self) -> int:
+        return 2 * self.num_iters + 1
 
 
 def _run(
@@ -134,8 +153,6 @@ def _run(
     sampler = SubstreamSampler(oracle_cfg.seed)
 
     values = np.empty(num_iters + 1)
-    best_values = np.empty(num_iters + 1)
-    iterate_ks: list[int] = []
     iterates: list[np.ndarray] = []
     best_value = math.inf
     best_k = 0
@@ -158,9 +175,7 @@ def _run(
             best_value = fx
             best_k = k
             best_point = x.copy()
-        best_values[k] = best_value
         if k % cfg.record_stride == 0 or k == num_iters:
-            iterate_ks.append(k)
             iterates.append(x.copy())
         if feasible_set is not None and not feasible_set.contains(x):
             violations += 1
@@ -178,17 +193,11 @@ def _run(
             x = feasible_set.project(x)
 
     return RunRecord(
-        seed=oracle_cfg.seed,
         config=cfg,
-        num_iters=num_iters,
         values=values,
-        best_values=best_values,
-        iterate_ks=np.array(iterate_ks, dtype=np.int64),
         iterates=np.array(iterates),
-        final_point=x.copy(),
         best_k=best_k,
         best_point=best_point,
-        eval_count=2 * num_iters + 1,
         feasibility_violations=violations,
     )
 
@@ -279,65 +288,3 @@ def suggest_params(
     else:
         raise ValueError(f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
     return mu, int(num_iters)
-
-
-def save_run_record(record: RunRecord, path) -> None:
-    """Write a run record as a compact .npz archive."""
-    cfg = record.config
-    b = cfg.oracle.b_matrix
-    np.savez_compressed(
-        path,
-        values=record.values,
-        best_values=record.best_values,
-        iterate_ks=record.iterate_ks,
-        iterates=record.iterates,
-        final_point=record.final_point,
-        best_point=record.best_point,
-        b_matrix=np.empty((0, 0)) if b is None else b,
-        scalars=np.array(
-            [
-                float(record.seed),
-                float(record.num_iters),
-                float(record.best_k),
-                float(record.eval_count),
-                float(record.feasibility_violations),
-                cfg.oracle.mu,
-                cfg.step_size,
-                float(cfg.record_stride),
-                math.nan if cfg.lip_const is None else cfg.lip_const,
-            ]
-        ),
-    )
-
-
-def load_run_record(path) -> RunRecord:
-    """Read a run record written by save_run_record."""
-    with np.load(path) as data:
-        scalars = data["scalars"]
-        b = data["b_matrix"]
-        lip = None if math.isnan(scalars[8]) else float(scalars[8])
-        cfg = SolverConfig(
-            oracle=OracleConfig(
-                mu=float(scalars[5]),
-                b_matrix=None if b.size == 0 else b,
-                seed=int(scalars[0]),
-            ),
-            step_size=float(scalars[6]),
-            num_iters=int(scalars[1]),
-            record_stride=int(scalars[7]),
-            lip_const=lip,
-        )
-        return RunRecord(
-            seed=int(scalars[0]),
-            config=cfg,
-            num_iters=int(scalars[1]),
-            values=data["values"],
-            best_values=data["best_values"],
-            iterate_ks=data["iterate_ks"],
-            iterates=data["iterates"],
-            final_point=data["final_point"],
-            best_k=int(scalars[2]),
-            best_point=data["best_point"],
-            eval_count=int(scalars[3]),
-            feasibility_violations=int(scalars[4]),
-        )

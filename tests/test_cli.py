@@ -87,6 +87,18 @@ class TestVerify:
         assert captured.err == message + "\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_bad_seed_exits_2(self, capsys, seed):
+        assert main(["verify", "--seed", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"--seed must be in [0, 2**64), got {seed}\n"
+        assert captured.out == ""
+
+    def test_top_seed_is_accepted(self, capsys):
+        rc = main(["verify", "--probes", "2", "--samples", "20", "--seed", str(2**64 - 1)])
+        assert rc in (0, 1)
+        assert capsys.readouterr().err == ""
+
 
 class TestRun:
     def test_end_to_end(self, tmp_path, capsys):
@@ -98,6 +110,15 @@ class TestRun:
         assert "unconstrained experiment" in out
         series = read_series_csv(tmp_path / "cli_out.csv")
         assert series.num_runs == 2
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(RUN_CONFIG.encode().replace(b"noise_std", b"noise\xffstd"))
+        assert main(["run", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{cfg}: cannot read config: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_invalid_config_exits_2_with_location(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zopt import harness
 from zopt.analysis import BoundInputs
@@ -116,9 +118,7 @@ class TestAggregate:
         # values {1, 3} at a checkpoint: mean 2, std sqrt(2) with divisor R-1
         _, records = tiny_records(num_runs=2, num_iters=0)
         records[0].values[:] = 1.0
-        records[0].best_values[:] = 1.0
         records[1].values[:] = 3.0
-        records[1].best_values[:] = 3.0
         series = aggregate(records)
         assert series.mean_f[0] == 2.0
         assert series.std_f[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -126,7 +126,6 @@ class TestAggregate:
     def test_running_average_gap_by_hand(self):
         _, records = tiny_records(num_runs=1, num_iters=1)
         records[0].values[:] = [4.0, 2.0]
-        records[0].best_values[:] = [4.0, 2.0]
         series = aggregate(records, f_star=1.0)
         np.testing.assert_allclose(series.running_avg_gap, [3.0, 2.0], rtol=1e-12)
         assert np.all(series.running_avg_gap_se == 0.0)
@@ -279,6 +278,84 @@ class TestConfigParsing:
         for path in paths:
             cfg = load_config(path)
             assert cfg.scenario in ("unconstrained", "constrained")
+
+
+# A valid constrained config; the property test below overrides, deletes or
+# splices into it so that most examples get past the syntax check.
+FUZZ_BASE = {
+    "experiment": {"scenario": "constrained", "num_runs": "3", "run_seed_base": "100"},
+    "problem": {"m": "2", "n": "3", "noise_std": "0.1", "problem_seed": "7"},
+    "solver": {"mu": "auto", "eps": "0.1", "step_size": "theorem", "num_iters": "20"},
+    "set": {"kind": "box", "lower": "-0.5", "upper": "0.5", "radius": "1"},
+    "outputs": {"csv_path": "out.csv", "bound_overlay": "true"},
+}
+FUZZ_FIELDS = [(section, key) for section, keys in FUZZ_BASE.items() for key in keys]
+FUZZ_FIELDS += [("experiment", "x0_seed"), ("solver", "record_stride"), ("set", "center")]
+# Numbers come only from this list and from small integers: a free-text
+# value such as "99999999999" as n would make the set check in load_config
+# materialise n-vectors, which is a memory cost, not a parsing property.
+AWKWARD_VALUES = [
+    "nan", "-nan", "inf", "-inf", "1e999", "auto", "suggest", "theorem", "",
+    "-1", "0", "1e-5", "0.5", "-0.5,0.5", "box", "ball", "whole_space",
+    "unconstrained", "constrained", "true", "maybe",
+    str(2**63), str(2**64 - 1), str(2**64), str(10**30), "9" * 5000,
+]
+fuzz_values = st.one_of(
+    st.sampled_from(AWKWARD_VALUES),
+    st.integers(min_value=-3, max_value=40).map(str),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12),
+    st.none(),
+)
+
+
+@st.composite
+def fuzz_config_text(draw):
+    sections = {name: dict(keys) for name, keys in FUZZ_BASE.items()}
+    if draw(st.booleans()):
+        sections["experiment"]["scenario"] = "unconstrained"
+        del sections["set"]
+    for section, key in draw(st.lists(st.sampled_from(FUZZ_FIELDS), max_size=5, unique=True)):
+        value = draw(fuzz_values)
+        if value is None:
+            sections.get(section, {}).pop(key, None)
+        else:
+            sections.setdefault(section, {})[key] = value
+    lines = []
+    for name, keys in sections.items():
+        lines.append(f"[{name}]")
+        lines += [f"{key} = {value}" for key, value in keys.items()]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def spliced_bytes(draw):
+    data = draw(fuzz_config_text()).encode("utf-8")
+    at = draw(st.integers(min_value=0, max_value=len(data)))
+    return data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+
+
+class TestConfigProperty:
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        data=st.one_of(
+            fuzz_config_text().map(lambda text: text.encode("utf-8")),
+            spliced_bytes(),
+            st.binary(max_size=200),
+        )
+    )
+    def test_any_file_gives_a_config_or_a_config_error(self, tmp_path, data):
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(data)
+        try:
+            cfg = load_config(path)
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
 
 
 class TestRunExperiment:

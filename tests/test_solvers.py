@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,10 +12,8 @@ from zopt.solvers import (
     RunRecord,
     SolverConfig,
     best_iterate,
-    load_run_record,
     projected_random_search,
     random_search,
-    save_run_record,
     suggest_params,
     theorem_step_size,
 )
@@ -187,20 +186,13 @@ class TestProjectedRun:
 class TestBestIterate:
     def make_record(self, values):
         values = np.array(values, dtype=float)
-        best = np.minimum.accumulate(values)
         best_k = int(np.argmin(values))
         return RunRecord(
-            seed=0,
-            config=config(iters=len(values) - 1),
-            num_iters=len(values) - 1,
+            config=config(iters=len(values) - 1, stride=1),
             values=values,
-            best_values=best,
-            iterate_ks=np.arange(len(values)),
             iterates=np.zeros((len(values), 1)),
-            final_point=np.zeros(1),
             best_k=best_k,
             best_point=np.full(1, float(best_k)),
-            eval_count=2 * (len(values) - 1) + 1,
         )
 
     def test_tie_breaks_to_earliest(self):
@@ -215,6 +207,46 @@ class TestBestIterate:
     def test_constant_values(self):
         k, _, value = best_iterate(self.make_record([2.0, 2.0, 2.0]))
         assert (k, value) == (0, 2.0)
+
+
+class TestDerivedFields:
+    def test_constructor_takes_only_measured_fields(self):
+        names = [f.name for f in dataclasses.fields(RunRecord)]
+        assert names == [
+            "config",
+            "values",
+            "iterates",
+            "best_k",
+            "best_point",
+            "feasibility_violations",
+        ]
+
+    def test_derived_fields_match_the_loop(self):
+        # N = 130 is off the stride grid, so x_N is stored as an extra iterate
+        problem = make_least_squares(3, 8, 0.1, 4)
+        x0 = np.random.default_rng(1).standard_normal(8)
+        cfg = config(mu=1e-5, seed=77, step=1e-3, iters=130, stride=50)
+        visited = []
+        record = random_search(
+            problem.objective, x0, cfg, on_iterate=lambda k, x: visited.append(x.copy())
+        )
+        assert record.seed == 77
+        assert record.num_iters == 130
+        assert record.eval_count == 261
+        assert record.iterate_ks.tolist() == [0, 50, 100, 130]
+        for k, x in zip(record.iterate_ks, record.iterates):
+            assert np.array_equal(x, visited[k])
+        assert np.array_equal(record.final_point, visited[-1])
+        running = []
+        for value in record.values:
+            running.append(min(running[-1], value) if running else value)
+        assert np.array_equal(record.best_values, running)
+
+    def test_endpoint_on_the_stride_grid_is_stored_once(self):
+        problem = scalar_problem()
+        record = random_search(problem.objective, np.array([1.0]), config(iters=100, stride=50))
+        assert record.iterate_ks.tolist() == [0, 50, 100]
+        assert len(record.iterates) == 3
 
 
 class TestParameterSelection:
@@ -254,25 +286,6 @@ class TestParameterSelection:
 
 
 class TestRecordSerialization:
-    def test_npz_roundtrip(self, tmp_path):
-        problem = make_least_squares(3, 6, 0.1, 19)
-        x0 = np.random.default_rng(7).standard_normal(6)
-        cfg = config(mu=1e-5, seed=31, step=1e-3, iters=120, stride=30, lip=2.5)
-        record = random_search(problem.objective, x0, cfg)
-        path = tmp_path / "run.npz"
-        save_run_record(record, path)
-        loaded = load_run_record(path)
-        assert np.array_equal(loaded.values, record.values)
-        assert np.array_equal(loaded.best_values, record.best_values)
-        assert np.array_equal(loaded.iterates, record.iterates)
-        assert np.array_equal(loaded.final_point, record.final_point)
-        assert loaded.seed == record.seed
-        assert loaded.best_k == record.best_k
-        assert loaded.eval_count == record.eval_count
-        assert loaded.config.step_size == cfg.step_size
-        assert loaded.config.lip_const == cfg.lip_const
-        assert loaded.config.oracle.mu == cfg.oracle.mu
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="step_size"):
             SolverConfig(oracle=OracleConfig(mu=0.1), step_size=0.0, num_iters=1)
