@@ -413,7 +413,7 @@ def verify_oracle_inequalities(
       candidate, within MC_SIGMAS standard errors.
     projected_decrease_bound: mean T(x, lip) >= Q(x, lip)
       - mu lip^2 (n+3)^(3/2) d_x - 2 lip d_x mean||xi||, within MC_SIGMAS
-      standard errors (finite-diameter sets only).
+      standard errors (sets of finite diameter only).
 
     Probes are drawn at random feasible points; requires a quadratic
     problem (see probe_deviation).

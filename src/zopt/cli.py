@@ -51,6 +51,9 @@ def _cmd_run(args) -> int:
     except (harness.ConfigError, harness.FullRunRequired) as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"{args.config}: the experiment does not fit in memory: {exc}", file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         print(str(exc), file=sys.stderr)
         return 1

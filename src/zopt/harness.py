@@ -61,6 +61,16 @@ __all__ = [
 FULL_GATE_COST = 1_000_000_000
 
 _CSV_MAGIC = "# zopt-aggregate-v1"
+# the value columns of AggregateSeries, in file order after k; a None column
+# is left out of the file
+_VALUE_COLUMNS = (
+    "mean_f",
+    "std_f",
+    "mean_best_f",
+    "running_avg_gap",
+    "running_avg_gap_se",
+    "bound_rhs",
+)
 SEED_ENV_VAR = "ZOPT_SEED"
 
 
@@ -280,18 +290,20 @@ def load_config(path) -> ExperimentConfig:
     bad_seed = _seed_range_error(cfg)
     if bad_seed is not None:
         reader.error(*bad_seed)
-    if scenario == "constrained" and set_spec is not None:
+    if set_spec is not None:
         try:
-            feasible = set_from_spec(set_spec, n)
+            _constrained_set(set_spec, n)
         except ValueError as exc:
             raise ConfigError(str(exc), path=path, line=_find_line(text, "set", None)) from exc
-        if not math.isfinite(feasible.diameter()):
-            raise ConfigError(
-                "constrained scenario requires a finite-diameter set",
-                path=path,
-                line=_find_line(text, "set", None),
-            )
     return cfg
+
+
+def _constrained_set(set_spec: dict, n: int) -> FeasibleSet:
+    """The feasible set of a constrained experiment; its diameter must be finite."""
+    feasible = set_from_spec(set_spec, n)
+    if not math.isfinite(feasible.diameter()):
+        raise ConfigError("constrained scenario requires a finite-diameter set")
+    return feasible
 
 
 def _seed_range_error(config: ExperimentConfig) -> tuple[str, str, str] | None:
@@ -358,13 +370,7 @@ class AggregateSeries:
             return np.array_equal(a, b)
 
         return (
-            eq(self.ks, other.ks)
-            and eq(self.mean_f, other.mean_f)
-            and eq(self.std_f, other.std_f)
-            and eq(self.mean_best_f, other.mean_best_f)
-            and eq(self.running_avg_gap, other.running_avg_gap)
-            and eq(self.running_avg_gap_se, other.running_avg_gap_se)
-            and eq(self.bound_rhs, other.bound_rhs)
+            all(eq(getattr(self, c), getattr(other, c)) for c in ("ks", *_VALUE_COLUMNS))
             and self.f_star == other.f_star
             and self.num_runs == other.num_runs
             and self.metadata == other.metadata
@@ -414,13 +420,10 @@ def aggregate(
     bound = None
     if bound_inputs is not None:
         if bound_inputs.d_x is not None:
-            bound = np.array(
-                [constrained_gap_bound(bound_inputs, int(k), step_size) for k in ks]
-            )
+            gap_bound = constrained_gap_bound
         else:
-            bound = np.array(
-                [unconstrained_gap_bound(bound_inputs, int(k), step_size) for k in ks]
-            )
+            gap_bound = unconstrained_gap_bound
+        bound = np.array([gap_bound(bound_inputs, int(k), step_size) for k in ks])
 
     metadata = {
         "num_iters": str(num_iters),
@@ -442,29 +445,16 @@ def aggregate(
 
 def write_series_csv(series: AggregateSeries, path) -> None:
     """Write the series exactly: floats as shortest round-trip decimals."""
-    columns = ["k", "mean_f", "std_f", "mean_best_f"]
-    if series.running_avg_gap is not None:
-        columns += ["running_avg_gap", "running_avg_gap_se"]
-    if series.bound_rhs is not None:
-        columns.append("bound_rhs")
-
+    columns = [c for c in _VALUE_COLUMNS if getattr(series, c) is not None]
+    arrays = [getattr(series, c) for c in columns]
     lines = [_CSV_MAGIC]
     lines.append(f"# f_star = {'none' if series.f_star is None else repr(series.f_star)}")
     lines.append(f"# num_runs = {series.num_runs}")
     for key in sorted(series.metadata):
         lines.append(f"# {key} = {series.metadata[key]}")
-    lines.append(",".join(columns))
+    lines.append(",".join(["k", *columns]))
     for i, k in enumerate(series.ks):
-        row = [str(int(k))]
-        row.append(repr(float(series.mean_f[i])))
-        row.append(repr(float(series.std_f[i])))
-        row.append(repr(float(series.mean_best_f[i])))
-        if series.running_avg_gap is not None:
-            row.append(repr(float(series.running_avg_gap[i])))
-            row.append(repr(float(series.running_avg_gap_se[i])))
-        if series.bound_rhs is not None:
-            row.append(repr(float(series.bound_rhs[i])))
-        lines.append(",".join(row))
+        lines.append(",".join([str(int(k)), *(repr(float(a[i])) for a in arrays)]))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -505,12 +495,7 @@ def read_series_csv(path) -> AggregateSeries:
 
     return AggregateSeries(
         ks=np.array([int(v) for v in data["k"]], dtype=np.int64),
-        mean_f=floats("mean_f"),
-        std_f=floats("std_f"),
-        mean_best_f=floats("mean_best_f"),
-        running_avg_gap=floats("running_avg_gap"),
-        running_avg_gap_se=floats("running_avg_gap_se"),
-        bound_rhs=floats("bound_rhs"),
+        **{name: floats(name) for name in _VALUE_COLUMNS},
         f_star=f_star,
         num_runs=num_runs,
         metadata=metadata,
@@ -519,21 +504,15 @@ def read_series_csv(path) -> AggregateSeries:
 
 @dataclass(frozen=True, eq=False)
 class _RunTask:
-    index: int
     problem: TestProblem
     x0: np.ndarray
-    mu: float
-    seed: int
-    step_size: float
-    num_iters: int
-    record_stride: int
+    solver: SolverConfig
     feasible_set: FeasibleSet | None
     collect_sigma: bool
 
 
 @dataclass(eq=False)
 class _RunOutcome:
-    index: int
     record: RunRecord | None
     sigma_sq: np.ndarray | None
     error: str | None
@@ -541,17 +520,11 @@ class _RunOutcome:
 
 def _execute_run(task: _RunTask) -> _RunOutcome:
     problem = task.problem
-    solver_cfg = SolverConfig(
-        oracle=OracleConfig(mu=task.mu, seed=task.seed),
-        step_size=task.step_size,
-        num_iters=task.num_iters,
-        record_stride=task.record_stride,
-        lip_const=problem.lip_const,
-    )
+    solver_cfg = task.solver
     grad_sq = None
     on_iterate = None
     if task.collect_sigma:
-        grad_sq = np.empty(task.num_iters + 1)
+        grad_sq = np.empty(solver_cfg.num_iters + 1)
 
         def on_iterate(k, x):
             g = problem.grad(x)
@@ -565,11 +538,11 @@ def _execute_run(task: _RunTask) -> _RunOutcome:
                 problem.objective, task.feasible_set, task.x0, solver_cfg, on_iterate=on_iterate
             )
     except DivergenceError as exc:
-        return _RunOutcome(task.index, None, None, str(exc))
+        return _RunOutcome(None, None, str(exc))
     sigma_sq = None
     if grad_sq is not None:
-        sigma_sq = _c11_sigma_sq(task.mu, problem.dim, problem.lip_const, grad_sq)
-    return _RunOutcome(task.index, record, sigma_sq, None)
+        sigma_sq = _c11_sigma_sq(solver_cfg.oracle.mu, problem.dim, problem.lip_const, grad_sq)
+    return _RunOutcome(record, sigma_sq, None)
 
 
 def resolve_output_path(path: str | None, out_dir: str | None) -> str | None:
@@ -605,6 +578,8 @@ def run_experiment(
         )
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if config.num_runs < 1:
+        raise ValueError(f"num_runs must be >= 1, got {config.num_runs}")
 
     problem = make_least_squares(
         config.m, config.n, config.noise_std, config.problem_seed
@@ -617,14 +592,15 @@ def run_experiment(
     feasible = None
     d_x = None
     if mode == "constrained":
-        feasible = set_from_spec(config.set_spec or {}, n)
+        feasible = _constrained_set(config.set_spec or {}, n)
         d_x = feasible.diameter()
-        if not math.isfinite(d_x):
-            raise ConfigError("constrained scenario requires a finite-diameter set")
 
     mu = config.mu
     if mu is None:
-        mu, _ = suggest_params(mode, config.eps, n, lip, pl, d_x=d_x)
+        try:
+            mu, _ = suggest_params(mode, config.eps, n, lip, pl, d_x=d_x)
+        except ValueError as exc:
+            raise ConfigError(f"[solver] mu = auto: {exc}", path=config.source_path) from exc
     step = config.step_size
     if step is None:
         step = theorem_step_size(mode, n, lip)
@@ -667,57 +643,42 @@ def run_experiment(
     collect_sigma = config.bound_overlay and mode == "constrained"
     tasks = [
         _RunTask(
-            index=i,
             problem=problem,
             x0=x0,
-            mu=float(mu),
-            seed=config.run_seed_base + i,
-            step_size=float(step),
-            num_iters=config.num_iters,
-            record_stride=config.record_stride,
+            solver=SolverConfig(
+                oracle=OracleConfig(mu=float(mu), seed=config.run_seed_base + i),
+                step_size=float(step),
+                num_iters=config.num_iters,
+                record_stride=config.record_stride,
+                lip_const=lip,
+            ),
             feasible_set=feasible,
             collect_sigma=collect_sigma,
         )
         for i in range(config.num_runs)
     ]
+    # both paths return the outcomes in task (run index) order
     if jobs == 1 or config.num_runs == 1:
         outcomes = [_execute_run(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, config.num_runs)) as pool:
             outcomes = list(pool.map(_execute_run, tasks))
-    outcomes.sort(key=lambda o: o.index)
 
-    records = [o.record for o in outcomes if o.record is not None]
-    diverged = [(o.index, o.error) for o in outcomes if o.error is not None]
+    finished = [o for o in outcomes if o.record is not None]
+    records = [o.record for o in finished]
     if not records:
-        raise RuntimeError(
-            "every run diverged; first failure: " + (diverged[0][1] if diverged else "?")
-        )
-    metadata["diverged_runs"] = ",".join(str(i) for i, _ in diverged)
+        raise RuntimeError("every run diverged; first failure: " + outcomes[0].error)
+    metadata["diverged_runs"] = ",".join(
+        str(i) for i, o in enumerate(outcomes) if o.record is None
+    )
 
     bound_inputs = None
     if config.bound_overlay and f_star is not None:
-        gap = max(0.0, float(records[0].values[0]) - f_star)
-        if mode == "unconstrained":
-            bound_inputs = BoundInputs(
-                n=n, lip_const=lip, pl_const=pl, mu=float(mu), initial_gap=gap
-            )
-        else:
-            sigma_rows = np.stack(
-                [o.sigma_sq for o in outcomes if o.record is not None]
-            )
+        sigma_seq = None
+        if collect_sigma:
             # rms across runs upper-bounds both the mean of sigma and the
             # mean of sigma^2 that the expectation form of the bound needs
-            sigma_seq = np.sqrt(sigma_rows.mean(axis=0))
-            bound_inputs = BoundInputs(
-                n=n,
-                lip_const=lip,
-                pl_const=pl,
-                mu=float(mu),
-                initial_gap=gap,
-                d_x=d_x,
-                sigma_seq=sigma_seq,
-            )
+            sigma_seq = np.sqrt(np.stack([o.sigma_sq for o in finished]).mean(axis=0))
             metadata["sigma_note"] = (
                 "sigma_k from the c11 candidate with analytic gradient norms, "
                 "rms across runs"
@@ -726,6 +687,15 @@ def run_experiment(
                 "constrained bound evaluated with the unconstrained dominance "
                 "constant"
             )
+        bound_inputs = BoundInputs(
+            n=n,
+            lip_const=lip,
+            pl_const=pl,
+            mu=float(mu),
+            initial_gap=max(0.0, float(records[0].values[0]) - f_star),
+            d_x=d_x,
+            sigma_seq=sigma_seq,
+        )
         analyzed = theorem_step_size(mode, n, lip)
         if not math.isclose(step, analyzed, rel_tol=1e-9):
             metadata["bound_step_note"] = (

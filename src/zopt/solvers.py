@@ -273,18 +273,29 @@ def suggest_params(
     pl_const * eps / (d_x * lip_const^2 * (n + 3)^(3/2)) and N =
     ceil(lip_const / (pl_const * eps)).  The scalings carry unspecified
     leading constants; they are fixed at 1 here, so treat the output as a
-    calibrated starting point rather than a certificate.
+    calibrated starting point rather than a certificate.  Raises ValueError
+    unless the inputs, mu and N are all positive and finite.
     """
-    if not (eps > 0 and n > 0 and lip_const > 0 and pl_const > 0):
-        raise ValueError("eps, n, lip_const, and pl_const must all be positive")
-    if mode == "unconstrained":
-        mu = math.sqrt(pl_const * eps) / (n**1.5 * lip_const)
-        num_iters = math.ceil(n * lip_const / (pl_const * eps))
-    elif mode == "constrained":
-        if d_x is None or not math.isfinite(d_x) or d_x <= 0:
-            raise ValueError("constrained mode requires a finite positive d_x")
-        mu = pl_const * eps / (d_x * lip_const**2 * (n + 3) ** 1.5)
-        num_iters = math.ceil(lip_const / (pl_const * eps))
-    else:
-        raise ValueError(f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
-    return mu, int(num_iters)
+    if not all(0 < v < math.inf for v in (eps, n, lip_const, pl_const)):
+        raise ValueError("eps, n, lip_const, and pl_const must all be positive and finite")
+    try:
+        if mode == "unconstrained":
+            mu = math.sqrt(pl_const * eps) / (n**1.5 * lip_const)
+            num_iters = n * lip_const / (pl_const * eps)
+        elif mode == "constrained":
+            if d_x is None or not math.isfinite(d_x) or d_x <= 0:
+                raise ValueError("constrained mode requires a finite positive d_x")
+            mu = pl_const * eps / (d_x * lip_const**2 * (n + 3) ** 1.5)
+            num_iters = lip_const / (pl_const * eps)
+        else:
+            raise ValueError(f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
+    except OverflowError:
+        # float ** and int-to-float conversions raise where other float
+        # arithmetic gives inf
+        mu = num_iters = math.inf
+    if not (0 < mu < math.inf and num_iters < math.inf):
+        raise ValueError(
+            f"eps={eps!r}, n={n}, lip_const={lip_const!r}, pl_const={pl_const!r} "
+            f"give no positive finite mu and finite iteration count"
+        )
+    return mu, math.ceil(num_iters)

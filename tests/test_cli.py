@@ -60,6 +60,28 @@ class TestSuggest:
         assert rc == 2
         assert "d_x" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode, flag, value",
+        [
+            ("unc", "--lip", "inf"),
+            ("unc", "--lip", "nan"),
+            ("unc", "--eps", "1e-320"),
+            ("unc", "--pl", "1e-320"),
+            pytest.param("unc", "--n", str(10**400), id="unc---n-10**400"),
+            ("con", "--lip", "1e200"),
+            ("con", "--dx", "1e-320"),
+        ],
+    )
+    def test_non_finite_inputs_or_results_exit_2(self, capsys, mode, flag, value):
+        args = {"--eps": "0.1", "--n": "50", "--lip": "4.0", "--pl": "1.5", "--dx": "1.0"}
+        args[flag] = value
+        rc = main(["suggest", "--mode", mode, *(x for item in args.items() for x in item)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert len(captured.err.splitlines()) == 1
+        assert "finite" in captured.err
+        assert captured.out == ""
+
 
 class TestVerify:
     def test_reports_zero_violations(self, capsys, tmp_path):
@@ -171,6 +193,24 @@ class TestRun:
         cfg.write_text(RUN_CONFIG)
         assert main(["run", "--config", str(cfg), "--jobs", "0"]) == 2
         assert capsys.readouterr().err == "--jobs must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("scenario", ["constrained", "unconstrained"])
+    def test_dimension_too_large_to_allocate_exits_2(self, tmp_path, capsys, scenario):
+        # 10**15 float64 entries exceed a 47-bit address space, so the first
+        # n-vector (the box bounds) or m x n matrix fails to allocate at once
+        text = RUN_CONFIG.replace("n = 8", f"n = {10**15}")
+        if scenario == "constrained":
+            text = text.replace("scenario = unconstrained", "scenario = constrained")
+            text += "\n[set]\nkind = box\nlower = -0.5\nupper = 0.5\n"
+        else:
+            text = text.replace("num_iters = 150", "num_iters = 0")
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{cfg}: the experiment does not fit in memory: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "cli_out.csv").exists()
 
     def test_zero_iters_with_svg_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -426,8 +426,8 @@ class TestRunExperiment:
         original = harness._execute_run
 
         def sabotaged(task):
-            if task.index == 1:
-                return harness._RunOutcome(task.index, None, None, "synthetic failure")
+            if task.solver.oracle.seed == 101:  # run 1: run_seed_base is 100
+                return harness._RunOutcome(None, None, "synthetic failure")
             return original(task)
 
         monkeypatch.setattr(harness, "_execute_run", sabotaged)
@@ -440,6 +440,20 @@ class TestRunExperiment:
     def test_all_diverged_raises(self):
         cfg = small_config(step_size=1e12, num_iters=100, num_runs=2, bound_overlay=False)
         with pytest.raises(RuntimeError, match="every run diverged"):
+            run_experiment(cfg, jobs=1)
+
+    def test_no_runs_rejected(self):
+        with pytest.raises(ValueError, match="num_runs must be >= 1, got 0"):
+            run_experiment(small_config(num_runs=0), jobs=1)
+
+    def test_programmatic_config_rejects_infinite_diameter(self):
+        cfg = small_config(scenario="constrained", set_spec={"kind": "whole_space"})
+        with pytest.raises(ConfigError, match="finite-diameter"):
+            run_experiment(cfg, jobs=1)
+
+    def test_auto_mu_without_finite_iteration_count_rejected(self):
+        cfg = small_config(mu=None, eps=1e-320)
+        with pytest.raises(ConfigError, match=r"mu = auto: .*finite iteration count"):
             run_experiment(cfg, jobs=1)
 
     def test_auto_mu_resolves_from_eps(self):
