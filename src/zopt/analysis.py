@@ -19,7 +19,7 @@ from scipy.optimize import lsq_linear
 
 from .oracle import OracleConfig, _mean_and_stderr, oracle_eval, sample_directions
 from .problems import TestProblem
-from .rng import substream
+from .rng import SubstreamSampler, substream
 from .sets import Box, FeasibleSet, WholeSpace, gradient_map
 from .solvers import theorem_step_size
 
@@ -422,13 +422,15 @@ def verify_oracle_inequalities(
     lip = problem.lip_const
     h = 1.0 / lip
     gen = substream(seed, 1)
+    sampler = SubstreamSampler(cfg.seed)
 
     worst_ip = math.inf
     ip_violations = 0
     for i in range(num_probes):
         x = feasible_set.sample(gen)
         grad = problem.grad(x)
-        g = oracle_eval(problem.objective, x, sample_directions(cfg, n, i, 1)[0], cfg)
+        u = sample_directions(cfg, n, i, 1, sampler=sampler)[0]
+        g = oracle_eval(problem.objective, x, u, cfg)
         xi = g - grad
         s = gradient_map(feasible_set, x, g, h)
         v = gradient_map(feasible_set, x, grad, h)

@@ -19,6 +19,7 @@ they use disjoint counters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -143,7 +144,7 @@ def sample_direction(
 
 def _eval_one(f: Callable, x: np.ndarray) -> float:
     value = float(f(x))
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise EvaluationError(
             f"objective returned {value} at a point with norm {np.linalg.norm(x):.6g}"
         )

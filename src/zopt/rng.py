@@ -1,7 +1,7 @@
 """Counter-based random substreams.
 
 Every draw in this package is reproducible from a 64-bit root seed and a
-nonnegative counter: substream(seed, k) always yields the same sequence, and
+counter in [0, 2**64): substream(seed, k) always yields the same sequence, and
 distinct counters yield statistically independent streams.  Parallel workers
 therefore only need disjoint counter ranges, never shared RNG state.
 
@@ -24,12 +24,17 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _check_counter(counter: int) -> int:
+    counter = int(counter)
+    if not 0 <= counter < 2**64:
+        raise ValueError(f"counter must be a 64-bit unsigned integer, got {counter}")
+    return counter
+
+
 def substream(seed: int, counter: int = 0) -> np.random.Generator:
     """Generator for substream `counter` of the stream rooted at `seed`."""
     seed = _check_seed(seed)
-    counter = int(counter)
-    if counter < 0:
-        raise ValueError(f"counter must be nonnegative, got {counter}")
+    counter = _check_counter(counter)
     bitgen = np.random.Philox(key=seed, counter=counter << _COUNTER_STRIDE_BITS)
     return np.random.Generator(bitgen)
 
@@ -46,23 +51,12 @@ class SubstreamSampler:
         self._seed = _check_seed(seed)
         self._bitgen = np.random.Philox(key=self._seed)
         self._gen = np.random.Generator(self._bitgen)
-        template = self._bitgen.state
-        self._key = template["state"]["key"]
-        self._buffer = template["buffer"]
+        # the fresh state of substream 0; a reset rewrites only counter word
+        # 1 (substream k starts at k * 2**64) and assigns this same dict back
+        self._state = self._bitgen.state
+        self._counter = self._state["state"]["counter"]
 
     def standard_normal(self, counter: int, size) -> np.ndarray:
-        counter = int(counter)
-        if counter < 0:
-            raise ValueError(f"counter must be nonnegative, got {counter}")
-        self._bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.array([0, counter, 0, 0], dtype=np.uint64),
-                "key": self._key,
-            },
-            "buffer": self._buffer,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._counter[1] = _check_counter(counter)
+        self._bitgen.state = self._state
         return self._gen.standard_normal(size)

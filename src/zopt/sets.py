@@ -94,25 +94,29 @@ class Box(FeasibleSet):
         if lower.ndim == 0 or upper.ndim == 0:
             if dim is None:
                 raise ValueError("dim is required when bounds are scalars")
-            lower = np.broadcast_to(lower, (dim,)).copy()
-            upper = np.broadcast_to(upper, (dim,)).copy()
+            lower = np.broadcast_to(lower, (dim,))
+            upper = np.broadcast_to(upper, (dim,))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be vectors of equal length")
         if not np.all(lower < upper):
             raise ValueError("box requires lower < upper componentwise")
         super().__init__(lower.size)
-        self.lower = lower
-        self.upper = upper
+        # read-only copies, so the widened bounds below cannot go stale
+        self.lower = np.array(lower)
+        self.upper = np.array(upper)
+        self.lower.flags.writeable = self.upper.flags.writeable = False
+        self._lower_tol = self.lower - MEMBERSHIP_TOL
+        self._upper_tol = self.upper + MEMBERSHIP_TOL
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(self._check(x), self.lower, self.upper)
+        # equals np.clip bit for bit, without its Python-level dispatch; the
+        # second pass reuses the first one's buffer, so a batch costs one copy
+        y = np.maximum(self._check(x), self.lower)
+        return np.minimum(y, self.upper, out=y)
 
     def contains(self, x: np.ndarray) -> bool:
         x = self._check(x)
-        return bool(
-            np.all(x >= self.lower - MEMBERSHIP_TOL)
-            and np.all(x <= self.upper + MEMBERSHIP_TOL)
-        )
+        return bool((x >= self._lower_tol).all() and (x <= self._upper_tol).all())
 
     def diameter(self) -> float:
         return float(np.linalg.norm(self.upper - self.lower))

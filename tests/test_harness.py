@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -466,3 +467,31 @@ class TestRunExperiment:
             "unconstrained", 0.1, 8, problem.lip_const, problem.pl_const
         )
         assert series.metadata["mu"] == repr(float(expected_mu))
+
+
+class TestPinnedConstrainedBits:
+    # The projected path pinned to the bit, like tests/data/pinned_desk.csv
+    # for the unconstrained one: box projection, feasibility check, sigma
+    # hook and bound_rhs all reach this CSV.
+    def test_box_csv_digest(self, tmp_path):
+        cfg = small_config(
+            scenario="constrained",
+            m=10,
+            n=40,
+            problem_seed=202,
+            num_iters=300,
+            record_stride=50,
+            num_runs=4,
+            run_seed_base=9000,
+            x0_seed=88,
+            mu=None,
+            eps=0.1,
+            set_spec={"kind": "box", "lower": "-0.5", "upper": "0.5"},
+            csv_path="box.csv",
+        )
+        for jobs in (1, 2):
+            out_dir = tmp_path / f"j{jobs}"
+            series = run_experiment(cfg, jobs=jobs, out_dir=str(out_dir))
+            assert series.metadata["feasibility_violations"] == "0"
+            digest = hashlib.sha256((out_dir / "box.csv").read_bytes()).hexdigest()
+            assert digest == "65352adf05fa59d783a6db246a294a4054882c72d00137575722286cbecb3186"

@@ -85,6 +85,37 @@ class TestSampling:
             sample_direction(cfg, 4, counter=0)
 
 
+class TestCounterRange:
+    # the in-place sampler and a fresh substream must agree on every counter
+    # in [0, 2**64) and refuse the same counters outside it
+    @pytest.mark.parametrize("size", [(5,), (1, 5), (3, 4)])
+    def test_sampler_equals_substream_in_any_order(self, size):
+        sampler = SubstreamSampler(31)
+        for counter in (7, 0, 2**64 - 1, 7, 3, 0, 2**64 - 1):
+            fresh = substream(31, counter).standard_normal(size)
+            fast = sampler.standard_normal(counter, size)
+            assert fast.shape == size
+            assert np.array_equal(fresh, fast)
+
+    def test_end_counters_are_distinct_streams(self):
+        sampler = SubstreamSampler(31)
+        assert not np.array_equal(
+            sampler.standard_normal(0, 4), sampler.standard_normal(2**64 - 1, 4)
+        )
+
+    @pytest.mark.parametrize("counter", [-1, 2**64])
+    def test_out_of_range_counter_rejected_on_both_paths(self, counter):
+        with pytest.raises(ValueError, match="counter"):
+            substream(31, counter)
+        sampler = SubstreamSampler(31)
+        with pytest.raises(ValueError, match="counter"):
+            sampler.standard_normal(counter, 4)
+        # a refused counter leaves the sampler usable and exact
+        assert np.array_equal(
+            sampler.standard_normal(2, 4), substream(31, 2).standard_normal(4)
+        )
+
+
 class TestOracleEval:
     def test_constant_objective_gives_zero(self):
         cfg = OracleConfig(mu=0.1, seed=0)

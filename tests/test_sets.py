@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zopt.sets import Ball, Box, WholeSpace, gradient_map, set_from_spec
+from zopt.sets import MEMBERSHIP_TOL, Ball, Box, WholeSpace, gradient_map, set_from_spec
 
 
 class TestProjection:
@@ -64,6 +64,70 @@ class TestProjection:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             Box(-1, 1, dim=3).project(np.zeros(4))
+
+
+class TestBoxBounds:
+    def test_bounds_are_private_read_only_copies(self):
+        lower = np.array([-1.0, -2.0])
+        upper = np.array([1.0, 0.0])
+        box = Box(lower, upper)
+        lower[:] = 5.0
+        upper[:] = 9.0
+        np.testing.assert_array_equal(box.lower, [-1.0, -2.0])
+        np.testing.assert_array_equal(box.upper, [1.0, 0.0])
+        assert box.contains(np.array([-1.0, -2.0]))
+        np.testing.assert_array_equal(box.project(np.array([7.0, 7.0])), [1.0, 0.0])
+        for bound in (box.lower, box.upper):
+            with pytest.raises(ValueError, match="read-only"):
+                bound[0] = 0.0
+
+    def test_contains_rejects_nan(self):
+        box = Box(-0.5, 0.5, dim=3)
+        assert not box.contains(np.array([0.0, np.nan, 0.0]))
+        assert not box.contains(np.full(3, np.nan))
+
+    def test_tolerance_edge_on_both_sides_of_both_bounds(self):
+        box = Box(np.array([-1.0, 0.25]), np.array([2.0, 3.0]))
+        edges = (
+            (0, -1.0 - MEMBERSHIP_TOL, -np.inf),
+            (0, 2.0 + MEMBERSHIP_TOL, np.inf),
+            (1, 0.25 - MEMBERSHIP_TOL, -np.inf),
+            (1, 3.0 + MEMBERSHIP_TOL, np.inf),
+        )
+        for i, edge, outward in edges:
+            x = np.array([0.5, 1.0])
+            x[i] = edge
+            assert box.contains(x)
+            x[i] = np.nextafter(edge, -outward)
+            assert box.contains(x)
+            x[i] = np.nextafter(edge, outward)
+            assert not box.contains(x)
+
+    def test_project_is_bitwise_np_clip_on_special_values(self):
+        # np.clip is the reference: signed zeros, infinities, NaN and
+        # subnormals, at lengths and offsets that reach SIMD loop tails
+        tiny = np.finfo(float).smallest_subnormal
+        specials = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 2.0**-1022,
+             -(2.0**-1022), 0.5, -0.5, 1.0, -1.0, 1e308, -1e308]
+        )
+        pairs = [
+            (0.0, 1.0), (-1.0, -0.0), (-tiny, tiny), (tiny, 2 * tiny),
+            (-np.inf, 0.0), (-0.0, np.inf), (-0.5, 0.5), (-np.inf, np.inf),
+        ]
+        cases = 0
+        for shift in range(len(pairs)):
+            for length in range(1, 20):
+                bounds = [pairs[(shift + j) % len(pairs)] for j in range(length)]
+                box = Box(np.array([b[0] for b in bounds]), np.array([b[1] for b in bounds]))
+                for offset in range(8):
+                    buffer = np.empty(length + offset)
+                    x = buffer[offset:]
+                    x[:] = np.resize(np.roll(specials, shift + offset), length)
+                    expected = np.clip(x, box.lower, box.upper)
+                    assert box.project(x).tobytes() == expected.tobytes()
+                    cases += length
+        assert cases > 10_000
 
 
 class TestDiameter:
