@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -31,7 +32,7 @@ from .analysis import (
 from .oracle import OracleConfig
 from .problems import TestProblem, make_least_squares
 from .rng import substream
-from .sets import FeasibleSet, set_from_spec
+from .sets import SET_KEYS, FeasibleSet, set_from_spec
 from .solvers import (
     DivergenceError,
     RunRecord,
@@ -120,80 +121,92 @@ class ExperimentConfig:
     source_path: str | None = None
 
 
-def _find_line(text: str, section: str, key: str | None) -> int | None:
-    """Best-effort line number of a key (or section header) in config text."""
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            if key is None and current == section:
-                return lineno
-            continue
-        if key is not None and current == section:
-            name = line.split("=", 1)[0].strip().lower() if "=" in line else None
-            if name == key:
-                return lineno
-    return None
-
-
-class _SectionReader:
-    def __init__(self, parser, text, path):
-        self.parser = parser
-        self.text = text
-        self.path = path
-
-    def error(self, section: str, key: str | None, message: str):
-        raise ConfigError(message, path=self.path, line=_find_line(self.text, section, key))
-
-    def get(self, section: str, key: str, default=None, required=False) -> str | None:
-        if not self.parser.has_option(section, key):
-            if required:
-                where = "section" if self.parser.has_section(section) else "missing section"
-                self.error(
-                    section,
-                    None,
-                    f"[{section}] {key} is required ({where} [{section}])",
-                )
-            return default
-        return self.parser.get(section, key).strip()
-
-    def get_int(self, section: str, key: str, default=None, required=False, minimum=None):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return default
+def _integer(minimum: int):
+    def parse(raw: str) -> int:
         try:
             value = int(raw)
         except ValueError:
-            self.error(section, key, f"[{section}] {key} must be an integer, got {raw!r}")
-        if minimum is not None and value < minimum:
-            self.error(section, key, f"[{section}] {key} must be >= {minimum}, got {value}")
+            raise ValueError(f"must be an integer, got {raw!r}") from None
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {value}")
         return value
 
-    def to_float(self, section: str, key: str, raw: str, expected="a number", positive=False):
+    return parse
+
+
+def _number(positive: bool, words: tuple[str, ...] = ()):
+    """A finite float, or None for any of the words (case-insensitive)."""
+
+    def parse(raw: str) -> float | None:
+        if raw.lower() in words:
+            return None
         try:
             value = float(raw)
         except ValueError:
-            self.error(section, key, f"[{section}] {key} must be {expected}, got {raw!r}")
+            raise ValueError(f"must be {' or '.join(['a number', *words])}, got {raw!r}") from None
         if not math.isfinite(value) or (positive and value <= 0):
             kind = "positive and finite" if positive else "finite"
-            self.error(section, key, f"[{section}] {key} must be {kind}, got {raw!r}")
+            raise ValueError(f"must be {kind}, got {raw!r}")
         return value
 
-    def get_float(self, section: str, key: str, default=None, required=False, positive=False):
-        raw = self.get(section, key, required=required)
-        return default if raw is None else self.to_float(section, key, raw, positive=positive)
+    return parse
 
-    def get_bool(self, section: str, key: str, default: bool) -> bool:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        low = raw.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        self.error(section, key, f"[{section}] {key} must be a boolean, got {raw!r}")
+
+def _word(mapping: dict):
+    def parse(raw: str):
+        if raw.lower() not in mapping:
+            raise ValueError(f"must be one of {' | '.join(mapping)}, got {raw!r}")
+        return mapping[raw.lower()]
+
+    return parse
+
+
+# Every config key: (section, key) -> (parser, default), where key names the
+# ExperimentConfig field it sets and a default of ... marks a required key.
+# load_config derives the None defaults of x0_seed and record_stride.
+CONFIG_SCHEMA = {
+    ("experiment", "scenario"): (_word({w: w for w in ("unconstrained", "constrained")}), ...),
+    ("experiment", "num_runs"): (_integer(1), ...),
+    ("experiment", "run_seed_base"): (_integer(0), ...),
+    ("experiment", "x0_seed"): (_integer(0), None),
+    ("problem", "m"): (_integer(1), ...),
+    ("problem", "n"): (_integer(1), ...),
+    ("problem", "noise_std"): (_number(positive=False), ...),
+    ("problem", "problem_seed"): (_integer(0), ...),
+    ("solver", "mu"): (_number(positive=True, words=("auto", "suggest")), ...),
+    ("solver", "eps"): (_number(positive=True), None),
+    ("solver", "step_size"): (_number(positive=True, words=("theorem", "auto")), ...),
+    ("solver", "num_iters"): (_integer(0), ...),
+    ("solver", "record_stride"): (_integer(1), None),
+    ("outputs", "csv_path"): (str, None),
+    ("outputs", "svg_path"): (str, None),
+    ("outputs", "bound_overlay"): (
+        _word(dict.fromkeys(("true", "yes", "on", "1"), True)
+              | dict.fromkeys(("false", "no", "off", "0"), False)),
+        True,
+    ),
+}
+
+# configparser's own line grammar: '#' after whitespace starts a comment,
+# section names are case-sensitive, option names are not, '=' or ':' ends one
+_INLINE_COMMENT = re.compile(r"(^|\s)#.*")
+
+
+def _find_line(text: str, section: str, key: str | None) -> int | None:
+    """Line number of a [section] header (key None) or of a key inside it."""
+    current = None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = _INLINE_COMMENT.sub("", raw).strip()
+        header = configparser.ConfigParser.SECTCRE.match(line)
+        if header:
+            current = header.group("header")
+            if key is None and current == section:
+                return lineno
+        elif key is not None and current == section:
+            option = configparser.ConfigParser.OPTCRE.match(line)
+            if option and option.group("option").strip().lower() == key:
+                return lineno
+    return None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -204,97 +217,68 @@ def load_config(path) -> ExperimentConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", path=path) from exc
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    # no section name can be empty, so [DEFAULT] is an ordinary (unknown) one
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=("#",), default_section=""
+    )
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:
         line = getattr(exc, "lineno", None)
         raise ConfigError(f"config syntax error: {exc.message}", path=path, line=line) from exc
 
-    reader = _SectionReader(parser, text, path)
+    def fail(section: str, key: str | None, message: str):
+        raise ConfigError(message, path=path, line=_find_line(text, section, key))
 
-    scenario = (reader.get("experiment", "scenario", required=True) or "").lower()
-    if scenario not in ("unconstrained", "constrained"):
-        reader.error(
-            "experiment",
-            "scenario",
-            f"scenario must be 'unconstrained' or 'constrained', got {scenario!r}",
-        )
-    num_runs = reader.get_int("experiment", "num_runs", required=True, minimum=1)
-    run_seed_base = reader.get_int("experiment", "run_seed_base", required=True, minimum=0)
+    for section in parser.sections():
+        allowed = {k for s, k in CONFIG_SCHEMA if s == section}
+        if section == "set":  # an unknown kind is reported by set_from_spec
+            allowed = SET_KEYS.get(parser["set"].get("kind", "").lower(), parser["set"])
+        elif not allowed:
+            fail(section, None, f"unknown section [{section}]")
+        for key in parser[section]:
+            if key not in allowed:
+                fail(section, key, f"unknown key [{section}] {key}")
 
-    m = reader.get_int("problem", "m", required=True, minimum=1)
-    n = reader.get_int("problem", "n", required=True, minimum=1)
-    if n < m:
-        reader.error("problem", "n", f"n must be >= m, got m={m}, n={n}")
-    noise_std = reader.get_float("problem", "noise_std", required=True)
-    if noise_std < 0:
-        reader.error("problem", "noise_std", "noise_std must be nonnegative")
-    problem_seed = reader.get_int("problem", "problem_seed", required=True, minimum=0)
-    x0_seed = reader.get_int("experiment", "x0_seed", default=problem_seed + 1, minimum=0)
+    values = {}
+    for (section, key), (parse, default) in CONFIG_SCHEMA.items():
+        raw = parser.get(section, key, fallback=None)
+        if raw is None and default is ...:
+            where = "section" if parser.has_section(section) else "missing section"
+            fail(section, None, f"[{section}] {key} is required ({where} [{section}])")
+        try:
+            values[key] = default if raw is None else parse(raw.strip())
+        except ValueError as exc:
+            fail(section, key, f"[{section}] {key} {exc}")
 
-    mu_raw = reader.get("solver", "mu", required=True)
-    mu = None
-    eps = None
-    if mu_raw.lower() in ("auto", "suggest"):
-        eps = reader.get_float("solver", "eps", required=True, positive=True)
-    else:
-        mu = reader.to_float("solver", "mu", mu_raw, "a number or 'auto'", positive=True)
+    if values["n"] < values["m"]:
+        fail("problem", "n", f"n must be >= m, got m={values['m']}, n={values['n']}")
+    if values["noise_std"] < 0:
+        fail("problem", "noise_std", "noise_std must be nonnegative")
+    if values["mu"] is None and values["eps"] is None:
+        fail("solver", "mu", "[solver] eps is required when mu = auto")
+    if values["mu"] is not None and values["eps"] is not None:
+        fail("solver", "eps", "[solver] eps is only valid with mu = auto")
+    if values["x0_seed"] is None:
+        values["x0_seed"] = values["problem_seed"] + 1
+    if values["record_stride"] is None:
+        values["record_stride"] = max(1, values["num_iters"] // 200)
+    constrained = values["scenario"] == "constrained"
+    if constrained and not parser.has_section("set"):
+        fail("experiment", "scenario", "constrained scenario requires a [set] section")
+    if not constrained and parser.has_section("set"):
+        fail("set", None, "[set] is only valid for the constrained scenario")
+    set_spec = dict(parser["set"]) if constrained else None
 
-    step_raw = reader.get("solver", "step_size", required=True)
-    step_size = None
-    if step_raw.lower() not in ("theorem", "auto"):
-        step_size = reader.to_float(
-            "solver", "step_size", step_raw, "a number or 'theorem'", positive=True
-        )
-
-    num_iters = reader.get_int("solver", "num_iters", required=True, minimum=0)
-    record_stride = reader.get_int(
-        "solver", "record_stride", default=max(1, num_iters // 200), minimum=1
-    )
-
-    set_spec = None
-    if scenario == "constrained":
-        if not parser.has_section("set"):
-            raise ConfigError(
-                "constrained scenario requires a [set] section", path=path
-            )
-        set_spec = {k: v for k, v in parser.items("set")}
-    elif parser.has_section("set"):
-        reader.error("set", None, "[set] is only valid for the constrained scenario")
-
-    csv_path = reader.get("outputs", "csv_path")
-    svg_path = reader.get("outputs", "svg_path")
-    bound_overlay = reader.get_bool("outputs", "bound_overlay", default=True)
-
-    cfg = ExperimentConfig(
-        scenario=scenario,
-        m=m,
-        n=n,
-        noise_std=noise_std,
-        problem_seed=problem_seed,
-        num_iters=num_iters,
-        record_stride=record_stride,
-        num_runs=num_runs,
-        run_seed_base=run_seed_base,
-        x0_seed=x0_seed,
-        mu=mu,
-        eps=eps,
-        step_size=step_size,
-        set_spec=set_spec,
-        csv_path=csv_path,
-        svg_path=svg_path,
-        bound_overlay=bound_overlay,
-        source_path=path,
-    )
+    cfg = ExperimentConfig(**values, set_spec=set_spec, source_path=path)
     bad_seed = _seed_range_error(cfg)
     if bad_seed is not None:
-        reader.error(*bad_seed)
+        fail(*bad_seed)
     if set_spec is not None:
         try:
-            _constrained_set(set_spec, n)
+            _constrained_set(set_spec, cfg.n)
         except ValueError as exc:
-            raise ConfigError(str(exc), path=path, line=_find_line(text, "set", None)) from exc
+            fail("set", None, str(exc))
     return cfg
 
 

@@ -69,8 +69,10 @@ class LeastSquaresObjective:
     """f(x) = ||A x - b||^2 with vectorized batch evaluation."""
 
     def __init__(self, a_matrix: np.ndarray, b_vector: np.ndarray):
-        self.a_matrix = np.ascontiguousarray(a_matrix, dtype=float)
-        self.b_vector = np.ascontiguousarray(b_vector, dtype=float)
+        # read-only copies: least_squares_from_arrays derives constants from them
+        self.a_matrix = np.array(a_matrix, dtype=float, order="C")
+        self.b_vector = np.array(b_vector, dtype=float, order="C")
+        self.a_matrix.flags.writeable = self.b_vector.flags.writeable = False
         if self.a_matrix.ndim != 2:
             raise ValueError("a_matrix must be 2-D")
         if self.b_vector.shape != (self.a_matrix.shape[0],):

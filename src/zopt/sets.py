@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "MEMBERSHIP_TOL",
+    "SET_KEYS",
     "FeasibleSet",
     "WholeSpace",
     "Box",
@@ -27,6 +28,13 @@ __all__ = [
 
 # Projections land exactly on boundaries; strict membership tests would flap.
 MEMBERSHIP_TOL = 1e-12
+
+# the keys a spec of each kind may hold (a ball's center defaults to 0)
+SET_KEYS = {
+    "whole_space": ("kind",),
+    "box": ("kind", "lower", "upper"),
+    "ball": ("kind", "center", "radius"),
+}
 
 
 class FeasibleSet:
@@ -144,7 +152,8 @@ class Ball(FeasibleSet):
         if not radius > 0:
             raise ValueError(f"radius must be positive, got {radius}")
         super().__init__(center.size)
-        self.center = center
+        self.center = np.array(center)  # read-only copy: the caller cannot move the ball
+        self.center.flags.writeable = False
         self.radius = float(radius)
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -216,6 +225,11 @@ def _parse_vector(text: str, dim: int, name: str) -> np.ndarray:
 def set_from_spec(spec: dict, dim: int) -> FeasibleSet:
     """Build a set from a flat kind + parameters description."""
     kind = str(spec.get("kind", "")).strip().lower()
+    if kind not in SET_KEYS:
+        raise ValueError(f"unknown set kind {spec.get('kind')!r}")
+    extra = [key for key in spec if key not in SET_KEYS[kind]]
+    if extra:
+        raise ValueError(f"{kind} set does not take {', '.join(map(repr, extra))}")
     if kind == "whole_space":
         return WholeSpace(dim)
     if kind == "box":
@@ -224,9 +238,7 @@ def set_from_spec(spec: dict, dim: int) -> FeasibleSet:
         lower = _parse_vector(spec["lower"], dim, "lower")
         upper = _parse_vector(spec["upper"], dim, "upper")
         return Box(lower, upper)
-    if kind == "ball":
-        if "radius" not in spec:
-            raise ValueError("ball set requires 'radius'")
-        center = _parse_vector(spec.get("center", "0"), dim, "center")
-        return Ball(center, float(spec["radius"]))
-    raise ValueError(f"unknown set kind {spec.get('kind')!r}")
+    if "radius" not in spec:
+        raise ValueError("ball set requires 'radius'")
+    center = _parse_vector(spec.get("center", "0"), dim, "center")
+    return Ball(center, float(spec["radius"]))

@@ -151,6 +151,19 @@ class TestRun:
         assert f"{cfg}:" in err
         assert "num_iters" in err
 
+    def test_misspelled_key_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(
+            RUN_CONFIG.replace("mu = 1e-5", "mu = 1e-5\neps = 5")
+            .replace("record_stride = 50", "record_strid = 7")
+            + "bound_overlays = false\n\n[extra]\nnote = 1\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"{cfg}:18: unknown key [solver] record_strid\n"
+        assert captured.out == ""
+        assert not (tmp_path / "cli_out.csv").exists()
+
     def test_cost_gate_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
         cfg.write_text(

@@ -1,5 +1,9 @@
+import configparser
 import hashlib
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from zopt import harness
 from zopt.analysis import BoundInputs
+from zopt.cli import main
 from zopt.harness import (
     AggregateSeries,
     ConfigError,
@@ -23,7 +28,10 @@ from zopt.harness import (
 )
 from zopt.oracle import OracleConfig
 from zopt.problems import make_least_squares
+from zopt.sets import SET_KEYS
 from zopt.solvers import SolverConfig, random_search
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOOD_CONFIG = """\
 [experiment]
@@ -48,6 +56,11 @@ record_stride = 50
 csv_path = out.csv
 bound_overlay = true
 """
+
+
+# [set] sections holding a key their kind does not take, on its last line
+BALL_WITH_CENTRE = "[set]\nkind = ball\nradius = 1\ncentre = 0.3"
+BOX_WITH_RADIUS = "[set]\nkind = box\nlower = -1\nupper = 1\nradius = 1"
 
 
 def small_config(**overrides):
@@ -218,6 +231,43 @@ class TestConfigParsing:
         assert err.value.line == line
         assert str(err.value).startswith(f"{path}:{line}: ")
 
+    @pytest.mark.parametrize(
+        "edits, line, message",
+        [
+            ({"record_stride": "record_strid"}, 17, "unknown key [solver] record_strid"),
+            ({"true": "true\n\n[extra]\nfoo = 1"}, 23, "unknown section [extra]"),
+            ({"[experiment]": "[DEFAULT]\nm = 5\n[experiment]"}, 1, "unknown section [DEFAULT]"),
+            ({"[experiment]": "[Experiment]"}, 1, "unknown section [Experiment]"),
+            ({"mu = 1e-5": "mu = 1e-5\neps = 0.1"}, 15, "[solver] eps is only valid with mu"),
+            ({"mu = 1e-5": "mu: nan"}, 14, "[solver] mu must be positive and finite, got 'nan'"),
+            ({"mu = 1e-5": "MU : nan  # comment"}, 14, "[solver] mu must be positive"),
+            (
+                {"= unconstrained": "= constrained", "true": f"true\n{BALL_WITH_CENTRE}"},
+                25,
+                "unknown key [set] centre",
+            ),
+            (
+                {"= unconstrained": "= constrained", "true": f"true\n{BOX_WITH_RADIUS}"},
+                26,
+                "unknown key [set] radius",
+            ),
+        ],
+    )
+    def test_unknown_or_misplaced_entry_is_line_anchored(
+        self, tmp_path, capsys, edits, line, message
+    ):
+        text = GOOD_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"{path}:{line}: {message}")
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"{err.value}\n"
+
     def test_last_run_seed_may_reach_the_top_of_the_range(self, tmp_path):
         # num_runs = 3 runs use seeds run_seed_base .. run_seed_base + 2
         path = tmp_path / "exp.cfg"
@@ -280,6 +330,36 @@ class TestConfigParsing:
             cfg = load_config(path)
             assert cfg.scenario in ("unconstrained", "constrained")
 
+    def test_benchmark_configs_load(self, tmp_path, monkeypatch):
+        # the benchmark writes its own configs; the loader must accept each
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+        spec.loader.exec_module(workloads)
+        experiments = [w for w in workloads.WORKLOADS.values() if w.kind == "experiment"]
+        assert experiments
+        for workload in experiments:
+            for scale in workload.sizes:
+                work = tmp_path / f"{workload.name}-{scale}"
+                work.mkdir()
+                full, setup = workload.write_configs(work, workloads.DEFAULT_SEED, scale)
+                assert load_config(full).num_iters == workload.num_iters(scale)
+                assert load_config(setup).num_iters == 0
+
+    def test_readme_config_block_names_exactly_the_schema_keys(self, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        parsed = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+        parsed.read_string(block)
+        keys = {(section, key) for section in parsed.sections() for key in parsed[section]}
+        set_keys = {("set", key) for key in SET_KEYS[parsed["set"]["kind"]]}
+        assert keys == set(harness.CONFIG_SCHEMA) | set_keys
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert load_config(path).scenario == "constrained"
+
 
 # A valid constrained config; the property test below overrides, deletes or
 # splices into it so that most examples get past the syntax check.
@@ -287,11 +367,24 @@ FUZZ_BASE = {
     "experiment": {"scenario": "constrained", "num_runs": "3", "run_seed_base": "100"},
     "problem": {"m": "2", "n": "3", "noise_std": "0.1", "problem_seed": "7"},
     "solver": {"mu": "auto", "eps": "0.1", "step_size": "theorem", "num_iters": "20"},
-    "set": {"kind": "box", "lower": "-0.5", "upper": "0.5", "radius": "1"},
+    "set": {"kind": "box", "lower": "-0.5", "upper": "0.5"},
     "outputs": {"csv_path": "out.csv", "bound_overlay": "true"},
 }
-FUZZ_FIELDS = [(section, key) for section, keys in FUZZ_BASE.items() for key in keys]
-FUZZ_FIELDS += [("experiment", "x0_seed"), ("solver", "record_stride"), ("set", "center")]
+# every key the loader reads: the schema table and the [set] keys of all kinds
+SET_FIELDS = sorted({("set", key) for keys in SET_KEYS.values() for key in keys})
+FUZZ_FIELDS = [*harness.CONFIG_SCHEMA, *SET_FIELDS]
+# keys the loader must reject: misspellings, keys in the wrong section, and
+# sections it does not know (configparser treats [DEFAULT] specially)
+SCHEMA_SECTIONS = list(dict.fromkeys(section for section, _ in harness.CONFIG_SCHEMA))
+STRAY_FIELDS = [(section, key + "s") for section, key in FUZZ_FIELDS]
+STRAY_FIELDS += [(section, key[:-1]) for section, key in FUZZ_FIELDS if len(key) > 1]
+STRAY_FIELDS += [
+    (SCHEMA_SECTIONS[(SCHEMA_SECTIONS.index(section) + 1) % len(SCHEMA_SECTIONS)], key)
+    for section, key in harness.CONFIG_SCHEMA
+]
+STRAY_FIELDS += [
+    (section, "num_iters") for section in ("DEFAULT", "Experiment", "SOLVER", "extra", "sets")
+]
 # Numbers come only from this list and from small integers: a free-text
 # value such as "99999999999" as n would make the set check in load_config
 # materialise n-vectors, which is a memory cost, not a parsing property.
@@ -315,7 +408,9 @@ def fuzz_config_text(draw):
     if draw(st.booleans()):
         sections["experiment"]["scenario"] = "unconstrained"
         del sections["set"]
-    for section, key in draw(st.lists(st.sampled_from(FUZZ_FIELDS), max_size=5, unique=True)):
+    fields = draw(st.lists(st.sampled_from(FUZZ_FIELDS), max_size=5, unique=True))
+    fields += draw(st.lists(st.sampled_from(STRAY_FIELDS), max_size=1))
+    for section, key in fields:
         value = draw(fuzz_values)
         if value is None:
             sections.get(section, {}).pop(key, None)
@@ -357,6 +452,14 @@ class TestConfigProperty:
         except ConfigError:
             return
         assert isinstance(cfg, ExperimentConfig)
+        # an accepted file holds only keys the loader reads
+        parsed = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+        parsed.read_string(data.decode("utf-8"))
+        assert not parsed.defaults()
+        kind = (cfg.set_spec or {}).get("kind", "").lower()
+        allowed = {*harness.CONFIG_SCHEMA, *(("set", key) for key in SET_KEYS.get(kind, ()))}
+        fields = {(section, key) for section in parsed.sections() for key in parsed[section]}
+        assert fields <= allowed
 
 
 class TestRunExperiment:

@@ -52,6 +52,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match="b_vector"):
             LeastSquaresObjective(np.eye(3), np.zeros(2))
 
+    def test_arrays_are_private_read_only_copies(self):
+        a = np.array([[1.0, 0.0], [0.0, 2.0]])
+        b = np.array([1.0, 1.0])
+        problem = least_squares_from_arrays(a, b)
+        lip, opt = problem.lip_const, problem.opt_value
+        a[:] = 7.0
+        b[:] = 7.0
+        for array in (problem.a_matrix, problem.b_vector, problem.objective.a_matrix):
+            assert not np.shares_memory(array, a) and not np.shares_memory(array, b)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        x = np.array([1.0, 0.5])
+        assert problem.objective(x) == 0.0 == opt
+        assert problem.lip_const == lip == problem_constants(problem.a_matrix).lip_const
+
 
 class TestConstants:
     def test_identity_matrix(self):

@@ -130,6 +130,18 @@ class TestBoxBounds:
         assert cases > 10_000
 
 
+class TestBallCenter:
+    def test_center_is_a_private_read_only_copy(self):
+        center = np.zeros(2)
+        ball = Ball(center, 1.0)
+        center[:] = 5.0
+        assert ball.center is not center
+        np.testing.assert_array_equal(ball.center, [0.0, 0.0])
+        assert ball.contains(np.zeros(2))
+        with pytest.raises(ValueError, match="read-only"):
+            ball.center[0] = 1.0
+
+
 class TestDiameter:
     def test_unit_box_diameter_is_sqrt_n(self):
         for n in (2, 5, 9):
@@ -229,3 +241,16 @@ class TestSpecRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown set kind"):
             set_from_spec({"kind": "simplex"}, dim=2)
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"kind": "ball", "radius": "1", "centre": "0.3"}, "centre"),
+            ({"kind": "box", "lower": "-1", "upper": "1", "radius": "1"}, "radius"),
+            ({"kind": "box", "lower": "-1", "upper": "1", "center": "0"}, "center"),
+            ({"kind": "whole_space", "radius": "1"}, "radius"),
+        ],
+    )
+    def test_key_the_kind_does_not_take(self, spec, key):
+        with pytest.raises(ValueError, match=f"{spec['kind']} set does not take '{key}'"):
+            set_from_spec(spec, dim=2)
