@@ -45,9 +45,7 @@ from .oracle import (
 from .problems import (
     LeastSquaresObjective,
     Objective,
-    PLReport,
     TestProblem,
-    check_pl,
     least_squares_from_arrays,
     load_problem,
     make_least_squares,

@@ -30,7 +30,7 @@ __all__ = [
     "oracle_variance_candidate",
     "prox_quantity",
     "constrained_opt_value",
-    "ProxPLReport",
+    "DominanceReport",
     "check_proximal_pl",
     "DeviationProbe",
     "probe_deviation",
@@ -120,7 +120,7 @@ def constrained_gap_bound(
         inputs.mu,
         inputs.d_x,
     )
-    h = (1.0 / lip) if step_size is None else float(step_size)
+    h = theorem_step_size("constrained", n, lip) if step_size is None else float(step_size)
     sigma = inputs.sigma_seq[: num_iters + 1]
     sum_sigma = float(np.sum(sigma))
     sum_sigma_sq = float(np.sum(sigma**2))
@@ -217,14 +217,14 @@ def constrained_opt_value(problem: TestProblem, feasible_set: FeasibleSet) -> fl
 
 
 @dataclass(frozen=True)
-class ProxPLReport:
+class DominanceReport:
     """Sampled constrained gradient-dominance ratios on a feasible set.
 
     min_ratio is the smallest observed 0.5 * Q(x, lip) / (f(x) - f*); it is
     an empirical stand-in for the constrained dominance constant, which has
     no closed form here.  below_unconstrained counts probes whose ratio
-    falls under the unconstrained pl_const (informational: the constrained
-    constant may genuinely differ from it).
+    falls under the unconstrained pl_const: informational on a proper subset
+    (the constrained constant may differ), a PL violation over WholeSpace.
     """
 
     min_ratio: float
@@ -240,8 +240,13 @@ def check_proximal_pl(
     feasible_set: FeasibleSet,
     num_points: int,
     seed: int,
-) -> ProxPLReport:
-    """Sample 0.5 * Q(x, lip_const) / (f(x) - f*) at random feasible points."""
+) -> DominanceReport:
+    """Sample 0.5 * Q(x, lip_const) / (f(x) - f*) at random feasible points.
+
+    Over WholeSpace, Q is ||grad f||^2 and this certifies pl_const.  Points
+    with a gap under 1e-12 are skipped (the ratio is 0/0); the 1e-9 slack on
+    pl_const absorbs rounding.
+    """
     if num_points <= 0:
         raise ValueError("num_points must be positive")
     f_star = constrained_opt_value(problem, feasible_set)
@@ -262,7 +267,7 @@ def check_proximal_pl(
         min_ratio = min(min_ratio, ratio)
         if ratio < problem.pl_const * (1.0 - 1e-9):
             below += 1
-    return ProxPLReport(
+    return DominanceReport(
         min_ratio=float(min_ratio),
         below_unconstrained=below,
         evaluated=evaluated,
@@ -420,7 +425,7 @@ def verify_oracle_inequalities(
     """
     n = problem.dim
     lip = problem.lip_const
-    h = 1.0 / lip
+    h = theorem_step_size("constrained", n, lip)
     gen = substream(seed, 1)
     sampler = SubstreamSampler(cfg.seed)
 
@@ -518,7 +523,7 @@ def verify_oracle_inequalities(
         )
 
     description = (
-        f"oracle inequality checks: m={problem.num_rows}, n={problem.dim}, "
+        f"oracle inequality checks: m={problem.a_matrix.shape[0]}, n={problem.dim}, "
         f"mu={cfg.mu:g}, set={feasible_set.kind}, probes={num_probes}, "
         f"samples={num_samples}, seed={seed}"
     )

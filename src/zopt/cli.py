@@ -113,6 +113,12 @@ def _cmd_verify(args) -> int:
     if not 0 <= args.seed < 2**64:
         print(f"--seed must be in [0, 2**64), got {args.seed}", file=sys.stderr)
         return 2
+    if args.csv:
+        try:  # fail before the checks, not after them
+            open(args.csv, "w", encoding="ascii").close()
+        except OSError as exc:
+            print(f"--csv {args.csv}: cannot write: {exc.strerror}", file=sys.stderr)
+            return 2
     # Fixed desk-scale quadratic instance on a box; the checks are exact
     # inequalities, so any instance should report zero violations.
     problem = problems.make_least_squares(m=5, n=20, noise_std=0.1, seed=args.seed)

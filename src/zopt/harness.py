@@ -278,6 +278,10 @@ def load_config(path) -> ExperimentConfig:
         try:
             _constrained_set(set_spec, cfg.n)
         except ValueError as exc:
+            # set_from_spec starts a message about one key's value with that key
+            key = str(exc).split(" ", 1)[0]
+            if key in set_spec:
+                fail("set", key, f"[set] {exc}")
             fail("set", None, str(exc))
     return cfg
 
@@ -564,6 +568,13 @@ def run_experiment(
         raise ValueError("jobs must be >= 1")
     if config.num_runs < 1:
         raise ValueError(f"num_runs must be >= 1, got {config.num_runs}")
+    csv_path = resolve_output_path(config.csv_path, out_dir)
+    svg_path = resolve_output_path(config.svg_path, out_dir)
+    for path in filter(None, (csv_path, svg_path)):
+        try:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the directory of {path}: {exc.strerror}") from exc
 
     problem = make_least_squares(
         config.m, config.n, config.noise_std, config.problem_seed
@@ -621,7 +632,8 @@ def run_experiment(
             if config.bound_overlay:
                 raise ConfigError(
                     f"bound overlay needs a reference optimum, which set kind "
-                    f"{feasible.kind!r} does not provide"
+                    f"{feasible.kind!r} does not provide",
+                    path=config.source_path,
                 )
 
     collect_sigma = config.bound_overlay and mode == "constrained"
@@ -694,10 +706,7 @@ def run_experiment(
             sum(rec.feasibility_violations for rec in records)
         )
 
-    csv_path = resolve_output_path(config.csv_path, out_dir)
-    svg_path = resolve_output_path(config.svg_path, out_dir)
     if csv_path is not None:
-        Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
         write_series_csv(series, csv_path)
     if svg_path is not None:
         curves = [
@@ -709,7 +718,6 @@ def run_experiment(
                 ("running-avg gap", series.ks.tolist(), series.running_avg_gap.tolist())
             )
             curves.append(("gap bound", series.ks.tolist(), series.bound_rhs.tolist()))
-        Path(svg_path).parent.mkdir(parents=True, exist_ok=True)
         write_log_log_chart(
             svg_path,
             curves,

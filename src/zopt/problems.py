@@ -11,9 +11,10 @@ For f(x) = ||A x - b||^2 the certified constants are
     pl_const  = 2 * lambda_min+(A A^T)     (smallest nonzero eigenvalue)
 
 pl_const is the largest constant for which the gradient-dominance inequality
-0.5 * ||grad f(x)||^2 >= pl_const * (f(x) - f*) holds everywhere; the
-alternative 2 * sigma_max(A)^2 (reported as pl_const_top) fails it along
-rank-deficient directions and is kept for comparison only.
+0.5 * ||grad f(x)||^2 >= pl_const * (f(x) - f*) holds everywhere; any larger
+one, such as lip_const, fails it along rank-deficient directions.  A
+TestProblem derives them from its own objective, so they cannot disagree
+with it; analysis.check_proximal_pl over WholeSpace samples the inequality.
 """
 
 from __future__ import annotations
@@ -33,14 +34,11 @@ __all__ = [
     "problem_constants",
     "make_least_squares",
     "least_squares_from_arrays",
-    "PLReport",
-    "check_pl",
     "save_problem",
     "load_problem",
 ]
 
 RANK_TOL = 1e-10
-PL_GAP_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +67,7 @@ class LeastSquaresObjective:
     """f(x) = ||A x - b||^2 with vectorized batch evaluation."""
 
     def __init__(self, a_matrix: np.ndarray, b_vector: np.ndarray):
-        # read-only copies: least_squares_from_arrays derives constants from them
+        # read-only copies: TestProblem derives its constants from them
         self.a_matrix = np.array(a_matrix, dtype=float, order="C")
         self.b_vector = np.array(b_vector, dtype=float, order="C")
         self.a_matrix.flags.writeable = self.b_vector.flags.writeable = False
@@ -100,8 +98,6 @@ class ProblemConstants:
 
     lip_const: float
     pl_const: float
-    pl_const_top: float
-    rank: int
     _u: np.ndarray = field(repr=False)
 
     def opt_value(self, b_vector: np.ndarray) -> float:
@@ -120,16 +116,12 @@ def problem_constants(a_matrix: np.ndarray) -> ProblemConstants:
     """
     a = np.asarray(a_matrix, dtype=float)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        raise ValueError("matrix has rank 0, the problem is degenerate")
-    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
+    rank = int(np.count_nonzero(s > RANK_TOL * s.max(initial=0.0)))
     if rank == 0:
         raise ValueError("matrix has rank 0, the problem is degenerate")
     return ProblemConstants(
         lip_const=2.0 * float(s[0]) ** 2,
         pl_const=2.0 * float(s[rank - 1]) ** 2,
-        pl_const_top=2.0 * float(s[0]) ** 2,
-        rank=rank,
         _u=u[:, :rank],
     )
 
@@ -138,35 +130,43 @@ def problem_constants(a_matrix: np.ndarray) -> ProblemConstants:
 class TestProblem:
     """Least-squares instance with analytic gradient and certified constants.
 
+    lip_const, pl_const and opt_value are derived from the objective by
+    problem_constants; a_matrix and b_vector are the objective's own arrays.
     The gradient and the constants are for analysis only; solvers receive
     just the objective.
     """
 
     __test__ = False  # benchmark fixture, not a pytest case
 
-    objective: LeastSquaresObjective | Objective
-    a_matrix: np.ndarray
-    b_vector: np.ndarray
-    lip_const: float
-    pl_const: float
-    pl_const_top: float
-    opt_value: float
-    opt_point_note: str
+    objective: LeastSquaresObjective
     seed: int | None = None
     noise_std: float | None = None
+    lip_const: float = field(init=False)
+    pl_const: float = field(init=False)
+    opt_value: float = field(init=False)
+
+    def __post_init__(self):
+        consts = problem_constants(self.objective.a_matrix)
+        object.__setattr__(self, "lip_const", consts.lip_const)
+        object.__setattr__(self, "pl_const", consts.pl_const)
+        object.__setattr__(self, "opt_value", consts.opt_value(self.objective.b_vector))
+
+    @property
+    def a_matrix(self) -> np.ndarray:
+        return self.objective.a_matrix
+
+    @property
+    def b_vector(self) -> np.ndarray:
+        return self.objective.b_vector
 
     @property
     def dim(self) -> int:
-        return self.a_matrix.shape[1]
-
-    @property
-    def num_rows(self) -> int:
-        return self.a_matrix.shape[0]
+        return self.objective.dim
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Analytic gradient 2 A^T (A x - b)."""
-        x = np.asarray(x, dtype=float)
-        return 2.0 * (self.a_matrix.T @ (self.a_matrix @ x - self.b_vector))
+        a = self.objective.a_matrix
+        return 2.0 * (a.T @ (a @ np.asarray(x, dtype=float) - self.objective.b_vector))
 
 
 def least_squares_from_arrays(
@@ -176,26 +176,7 @@ def least_squares_from_arrays(
     noise_std: float | None = None,
 ) -> TestProblem:
     """Build a TestProblem from explicit A and b."""
-    objective = LeastSquaresObjective(a_matrix, b_vector)
-    consts = problem_constants(objective.a_matrix)
-    rank = consts.rank
-    n = objective.dim
-    if rank == n:
-        note = "unique minimizer (full column rank)"
-    else:
-        note = f"minimizers form an affine set of dimension {n - rank}"
-    return TestProblem(
-        objective=objective,
-        a_matrix=objective.a_matrix,
-        b_vector=objective.b_vector,
-        lip_const=consts.lip_const,
-        pl_const=consts.pl_const,
-        pl_const_top=consts.pl_const_top,
-        opt_value=consts.opt_value(objective.b_vector),
-        opt_point_note=note,
-        seed=seed,
-        noise_std=noise_std,
-    )
+    return TestProblem(LeastSquaresObjective(a_matrix, b_vector), seed, noise_std)
 
 
 def make_least_squares(
@@ -217,53 +198,6 @@ def make_least_squares(
     x_bar = gen.standard_normal(n)
     b = a @ x_bar + noise_std * gen.standard_normal(m)
     return least_squares_from_arrays(a, b, seed=seed, noise_std=noise_std)
-
-
-@dataclass(frozen=True)
-class PLReport:
-    """Result of sampling the gradient-dominance ratio at random points."""
-
-    min_ratio: float
-    violations: int
-    evaluated: int
-    skipped: int
-    pl_const: float
-    pl_const_top: float
-
-
-def check_pl(problem: TestProblem, num_points: int, seed: int) -> PLReport:
-    """Sample 0.5*||grad f||^2 / (f - f*) and count dips below pl_const.
-
-    Points with f(x) - f* below PL_GAP_FLOOR are skipped (they are optimal
-    up to noise and the ratio is 0/0).  A violation is a ratio below
-    pl_const * (1 - 1e-9); the slack absorbs rounding in the two paths.
-    """
-    if num_points <= 0:
-        raise ValueError("num_points must be positive")
-    points = substream(seed, 0).standard_normal((num_points, problem.dim))
-    min_ratio = np.inf
-    violations = 0
-    evaluated = 0
-    skipped = 0
-    for x in points:
-        gap = problem.objective(x) - problem.opt_value
-        if gap < PL_GAP_FLOOR:
-            skipped += 1
-            continue
-        g = problem.grad(x)
-        ratio = 0.5 * float(g @ g) / gap
-        evaluated += 1
-        min_ratio = min(min_ratio, ratio)
-        if ratio < problem.pl_const * (1.0 - 1e-9):
-            violations += 1
-    return PLReport(
-        min_ratio=float(min_ratio),
-        violations=violations,
-        evaluated=evaluated,
-        skipped=skipped,
-        pl_const=problem.pl_const,
-        pl_const_top=problem.pl_const_top,
-    )
 
 
 _PROBLEM_MAGIC = "zopt-least-squares-v1"

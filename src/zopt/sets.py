@@ -213,8 +213,10 @@ def gradient_map(
 
 
 def _parse_vector(text: str, dim: int, name: str) -> np.ndarray:
-    parts = [p for p in str(text).replace(",", " ").split() if p]
-    values = np.array([float(p) for p in parts], dtype=float)
+    try:
+        values = np.array([float(p) for p in str(text).replace(",", " ").split()], dtype=float)
+    except ValueError:
+        raise ValueError(f"{name} must be a number or a list of numbers, got {text!r}") from None
     if values.size == 1:
         return np.full(dim, values[0])
     if values.size != dim:
@@ -223,7 +225,10 @@ def _parse_vector(text: str, dim: int, name: str) -> np.ndarray:
 
 
 def set_from_spec(spec: dict, dim: int) -> FeasibleSet:
-    """Build a set from a flat kind + parameters description."""
+    """Build a set from a flat kind + parameters description.
+
+    A ValueError about one key's value starts with that key's name.
+    """
     kind = str(spec.get("kind", "")).strip().lower()
     if kind not in SET_KEYS:
         raise ValueError(f"unknown set kind {spec.get('kind')!r}")
@@ -241,4 +246,8 @@ def set_from_spec(spec: dict, dim: int) -> FeasibleSet:
     if "radius" not in spec:
         raise ValueError("ball set requires 'radius'")
     center = _parse_vector(spec.get("center", "0"), dim, "center")
-    return Ball(center, float(spec["radius"]))
+    try:
+        radius = float(spec["radius"])
+    except ValueError:
+        raise ValueError(f"radius must be a number, got {spec['radius']!r}") from None
+    return Ball(center, radius)

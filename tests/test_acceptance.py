@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zopt.analysis import prox_quantity
+from zopt.analysis import check_proximal_pl, prox_quantity
 from zopt.cli import main
 from zopt.harness import ExperimentConfig, run_experiment
 from zopt.oracle import OracleConfig, estimate_smoothed_gradient, sample_directions
-from zopt.problems import Objective, check_pl, make_least_squares
+from zopt.problems import Objective, make_least_squares
 from zopt.sets import WholeSpace
 from zopt.solvers import suggest_params
 
@@ -217,8 +217,8 @@ def test_criterion_7_pl_certificates():
         m = 3 + i
         n = m + 2 + 3 * i
         problem = make_least_squares(m, n, 0.1, 1000 + i)
-        rep = check_pl(problem, num_points=1000, seed=i)
-        total_violations += rep.violations
+        rep = check_proximal_pl(problem, WholeSpace(n), num_points=1000, seed=i)
+        total_violations += rep.below_unconstrained
     elapsed = time.perf_counter() - start
     passed = total_violations == 0 and elapsed < 10.0
     report(

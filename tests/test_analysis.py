@@ -16,7 +16,7 @@ from zopt.analysis import (
     verify_oracle_inequalities,
 )
 from zopt.oracle import OracleConfig
-from zopt.problems import make_least_squares
+from zopt.problems import least_squares_from_arrays, make_least_squares
 from zopt.sets import Box, WholeSpace
 
 
@@ -209,6 +209,27 @@ class TestProximalPLSampling:
         report = check_proximal_pl(problem, WholeSpace(6), num_points=500, seed=4)
         assert report.below_unconstrained == 0
         assert report.min_ratio >= problem.pl_const * (1 - 1e-9)
+
+    def test_scalar_quadratic_ratio_exact(self):
+        problem = least_squares_from_arrays(np.array([[1.0]]), np.array([0.0]))
+        report = check_proximal_pl(problem, WholeSpace(1), num_points=200, seed=0)
+        assert report.below_unconstrained == 0
+        assert report.min_ratio == pytest.approx(2.0, rel=1e-12)
+
+    def test_random_instance_no_violations(self):
+        problem = make_least_squares(6, 15, 0.1, 12)
+        report = check_proximal_pl(problem, WholeSpace(15), num_points=1000, seed=1)
+        assert report.below_unconstrained == 0
+        assert report.evaluated == 1000
+        assert report.min_ratio >= problem.pl_const * (1 - 1e-9)
+
+    def test_near_constant_objective_all_points_skipped(self):
+        # f(x) = 1e-14 x^2 stays under the 1e-12 gap floor for |x| < 10
+        problem = least_squares_from_arrays(np.array([[1e-7]]), np.array([0.0]))
+        report = check_proximal_pl(problem, WholeSpace(1), num_points=50, seed=2)
+        assert report.skipped == 50
+        assert report.evaluated == 0
+        assert report.below_unconstrained == 0
 
 
 class TestDeviationChecks:

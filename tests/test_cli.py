@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zopt import analysis, harness
 from zopt.cli import main
 from zopt.harness import read_series_csv
 from zopt.solvers import suggest_params, theorem_step_size
@@ -115,6 +116,19 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.err == f"--seed must be in [0, 2**64), got {seed}\n"
         assert captured.out == ""
+
+    def test_unwritable_csv_exits_2_before_any_check(self, capsys, monkeypatch, tmp_path):
+        def no_checks(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(analysis, "verify_oracle_inequalities", no_checks)
+        (tmp_path / "file").write_text("")
+        for csv_path in (tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv"):
+            assert main(["verify", "--csv", str(csv_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"--csv {csv_path}: cannot write: ")
+            assert len(captured.err.splitlines()) == 1
+            assert captured.out == ""
 
     def test_top_seed_is_accepted(self, capsys):
         rc = main(["verify", "--probes", "2", "--samples", "20", "--seed", str(2**64 - 1)])
@@ -233,3 +247,31 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "svg_path" in err and "num_iters" in err
+
+    def test_out_dir_under_a_file_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_runs(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "_execute_run", no_runs)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(RUN_CONFIG)
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot create the directory of {out_dir / 'cli_out.csv'}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+    def test_ball_with_bound_overlay_exits_2_with_config_path(self, tmp_path, capsys):
+        cfg = tmp_path / "ball.cfg"
+        cfg.write_text(
+            RUN_CONFIG.replace("scenario = unconstrained", "scenario = constrained")
+            + "\n[set]\nkind = ball\nradius = 0.5\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"{cfg}: bound overlay needs a reference optimum, which set kind 'ball' "
+            "does not provide\n"
+        )

@@ -61,6 +61,19 @@ bound_overlay = true
 # [set] sections holding a key their kind does not take, on its last line
 BALL_WITH_CENTRE = "[set]\nkind = ball\nradius = 1\ncentre = 0.3"
 BOX_WITH_RADIUS = "[set]\nkind = box\nlower = -1\nupper = 1\nradius = 1"
+# [set] sections with one malformed value
+BOX_BAD_LOWER = "[set]\nkind = box\nlower = -0.5x\nupper = 0.5"
+BOX_SHORT_UPPER = "[set]\nkind = box\nlower = -0.5\nupper = 0.5, 1"
+BALL_BAD_RADIUS = "[set]\nkind = ball\nradius = abc"
+
+
+def load_perfbench(name: str, monkeypatch):
+    """Import perfbench/<name>.py under the name its siblings import it by."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def small_config(**overrides):
@@ -251,6 +264,21 @@ class TestConfigParsing:
                 26,
                 "unknown key [set] radius",
             ),
+            (
+                {"= unconstrained": "= constrained", "true": f"true\n{BOX_BAD_LOWER}"},
+                24,
+                "[set] lower must be a number or a list of numbers, got '-0.5x'",
+            ),
+            (
+                {"= unconstrained": "= constrained", "true": f"true\n{BOX_SHORT_UPPER}"},
+                25,
+                "[set] upper has 2 entries, expected 1 or 8",
+            ),
+            (
+                {"= unconstrained": "= constrained", "true": f"true\n{BALL_BAD_RADIUS}"},
+                24,
+                "[set] radius must be a number, got 'abc'",
+            ),
         ],
     )
     def test_unknown_or_misplaced_entry_is_line_anchored(
@@ -332,12 +360,7 @@ class TestConfigParsing:
 
     def test_benchmark_configs_load(self, tmp_path, monkeypatch):
         # the benchmark writes its own configs; the loader must accept each
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
-        spec.loader.exec_module(workloads)
+        workloads = load_perfbench("workloads", monkeypatch)
         experiments = [w for w in workloads.WORKLOADS.values() if w.kind == "experiment"]
         assert experiments
         for workload in experiments:
@@ -347,6 +370,26 @@ class TestConfigParsing:
                 full, setup = workload.write_configs(work, workloads.DEFAULT_SEED, scale)
                 assert load_config(full).num_iters == workload.num_iters(scale)
                 assert load_config(setup).num_iters == 0
+
+    def test_benchmark_tracer_hooks_every_layer(self, tmp_path, monkeypatch):
+        # the per-layer benchmark wraps zopt callables by name, so a rename or
+        # a signature change in src/ must fail here, not only in its smoke test
+        workloads = load_perfbench("workloads", monkeypatch)
+        monkeypatch.setattr(sys, "path", list(sys.path))  # tracing.py prepends src/
+        tracing = load_perfbench("tracing", monkeypatch)
+        spec = workloads.WORKLOADS["con_box_n40"]
+        full, _ = spec.write_configs(tmp_path, workloads.DEFAULT_SEED, "tiny")
+        original = harness._execute_run
+        tracer, patches = tracing.Tracer(), tracing.Patches()
+        tracing.install(tracer, patches)
+        try:
+            assert workloads.run_experiment(full, tmp_path / "run", jobs=1) == 0
+            assert workloads.run_verify(workloads.DEFAULT_SEED, "tiny", tmp_path)["rc"] == 0
+        finally:
+            patches.restore()
+        assert harness._execute_run is original
+        for name in ("oracle.eval", "rng.draw", "sets.contains", "problems.f", "analysis.sigma_hook"):
+            assert tracer.calls[name] > 0, name
 
     def test_readme_config_block_names_exactly_the_schema_keys(self, tmp_path):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")

@@ -3,9 +3,7 @@ import pytest
 
 from zopt.problems import (
     LeastSquaresObjective,
-    Objective,
     TestProblem,
-    check_pl,
     least_squares_from_arrays,
     load_problem,
     make_least_squares,
@@ -102,10 +100,18 @@ class TestConstants:
         with pytest.raises(ValueError, match="rank 0"):
             problem_constants(np.zeros((3, 5)))
 
-    def test_top_constant_recorded(self):
-        problem = make_least_squares(3, 6, 0.1, 2)
-        assert problem.pl_const_top == pytest.approx(problem.lip_const, rel=1e-12)
-        assert problem.pl_const <= problem.pl_const_top
+    def test_problem_derives_its_constants_from_its_objective(self):
+        a = np.random.default_rng(3).standard_normal((3, 5))
+        b = np.arange(3.0)
+        problem = TestProblem(LeastSquaresObjective(a, b), seed=4, noise_std=0.5)
+        consts = problem_constants(problem.objective.a_matrix)
+        assert problem.lip_const == consts.lip_const
+        assert problem.pl_const == consts.pl_const
+        assert problem.opt_value == consts.opt_value(b)
+        assert problem.a_matrix is problem.objective.a_matrix
+        assert problem.b_vector is problem.objective.b_vector
+        with pytest.raises(TypeError):
+            TestProblem(problem.objective, lip_const=1.0)
 
 
 class TestAnalyticGradient:
@@ -147,37 +153,6 @@ class TestAnalyticGradient:
             g = problem.grad(x)
             gap = problem.objective(x) - problem.opt_value
             assert 0.5 * float(g @ g) >= problem.pl_const * gap * (1 - 1e-9)
-
-
-class TestCheckPL:
-    def test_scalar_quadratic_ratio_exact(self):
-        problem = least_squares_from_arrays(np.array([[1.0]]), np.array([0.0]))
-        report = check_pl(problem, num_points=200, seed=0)
-        assert report.violations == 0
-        assert report.min_ratio == pytest.approx(2.0, rel=1e-12)
-
-    def test_random_instance_no_violations(self):
-        problem = make_least_squares(6, 15, 0.1, 12)
-        report = check_pl(problem, num_points=1000, seed=1)
-        assert report.violations == 0
-        assert report.evaluated == 1000
-        assert report.min_ratio >= problem.pl_const * (1 - 1e-9)
-
-    def test_constant_objective_all_points_skipped(self):
-        constant = TestProblem(
-            objective=Objective(3, lambda x: 5.0),
-            a_matrix=np.zeros((1, 3)),
-            b_vector=np.zeros(1),
-            lip_const=1.0,
-            pl_const=1.0,
-            pl_const_top=1.0,
-            opt_value=5.0,
-            opt_point_note="every point is optimal",
-        )
-        report = check_pl(constant, num_points=50, seed=2)
-        assert report.skipped == 50
-        assert report.evaluated == 0
-        assert report.violations == 0
 
 
 class TestSerialization:
