@@ -55,6 +55,7 @@ from .problems import (
 from .sets import Ball, Box, FeasibleSet, WholeSpace, gradient_map, set_from_spec
 from .solvers import (
     DivergenceError,
+    RunBlock,
     RunRecord,
     SolverConfig,
     best_iterate,

@@ -60,6 +60,9 @@ __all__ = [
 
 # iterations * runs * dimension above this requires the --full opt-in
 FULL_GATE_COST = 1_000_000_000
+# so do more than this many f values, runs * (iterations + 1), which the
+# blocks and the aggregation hold as dense float arrays (80 MB each here)
+FULL_GATE_VALUES = 10_000_000
 
 _CSV_MAGIC = "# zopt-aggregate-v1"
 # the value columns of AggregateSeries, in file order after k; a None column
@@ -492,9 +495,11 @@ def read_series_csv(path) -> AggregateSeries:
 
 @dataclass(frozen=True, eq=False)
 class _RunTask:
+    """A block of runs for one worker: one solver config per run."""
+
     problem: TestProblem
     x0: np.ndarray
-    solver: SolverConfig
+    solvers: tuple[SolverConfig, ...]
     feasible_set: FeasibleSet | None
     collect_sigma: bool
 
@@ -506,31 +511,36 @@ class _RunOutcome:
     error: str | None
 
 
-def _execute_run(task: _RunTask) -> _RunOutcome:
+def _execute_run(task: _RunTask) -> list[_RunOutcome]:
+    """Advance a block of runs together; one outcome per run, in block order."""
     problem = task.problem
-    solver_cfg = task.solver
     grad_sq = None
     on_iterate = None
     if task.collect_sigma:
-        grad_sq = np.empty(solver_cfg.num_iters + 1)
+        grad_sq = np.empty((task.solvers[0].num_iters + 1, len(task.solvers)))
 
         def on_iterate(k, x):
             g = problem.grad(x)
-            grad_sq[k] = g @ g
+            grad_sq[k] = np.vecdot(g, g)
 
-    try:
-        if task.feasible_set is None:
-            record = random_search(problem.objective, task.x0, solver_cfg, on_iterate=on_iterate)
-        else:
-            record = projected_random_search(
-                problem.objective, task.feasible_set, task.x0, solver_cfg, on_iterate=on_iterate
+    if task.feasible_set is None:
+        block = random_search(problem.objective, task.x0, task.solvers, on_iterate=on_iterate)
+    else:
+        block = projected_random_search(
+            problem.objective, task.feasible_set, task.x0, task.solvers, on_iterate=on_iterate
+        )
+    outcomes = []
+    for i, (solver_cfg, outcome) in enumerate(zip(task.solvers, block.outcomes)):
+        if isinstance(outcome, DivergenceError):
+            outcomes.append(_RunOutcome(None, None, str(outcome)))
+            continue
+        sigma_sq = None
+        if grad_sq is not None:
+            sigma_sq = _c11_sigma_sq(
+                solver_cfg.oracle.mu, problem.dim, problem.lip_const, grad_sq[:, i]
             )
-    except DivergenceError as exc:
-        return _RunOutcome(None, None, str(exc))
-    sigma_sq = None
-    if grad_sq is not None:
-        sigma_sq = _c11_sigma_sq(solver_cfg.oracle.mu, problem.dim, problem.lip_const, grad_sq)
-    return _RunOutcome(record, sigma_sq, None)
+        outcomes.append(_RunOutcome(outcome, sigma_sq, None))
+    return outcomes
 
 
 def resolve_output_path(path: str | None, out_dir: str | None) -> str | None:
@@ -550,8 +560,10 @@ def run_experiment(
 ) -> AggregateSeries:
     """Execute an experiment and write its outputs.
 
-    Runs are dispatched to a process pool when jobs > 1; per-run determinism
-    makes the result independent of the worker count.  Diverged runs are
+    The runs are split into min(jobs, num_runs) contiguous blocks, one per
+    pool worker (in-process for one block), and each block is advanced in
+    lockstep; a run's bits do not depend on its block, so the result does
+    not depend on the worker count.  Diverged runs are
     recorded in the metadata and skipped by the aggregation; if every run
     diverges a RuntimeError is raised.
     """
@@ -564,6 +576,12 @@ def run_experiment(
             f"experiment cost {cost:.2g} (iterations * runs * dimension) exceeds "
             f"{FULL_GATE_COST:.0e}; pass --full to run it"
         )
+    stored = config.num_runs * (config.num_iters + 1)
+    if stored > FULL_GATE_VALUES and not full:
+        raise FullRunRequired(
+            f"experiment size {stored:.2g} (runs * (iterations + 1) stored values) exceeds "
+            f"{FULL_GATE_VALUES:.0e}; pass --full to run it"
+        )
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if config.num_runs < 1:
@@ -571,6 +589,8 @@ def run_experiment(
     csv_path = resolve_output_path(config.csv_path, out_dir)
     svg_path = resolve_output_path(config.svg_path, out_dir)
     for path in filter(None, (csv_path, svg_path)):
+        if Path(path).is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
         try:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -637,28 +657,35 @@ def run_experiment(
                 )
 
     collect_sigma = config.bound_overlay and mode == "constrained"
+    solvers = [
+        SolverConfig(
+            oracle=OracleConfig(mu=float(mu), seed=config.run_seed_base + i),
+            step_size=float(step),
+            num_iters=config.num_iters,
+            record_stride=config.record_stride,
+            lip_const=lip,
+        )
+        for i in range(config.num_runs)
+    ]
+    num_blocks = min(jobs, config.num_runs)
+    edges = [config.num_runs * b // num_blocks for b in range(num_blocks + 1)]
     tasks = [
         _RunTask(
             problem=problem,
             x0=x0,
-            solver=SolverConfig(
-                oracle=OracleConfig(mu=float(mu), seed=config.run_seed_base + i),
-                step_size=float(step),
-                num_iters=config.num_iters,
-                record_stride=config.record_stride,
-                lip_const=lip,
-            ),
+            solvers=tuple(solvers[lo:hi]),
             feasible_set=feasible,
             collect_sigma=collect_sigma,
         )
-        for i in range(config.num_runs)
+        for lo, hi in zip(edges, edges[1:])
     ]
-    # both paths return the outcomes in task (run index) order
-    if jobs == 1 or config.num_runs == 1:
-        outcomes = [_execute_run(t) for t in tasks]
+    # both paths return the blocks, and so the outcomes, in run index order
+    if num_blocks == 1:
+        blocks = [_execute_run(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, config.num_runs)) as pool:
-            outcomes = list(pool.map(_execute_run, tasks))
+        with ProcessPoolExecutor(max_workers=num_blocks) as pool:
+            blocks = list(pool.map(_execute_run, tasks))
+    outcomes = [outcome for block in blocks for outcome in block]
 
     finished = [o for o in outcomes if o.record is not None]
     records = [o.record for o in finished]

@@ -10,7 +10,9 @@ replaces the integral.  The two-point estimate
 uses exactly two function evaluations and is an unbiased estimate of the
 gradient of the smoothed objective f_mu(x) = E[f(x + mu * u)].  oracle_eval
 is its only implementation: one direction (n,) gives one estimate, a (k, n)
-block gives k estimates as rows from one shared f(x).
+block gives k estimates as rows from one shared f(x), and k points (k, n)
+paired with k directions give one estimate per pair, each bit for bit the
+estimate of that pair alone (the solvers advance runs this way).
 
 All sampling is counter-based (see zopt.rng): a draw is fully determined by
 (config.seed, counter), so concurrent callers stay reproducible as long as
@@ -40,7 +42,11 @@ __all__ = [
 
 
 class EvaluationError(RuntimeError):
-    """The objective returned a non-finite value."""
+    """The objective returned a non-finite value; row is its row in a stack."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +89,10 @@ class OracleConfig:
         return None if self.b_matrix is None else self.b_matrix.shape[0]
 
     def apply_b(self, u: np.ndarray) -> np.ndarray:
-        """B u, vectorized over leading axes. Identity B returns the input."""
+        """B u, row by row over leading axes. Identity B returns the input."""
         if self.b_matrix is None:
             return u
-        return u @ self.b_matrix
+        return np.vecmat(u, self.b_matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,13 +148,37 @@ def sample_direction(
     return sample_directions(cfg, dim, counter, 1, sampler=sampler)[0]
 
 
+def _nonfinite(value: float, point: np.ndarray, row: int | None = None) -> EvaluationError:
+    return EvaluationError(
+        f"objective returned {value} at a point with norm {np.linalg.norm(point):.6g}", row
+    )
+
+
 def _eval_one(f: Callable, x: np.ndarray) -> float:
     value = float(f(x))
     if not math.isfinite(value):
-        raise EvaluationError(
-            f"objective returned {value} at a point with norm {np.linalg.norm(x):.6g}"
-        )
+        raise _nonfinite(value, x)
     return value
+
+
+def _eval_rows(f: Callable, points: np.ndarray) -> np.ndarray:
+    """f at each row of a (k, n) stack, each value bit-equal to f(row).
+
+    An objective with a true rows_exact attribute takes the stack in one
+    call; any other is called once per row.  Values are not checked.
+    """
+    if getattr(f, "rows_exact", False):
+        return f(points)
+    return np.array([float(f(p)) for p in points], dtype=float)
+
+
+def _check_rows(values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The values at a stack of points, each checked on Python floats
+    (cheaper than array reductions for the few rows of a solver block)."""
+    for row, value in enumerate(values.tolist()):
+        if not math.isfinite(value):
+            raise _nonfinite(value, points[row], row)
+    return values
 
 
 def _eval_many(f: Callable, points: np.ndarray) -> np.ndarray:
@@ -159,10 +189,7 @@ def _eval_many(f: Callable, points: np.ndarray) -> np.ndarray:
         values = np.array([float(f(p)) for p in points], dtype=float)
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise EvaluationError(
-            f"objective returned {values[bad]} at a point with norm "
-            f"{np.linalg.norm(points[bad]):.6g}"
-        )
+        raise _nonfinite(values[bad], points[bad], bad)
     return values
 
 
@@ -177,14 +204,25 @@ def oracle_eval(
 
     u is one direction (n,) or a (k, n) block of k directions, whose rows
     share one f(x) and whose shifted points go to f.batch when f has one
-    (so a row may differ from a single call in the last bits, as may a
-    dense B u).  Pass fx to reuse an already paid evaluation at x.
+    (so a row may differ from a single call in the last bits).  With x a
+    (k, n) stack of points and u a (k, n) stack of directions, row i is the
+    estimate at x[i] along u[i], bit for bit its own single call; fx is then
+    the (k,) values at the points, and a non-finite value raises an
+    EvaluationError whose row is the first failing pair.  Pass fx to reuse
+    an already paid evaluation at x.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if x.ndim != 1 or u.ndim not in (1, 2) or u.shape[-1] != x.size:
+    paired = x.ndim == 2 and u.shape == x.shape
+    if not (paired or x.ndim == 1 and u.ndim in (1, 2) and u.shape[-1] == x.size):
         raise ValueError(f"shape mismatch: x {x.shape} vs u {u.shape}")
-    _check_dim(cfg, x.size)
+    _check_dim(cfg, x.shape[-1])
+    if paired:
+        if fx is None:
+            fx = _check_rows(_eval_rows(f, x), x)
+        shifted = x + cfg.mu * u
+        fxp = _check_rows(_eval_rows(f, shifted), shifted)
+        return ((fxp - fx) / cfg.mu)[:, None] * cfg.apply_b(u)
     if fx is None:
         fx = _eval_one(f, x)
     if u.ndim == 1:

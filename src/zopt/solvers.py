@@ -5,7 +5,9 @@ direction each step; projected_random_search projects each trial point back
 onto a convex feasible set.  A run of N iterations visits x_0 .. x_N, spends
 two objective evaluations per iteration plus one final evaluation to record
 f(x_N), and is bit-reproducible from (seed, config, problem): iteration k
-always draws from substream k of the oracle seed.
+always draws from substream k of the oracle seed.  Runs that differ only in
+their seeds can be advanced together as one block; each comes out bit for
+bit as it would alone.
 """
 
 from __future__ import annotations
@@ -13,17 +15,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .oracle import EvaluationError, OracleConfig, oracle_eval, sample_directions
+from .oracle import EvaluationError, OracleConfig, _eval_rows, oracle_eval, sample_directions
 from .rng import SubstreamSampler
 from .sets import FeasibleSet
 
 __all__ = [
     "SolverConfig",
     "RunRecord",
+    "RunBlock",
     "DivergenceError",
     "random_search",
     "projected_random_search",
@@ -121,17 +124,45 @@ class RunRecord:
         return 2 * self.num_iters + 1
 
 
+@dataclass(eq=False)
+class RunBlock:
+    """Runs advanced together: per run, in config order, its RunRecord or
+    the DivergenceError that ended it."""
+
+    num_iters: int
+    outcomes: list[RunRecord | DivergenceError]
+
+
+def _same_but_seed(a: SolverConfig, b: SolverConfig) -> bool:
+    return np.array_equal(a.oracle.b_matrix, b.oracle.b_matrix) and (
+        (a.step_size, a.num_iters, a.record_stride, a.lip_const, a.oracle.mu)
+        == (b.step_size, b.num_iters, b.record_stride, b.lip_const, b.oracle.mu)
+    )
+
+
 def _run(
     f: Callable,
     x0: np.ndarray,
-    cfg: SolverConfig,
+    cfgs: Sequence[SolverConfig],
     feasible_set: FeasibleSet | None,
     on_iterate: Callable[[int, np.ndarray], None] | None,
-) -> RunRecord:
+) -> list[RunRecord | DivergenceError]:
+    """Advance one run per config from x0 in lockstep, as one (R, n) state.
+
+    The configs differ only in their oracle seeds.  Each iteration evaluates
+    f on the stack, draws one direction per run from that run's substream,
+    and calls oracle_eval once on the paired rows; every kernel is
+    row-exact, so each run is bit for bit the run it would be alone.  A run
+    that diverges leaves the stack and the others go on.  on_iterate gets
+    (k, X) as random_search describes.
+    """
     x = np.array(x0, dtype=float)
     if x.ndim != 1:
         raise ValueError("x0 must be a vector")
     n = x.size
+    cfg = cfgs[0]
+    if not all(_same_but_seed(cfg, other) for other in cfgs[1:]):
+        raise ValueError("the runs of a block must differ only in their oracle seeds")
     if feasible_set is not None:
         if feasible_set.dim != n:
             raise ValueError(
@@ -144,93 +175,165 @@ def _run(
                 f"step size {cfg.step_size:.3g} exceeds 1/lip_const "
                 f"{1.0 / cfg.lip_const:.3g}; the projected scheme's guarantees "
                 "assume steps at or below it",
-                stacklevel=3,
+                stacklevel=4,
             )
 
-    oracle_cfg = cfg.oracle
+    num_runs = len(cfgs)
     num_iters = cfg.num_iters
     h = cfg.step_size
-    sampler = SubstreamSampler(oracle_cfg.seed)
+    stride = cfg.record_stride
+    oracle_cfg = cfg.oracle
+    draws = [(c.oracle, SubstreamSampler(c.oracle.seed)) for c in cfgs]
 
-    values = np.empty(num_iters + 1)
-    iterates: list[np.ndarray] = []
-    best_value = math.inf
-    best_k = 0
-    best_point = x.copy()
-    violations = 0
-    guard = math.inf
+    # per-run state is indexed by run; X, fx and the like by row, and
+    # live[j] is the run of row j (rows is live as an index).  No state
+    # array is written in place, so a run's best point is kept as the state
+    # it is a row of, and copied out at the end.
+    values = np.empty((num_runs, num_iters + 1))
+    iterates = np.empty((num_runs, num_iters // stride + 1 + (num_iters % stride > 0), n))
+    best_value = [math.inf] * num_runs
+    best_k = [0] * num_runs
+    best_at: list = [None] * num_runs
+    guard = [math.inf] * num_runs
+    violations = [0] * num_runs
+    outcomes: list = [None] * num_runs
+    live = list(range(num_runs))
+    rows = slice(None)
+    stored = 0
 
+    def drop(failed: dict, *stacks):
+        """Retire the failed rows' runs; the stacks without those rows."""
+        nonlocal live, rows
+        for j, error in failed.items():
+            outcomes[live[j]] = error
+        keep = [j for j in range(len(live)) if j not in failed]
+        live = [live[j] for j in keep]
+        rows = np.array(live, dtype=np.intp)
+        return [a[keep] for a in stacks]
+
+    X = np.repeat(x[None, :], num_runs, axis=0)
     for k in range(num_iters + 1):
-        fx = float(f(x))
-        if not math.isfinite(fx):
-            raise DivergenceError(k, float(np.linalg.norm(x)), f"f(x) = {fx}")
-        if k == 0:
-            guard = DIVERGENCE_FACTOR * max(1.0, abs(fx))
-        elif fx > guard:
-            raise DivergenceError(
-                k, float(np.linalg.norm(x)), f"f(x) = {fx:.6g} exceeds guard {guard:.6g}"
-            )
-        values[k] = fx
-        if fx < best_value:
-            best_value = fx
-            best_k = k
-            best_point = x.copy()
-        if k % cfg.record_stride == 0 or k == num_iters:
-            iterates.append(x.copy())
-        if feasible_set is not None and not feasible_set.contains(x):
-            violations += 1
+        fx = _eval_rows(f, X)
+        failed = {}
+        for j, (i, value) in enumerate(zip(live, fx.tolist())):
+            if not math.isfinite(value):
+                failed[j] = DivergenceError(k, float(np.linalg.norm(X[j])), f"f(x) = {value}")
+                continue
+            if k == 0:
+                guard[i] = DIVERGENCE_FACTOR * max(1.0, abs(value))
+            elif value > guard[i]:
+                failed[j] = DivergenceError(
+                    k,
+                    float(np.linalg.norm(X[j])),
+                    f"f(x) = {value:.6g} exceeds guard {guard[i]:.6g}",
+                )
+                continue
+            values[i, k] = value
+            if value < best_value[i]:
+                best_value[i] = value
+                best_k[i] = k
+                best_at[i] = (X, j)
+        if failed:
+            X, fx = drop(failed, X, fx)
+            if not live:
+                break
+        if k % stride == 0 or k == num_iters:
+            iterates[rows, stored] = X
+            stored += 1
+        if feasible_set is not None:
+            for j, inside in enumerate(feasible_set.contains(X).tolist()):
+                if not inside:
+                    violations[live[j]] += 1
         if on_iterate is not None:
-            on_iterate(k, x)
+            if len(live) < num_runs:
+                block = np.full((num_runs, n), math.nan)
+                block[rows] = X
+                on_iterate(k, block)
+            else:
+                on_iterate(k, X)
         if k == num_iters:
             break
-        u = sample_directions(oracle_cfg, n, k, 1, sampler=sampler)[0]
-        try:
-            g = oracle_eval(f, x, u, oracle_cfg, fx=fx)
-        except EvaluationError as exc:
-            raise DivergenceError(k, float(np.linalg.norm(x)), str(exc)) from exc
-        x = x - h * g
+        U = []
+        for i in live:
+            oracle, sampler = draws[i]
+            U.append(sample_directions(oracle, n, k, 1, sampler=sampler))
+        U = np.concatenate(U) if len(U) > 1 else U[0]
+        G = None
+        while G is None and live:
+            try:
+                G = oracle_eval(f, X, U, oracle_cfg, fx=fx)
+            except EvaluationError as exc:
+                error = DivergenceError(k, float(np.linalg.norm(X[exc.row])), str(exc))
+                error.__cause__ = exc
+                X, U, fx = drop({exc.row: error}, X, U, fx)
+        if not live:
+            break
+        X = X - h * G
         if feasible_set is not None:
-            x = feasible_set.project(x)
+            X = feasible_set.project(X)
 
-    return RunRecord(
-        config=cfg,
-        values=values,
-        iterates=np.array(iterates),
-        best_k=best_k,
-        best_point=best_point,
-        feasibility_violations=violations,
-    )
+    for i, run_cfg in enumerate(cfgs):
+        if outcomes[i] is None:
+            outcomes[i] = RunRecord(
+                config=run_cfg,
+                values=values[i],
+                iterates=iterates[i],
+                best_k=best_k[i],
+                best_point=best_at[i][0][best_at[i][1]].copy(),
+                feasibility_violations=violations[i],
+            )
+    return outcomes
+
+
+def _solve(f, x0, cfg, feasible_set, on_iterate):
+    """One run for a SolverConfig (raising DivergenceError), a RunBlock for a
+    sequence of them."""
+    if isinstance(cfg, SolverConfig):
+        hook = None if on_iterate is None else (lambda k, X: on_iterate(k, X[0]))
+        (outcome,) = _run(f, x0, [cfg], feasible_set, hook)
+        if isinstance(outcome, DivergenceError):
+            raise outcome
+        return outcome
+    cfgs = list(cfg)
+    if not cfgs:
+        raise ValueError("a block needs at least one run")
+    return RunBlock(cfgs[0].num_iters, _run(f, x0, cfgs, feasible_set, on_iterate))
 
 
 def random_search(
     f: Callable,
     x0: np.ndarray,
-    cfg: SolverConfig,
+    cfg: SolverConfig | Sequence[SolverConfig],
     on_iterate: Callable[[int, np.ndarray], None] | None = None,
-) -> RunRecord:
+) -> RunRecord | RunBlock:
     """Run the unconstrained scheme: x_{k+1} = x_k - h * g_k.
 
     on_iterate, when given, is called with (k, x_k) for every k = 0..N; it
     must not mutate its argument.  Raises DivergenceError on non-finite or
-    runaway values.
+    runaway values.  Given a sequence of configs that differ only in their
+    oracle seeds, it advances those runs together, each bit for bit as it
+    would run alone, and returns a RunBlock; a run that diverges ends only
+    itself.  on_iterate then gets (k, X), X holding one row per run in
+    config order, and the row of a run that has diverged is NaN.
     """
-    return _run(f, x0, cfg, None, on_iterate)
+    return _solve(f, x0, cfg, None, on_iterate)
 
 
 def projected_random_search(
     f: Callable,
     feasible_set: FeasibleSet,
     x0: np.ndarray,
-    cfg: SolverConfig,
+    cfg: SolverConfig | Sequence[SolverConfig],
     on_iterate: Callable[[int, np.ndarray], None] | None = None,
-) -> RunRecord:
+) -> RunRecord | RunBlock:
     """Run the projected scheme: x_{k+1} = project(x_k - h * g_k).
 
     Requires a feasible x0; every visited iterate is feasible.  The update
     equals x_k - h * s_k for the projected-step direction s_k given by
-    sets.gradient_map with the same g_k.
+    sets.gradient_map with the same g_k.  A sequence of configs gives a
+    RunBlock, as for random_search.
     """
-    return _run(f, x0, cfg, feasible_set, on_iterate)
+    return _solve(f, x0, cfg, feasible_set, on_iterate)
 
 
 def best_iterate(record: RunRecord) -> tuple[int, np.ndarray, float]:

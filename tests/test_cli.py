@@ -263,6 +263,22 @@ class TestRun:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    def test_output_path_naming_a_directory_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_runs(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "_execute_run", no_runs)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(RUN_CONFIG)
+        out_dir = tmp_path / "out"
+        (out_dir / "cli_out.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"cannot write {out_dir / 'cli_out.csv'}: it is a directory\n"
+        assert captured.out == ""
+
     def test_ball_with_bound_overlay_exits_2_with_config_path(self, tmp_path, capsys):
         cfg = tmp_path / "ball.cfg"
         cfg.write_text(

@@ -2,6 +2,8 @@ import configparser
 import hashlib
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -569,13 +571,70 @@ class TestRunExperiment:
         with pytest.raises(FullRunRequired, match="--full"):
             run_experiment(cfg, jobs=1, full=False)
 
+    def test_stored_values_gate(self):
+        # runs * (iterations + 1) f values are held densely: n = 1 does not
+        # make 10**8 iterations cheap
+        cfg = small_config(num_iters=10**8, num_runs=1, n=1, m=1)
+        assert cfg.num_iters * cfg.num_runs * cfg.n <= harness.FULL_GATE_COST
+        with pytest.raises(FullRunRequired, match=r"runs \* \(iterations \+ 1\).*--full"):
+            run_experiment(cfg, jobs=1, full=False)
+
+    def test_stored_values_gate_leaves_shipped_and_benchmark_configs_alone(
+        self, tmp_path, monkeypatch
+    ):
+        workloads = load_perfbench("workloads", monkeypatch)
+        paths = sorted((ROOT / "configs").glob("*.cfg"))
+        for workload in workloads.WORKLOADS.values():
+            if workload.kind == "experiment":
+                for scale in workload.sizes:
+                    work = tmp_path / f"{workload.name}-{scale}"
+                    work.mkdir()
+                    paths.extend(workload.write_configs(work, workloads.DEFAULT_SEED, scale))
+        for path in paths:
+            cfg = load_config(path)
+            assert cfg.num_runs * (cfg.num_iters + 1) <= harness.FULL_GATE_VALUES, path
+
+    def test_block_size_does_not_change_any_run(self):
+        # the same seven runs as one block and as seven blocks of one:
+        # records and sigma^2 byte for byte, on the projected path with the
+        # sigma hook
+        problem = make_least_squares(10, 40, 0.1, 202)
+        box = harness.set_from_spec({"kind": "box", "lower": "-0.5", "upper": "0.5"}, 40)
+        x0 = box.project(np.random.default_rng(88).standard_normal(40))
+        solvers = tuple(
+            SolverConfig(
+                oracle=OracleConfig(mu=1e-4, seed=9000 + i),
+                step_size=1.0 / problem.lip_const,
+                num_iters=200,
+                record_stride=50,
+                lip_const=problem.lip_const,
+            )
+            for i in range(7)
+        )
+
+        def execute(block):
+            task = harness._RunTask(problem, x0, block, box, collect_sigma=True)
+            return harness._execute_run(task)
+
+        together = execute(solvers)
+        for solver, outcome in zip(solvers, together):
+            (alone,) = execute((solver,))
+            for name in ("values", "iterates", "best_point"):
+                together_bytes = getattr(outcome.record, name).tobytes()
+                assert together_bytes == getattr(alone.record, name).tobytes()
+            assert outcome.record.best_k == alone.record.best_k
+            assert outcome.record.feasibility_violations == alone.record.feasibility_violations
+            assert outcome.sigma_sq.tobytes() == alone.sigma_sq.tobytes()
+
     def test_partial_divergence_keeps_going(self, monkeypatch):
         original = harness._execute_run
 
         def sabotaged(task):
-            if task.solver.oracle.seed == 101:  # run 1: run_seed_base is 100
-                return harness._RunOutcome(None, None, "synthetic failure")
-            return original(task)
+            outcomes = original(task)
+            for i, solver in enumerate(task.solvers):
+                if solver.oracle.seed == 101:  # run 1: run_seed_base is 100
+                    outcomes[i] = harness._RunOutcome(None, None, "synthetic failure")
+            return outcomes
 
         monkeypatch.setattr(harness, "_execute_run", sabotaged)
         cfg = small_config(num_iters=100, num_runs=3)
@@ -641,3 +700,72 @@ class TestPinnedConstrainedBits:
             assert series.metadata["feasibility_violations"] == "0"
             digest = hashlib.sha256((out_dir / "box.csv").read_bytes()).hexdigest()
             assert digest == "65352adf05fa59d783a6db246a294a4054882c72d00137575722286cbecb3186"
+
+
+PINNED_BOX_CONFIG = """\
+[experiment]
+scenario = constrained
+num_runs = 4
+run_seed_base = 9000
+x0_seed = 88
+
+[problem]
+m = 10
+n = 40
+noise_std = 0.1
+problem_seed = 202
+
+[solver]
+mu = auto
+eps = 0.1
+step_size = theorem
+num_iters = 300
+record_stride = 50
+
+[set]
+kind = box
+lower = -0.5
+upper = 0.5
+
+[outputs]
+csv_path = box.csv
+bound_overlay = true
+"""
+
+
+class TestBlasThreadCount:
+    # The bytes must not depend on the BLAS thread count either.  Each child
+    # runs `zopt run` on the pinned desk config and on the config of
+    # TestPinnedConstrainedBits; only its OPENBLAS_NUM_THREADS differs.  The
+    # host this was written on has two cores, so counts above 2 are untested.
+    CHILD = (
+        "import sys; from zopt.cli import main; "
+        "sys.exit(max(main(['run', '--config', c, '--out-dir', sys.argv[1]]) "
+        "for c in sys.argv[2:]))"
+    )
+
+    def test_pinned_outputs_at_one_and_two_threads(self, tmp_path):
+        box_cfg = tmp_path / "box.cfg"
+        box_cfg.write_text(PINNED_BOX_CONFIG)
+        configs = [str(ROOT / "tests" / "data" / "pinned_desk.cfg"), str(box_cfg)]
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+            )
+            out_dir = tmp_path / f"t{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-c", self.CHILD, str(out_dir), *configs],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads] = tuple(
+                (out_dir / name).read_bytes() for name in ("pinned_desk.csv", "box.csv")
+            )
+        assert outputs["1"] == outputs["2"]
+        desk, box = outputs["1"]
+        assert desk == (ROOT / "tests" / "data" / "pinned_desk.csv").read_bytes()
+        assert hashlib.sha256(box).hexdigest() == (
+            "65352adf05fa59d783a6db246a294a4054882c72d00137575722286cbecb3186"
+        )

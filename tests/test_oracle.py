@@ -205,6 +205,56 @@ class TestOracleEvalBlock:
             oracle_eval(f, np.zeros(2), u, OracleConfig(mu=0.1, seed=0))
 
 
+class TestOracleEvalPaired:
+    # k points paired with k directions: row i is the single call at x[i]
+    # along u[i], bit for bit, for a row-exact objective, any other
+    # callable, and a dense B
+    @pytest.mark.parametrize("dense_b", [False, True])
+    @pytest.mark.parametrize("generic", [False, True])
+    @pytest.mark.parametrize("given_fx", [False, True])
+    def test_rows_equal_single_calls(self, dense_b, generic, given_fx):
+        problem = make_least_squares(10, 40, 0.1, 6)
+        f = Objective(40, problem.objective) if generic else problem.objective
+        gen = np.random.default_rng(9)
+        b = None
+        if dense_b:
+            root = gen.standard_normal((40, 40))
+            b = root @ root.T / 40 + np.eye(40)
+        cfg = OracleConfig(mu=1e-3, b_matrix=b, seed=0)
+        x = gen.standard_normal((5, 40))
+        u = gen.standard_normal((5, 40))
+        fx = problem.objective(x) if given_fx else None
+        paired = oracle_eval(f, x, u, cfg, fx=fx)
+        singles = [
+            oracle_eval(f, xi, ui, cfg, fx=None if fx is None else float(fi))
+            for xi, ui, fi in zip(x, u, problem.objective(x))
+        ]
+        assert paired.tobytes() == np.array(singles).tobytes()
+
+    def test_apply_b_is_row_exact(self):
+        root = np.random.default_rng(2).standard_normal((30, 30))
+        cfg = OracleConfig(mu=1.0, b_matrix=root @ root.T + np.eye(30))
+        u = np.random.default_rng(3).standard_normal((6, 30))
+        rows = cfg.apply_b(u)
+        for ui, row in zip(u, rows):
+            assert row.tobytes() == cfg.apply_b(ui).tobytes() == (ui @ cfg.b_matrix).tobytes()
+
+    def test_nonfinite_value_names_its_row(self):
+        def f(p):
+            return float("nan") if p[0] > 5 else float(p @ p)
+
+        x = np.zeros((4, 2))
+        u = np.zeros((4, 2))
+        u[2, 0] = u[3, 0] = 100.0
+        with pytest.raises(EvaluationError, match="objective returned nan") as err:
+            oracle_eval(f, x, u, OracleConfig(mu=0.1, seed=0), fx=np.zeros(4))
+        assert err.value.row == 2
+
+    def test_mismatched_stacks_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            oracle_eval(quadratic_1d, np.zeros((3, 1)), np.ones((2, 1)), OracleConfig(mu=0.1))
+
+
 class TestSmoothedEstimates:
     def test_value_mode_scalar_quadratic(self):
         # smoothing x^2 with scale mu adds exactly mu^2 at the origin

@@ -42,6 +42,21 @@ class TestConstruction:
         singles = np.array([problem.objective(p) for p in points])
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
+    @pytest.mark.parametrize("m, n", [(1, 5), (6, 24), (10, 40), (20, 100), (100, 1000)])
+    def test_stacked_calls_are_row_exact(self, m, n):
+        # a (k, n) stack gives each row's value and gradient bit for bit as
+        # its own call, and the single call is the plain BLAS formula
+        problem = make_least_squares(m, n, 0.1, 2)
+        a, b = problem.a_matrix, problem.b_vector
+        points = np.random.default_rng(n).standard_normal((7, n))
+        values = problem.objective(points)
+        grads = problem.grad(points)
+        assert problem.objective.rows_exact
+        for x, value, grad in zip(points, values, grads):
+            r = a @ x - b
+            assert value == problem.objective(x) == float(r @ r)
+            assert grad.tobytes() == problem.grad(x).tobytes() == (2.0 * (a.T @ r)).tobytes()
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="n must be at least m"):
             make_least_squares(5, 3, 0.1, 0)

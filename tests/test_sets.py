@@ -61,6 +61,16 @@ class TestProjection:
             rows = np.array([fs.project(p) for p in pts])
             assert np.array_equal(batched, rows)
 
+    def test_stacked_contains_is_row_by_row(self):
+        gen = np.random.default_rng(5)
+        pts = gen.standard_normal((60, 3)) * 0.6
+        pts[3, 1] = np.nan
+        for fs in (Box(-0.5, 0.5, dim=3), Ball(np.full(3, 0.1), 1.0), WholeSpace(3)):
+            stacked = fs.contains(pts)
+            assert stacked.dtype == bool and stacked.shape == (60,)
+            assert stacked.tolist() == [fs.contains(p) for p in pts]
+            assert isinstance(fs.contains(pts[0]), bool)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             Box(-1, 1, dim=3).project(np.zeros(4))

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from zopt.oracle import OracleConfig, oracle_eval, sample_direction
+from zopt.oracle import EvaluationError, OracleConfig, oracle_eval, sample_direction
 from zopt.problems import Objective, least_squares_from_arrays, make_least_squares
-from zopt.sets import Box, gradient_map
+from zopt.sets import Ball, Box, gradient_map
 from zopt.solvers import (
     DivergenceError,
+    RunBlock,
     RunRecord,
     SolverConfig,
     best_iterate,
@@ -181,6 +182,203 @@ class TestProjectedRun:
             starts.append(record.values[0])
             finals.append(record.values[-1])
         assert np.mean(finals) < np.mean(starts)
+
+
+def reference_run(f, x0, cfg, feasible_set=None, grad=None):
+    """One run of the scheme on 1-D arrays, written out plainly: f(x), a
+    direction from substream k, the single-direction oracle_eval, the step
+    and the projection.  Raises DivergenceError like the solvers."""
+    x = np.array(x0, dtype=float)
+    values, iterates, grad_sq = [], [], []
+    best_k, best_point, violations, guard = 0, x.copy(), 0, math.inf
+    for k in range(cfg.num_iters + 1):
+        fx = float(f(x))
+        if not math.isfinite(fx):
+            raise DivergenceError(k, float(np.linalg.norm(x)), f"f(x) = {fx}")
+        if k == 0:
+            guard = 1e12 * max(1.0, abs(fx))
+        elif fx > guard:
+            raise DivergenceError(
+                k, float(np.linalg.norm(x)), f"f(x) = {fx:.6g} exceeds guard {guard:.6g}"
+            )
+        values.append(fx)
+        if fx < values[best_k]:
+            best_k, best_point = k, x.copy()
+        if k % cfg.record_stride == 0 or k == cfg.num_iters:
+            iterates.append(x.copy())
+        if feasible_set is not None and not feasible_set.contains(x):
+            violations += 1
+        if grad is not None:
+            g = grad(x)
+            grad_sq.append(g @ g)
+        if k == cfg.num_iters:
+            break
+        u = sample_direction(cfg.oracle, x.size, k)
+        try:
+            g = oracle_eval(f, x, u, cfg.oracle, fx=fx)
+        except EvaluationError as exc:
+            raise DivergenceError(k, float(np.linalg.norm(x)), str(exc)) from exc
+        x = x - cfg.step_size * g
+        if feasible_set is not None:
+            x = feasible_set.project(x)
+    return values, iterates, best_k, best_point, violations, grad_sq
+
+
+def block_configs(size, seed=300, **kwargs):
+    return [config(seed=seed + i, **kwargs) for i in range(size)]
+
+
+def run_block(f, x0, cfgs, feasible_set=None, on_iterate=None):
+    if feasible_set is None:
+        return random_search(f, x0, cfgs, on_iterate=on_iterate)
+    return projected_random_search(f, feasible_set, x0, cfgs, on_iterate=on_iterate)
+
+
+def assert_record_is(record, reference):
+    values, iterates, best_k, best_point, violations, _ = reference
+    assert record.values.tobytes() == np.array(values).tobytes()
+    assert record.iterates.tobytes() == np.array(iterates).tobytes()
+    assert record.best_k == best_k
+    assert record.best_point.tobytes() == best_point.tobytes()
+    assert record.feasibility_violations == violations
+
+
+class TestBlocks:
+    # Runs advanced together as one (R, n) block must each come out byte for
+    # byte as the run computed alone on 1-D arrays.
+    CASES = ["unconstrained", "box_with_hook", "ball", "generic_objective", "b_matrix"]
+
+    @staticmethod
+    def setup(case):
+        problem = make_least_squares(6, 24, 0.1, 41)
+        x0 = np.random.default_rng(7).standard_normal(24)
+        f, feasible, b_matrix, grad = problem.objective, None, None, None
+        step = theorem_step_size("unconstrained", 24, problem.lip_const)
+        if case == "box_with_hook":
+            feasible, grad = Box(-0.5, 0.5, dim=24), problem.grad
+            step = 1.0 / problem.lip_const
+        elif case == "ball":
+            feasible = Ball(np.zeros(24), 1.0)
+            step = 1.0 / problem.lip_const
+        elif case == "generic_objective":
+            f = Objective(24, problem.objective)
+        elif case == "b_matrix":
+            dense = np.random.default_rng(8).standard_normal((24, 24))
+            b_matrix = dense @ dense.T / 24 + np.eye(24)
+        if feasible is not None:
+            x0 = feasible.project(x0)
+        return problem, f, x0, feasible, b_matrix, grad, step
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    def test_block_runs_equal_runs_alone(self, size, case):
+        problem, f, x0, feasible, b_matrix, grad, step = self.setup(case)
+        cfgs = [
+            SolverConfig(
+                oracle=OracleConfig(mu=1e-6, b_matrix=b_matrix, seed=500 + i),
+                step_size=step,
+                num_iters=150,
+                record_stride=40,
+            )
+            for i in range(size)
+        ]
+        grad_sq = np.full((151, size), np.nan)
+
+        def hook(k, X):
+            G = grad(X)
+            grad_sq[k] = np.vecdot(G, G)
+
+        block = run_block(f, x0, cfgs, feasible, hook if grad is not None else None)
+        assert isinstance(block, RunBlock) and block.num_iters == 150
+        assert len(block.outcomes) == size
+        for i, (cfg, record) in enumerate(zip(cfgs, block.outcomes)):
+            reference = reference_run(f, x0, cfg, feasible, grad)
+            assert_record_is(record, reference)
+            if grad is not None:
+                assert grad_sq[:, i].tobytes() == np.array(reference[5]).tobytes()
+
+    def test_generic_objective_called_2n_plus_1_times_per_run(self):
+        calls = []
+        problem = make_least_squares(3, 8, 0.1, 4)
+
+        def counted(x):
+            calls.append(1)
+            return problem.objective(x)
+
+        block = random_search(
+            Objective(8, counted), np.ones(8), block_configs(3, mu=1e-5, step=1e-3, iters=40)
+        )
+        assert len(calls) == 3 * (2 * 40 + 1)
+        assert all(record.eval_count == 81 for record in block.outcomes)
+
+    @staticmethod
+    def wall(mu):
+        # f is infinite beyond x[0] = t, with t just below the largest x[0]
+        # that any run's plain trajectory reaches (iterates and, for a large
+        # mu, the shifted points): exactly that run diverges, partway
+        problem = make_least_squares(6, 24, 0.1, 41)
+        x0 = np.random.default_rng(7).standard_normal(24)
+        cfgs = block_configs(
+            5, mu=mu, step=theorem_step_size("unconstrained", 24, problem.lip_const),
+            iters=200, stride=50,
+        )
+        reach = []
+        for cfg in cfgs:
+            seen = []
+            reference_run(lambda x: seen.append(x[0]) or problem.objective(x), x0, cfg)
+            reach.append(max(seen))
+        top, second = sorted(reach)[-1], sorted(reach)[-2]
+        assert top - second > 1e-3
+        threshold = (top + second) / 2
+        f = Objective(24, lambda x: math.inf if x[0] > threshold else problem.objective(x))
+        return f, x0, cfgs, reach.index(top)
+
+    @pytest.mark.parametrize(
+        "mu, where", [(1e-6, "f(x) = inf"), (0.5, "objective returned inf")]
+    )
+    def test_a_run_that_diverges_ends_only_itself(self, mu, where):
+        f, x0, cfgs, diverged = self.wall(mu)
+        block = random_search(f, x0, cfgs)
+        for i, (cfg, outcome) in enumerate(zip(cfgs, block.outcomes)):
+            if i != diverged:
+                assert_record_is(outcome, reference_run(f, x0, cfg))
+                continue
+            with pytest.raises(DivergenceError) as alone:
+                random_search(f, x0, cfg)
+            assert isinstance(outcome, DivergenceError)
+            assert 0 < outcome.iteration < 200
+            assert (outcome.iteration, outcome.point_norm, str(outcome)) == (
+                alone.value.iteration, alone.value.point_norm, str(alone.value)
+            )
+            assert where in str(outcome)
+
+    def test_every_run_of_a_block_may_diverge(self):
+        problem = scalar_problem()
+        cfgs = block_configs(3, mu=1e-3, step=1e9, iters=500)
+        block = random_search(problem.objective, np.array([1.0]), cfgs)
+        for cfg, outcome in zip(cfgs, block.outcomes):
+            with pytest.raises(DivergenceError) as alone:
+                random_search(problem.objective, np.array([1.0]), cfg)
+            assert str(outcome) == str(alone.value)
+
+    def test_hook_gets_a_nan_row_once_a_run_has_diverged(self):
+        f, x0, cfgs, diverged = self.wall(1e-6)
+        states = []
+        block = random_search(f, x0, cfgs, on_iterate=lambda k, X: states.append(X.copy()))
+        stop = block.outcomes[diverged].iteration  # f(x_stop) was infinite
+        assert len(states) == 201
+        for i in range(len(cfgs)):
+            rows = np.array([X[i] for X in states])
+            if i == diverged:
+                assert not np.isnan(rows[:stop]).any() and np.isnan(rows[stop:]).all()
+            else:
+                assert rows[::50].tobytes() == block.outcomes[i].iterates.tobytes()
+
+    def test_configs_must_differ_only_in_seed(self):
+        problem = scalar_problem()
+        cfgs = [config(seed=1), config(seed=2, step=0.01)]
+        with pytest.raises(ValueError, match="only in their oracle seeds"):
+            random_search(problem.objective, np.array([1.0]), cfgs)
 
 
 class TestBestIterate:
