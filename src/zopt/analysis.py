@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .oracle import OracleConfig, _mean_and_stderr, oracle_eval, sample_directions
+from .oracle import OracleConfig, _eval_one, _mean_and_stderr, oracle_eval, sample_directions
 from .problems import TestProblem
 from .rng import SubstreamSampler, substream
 from .sets import Box, FeasibleSet, WholeSpace, gradient_map
@@ -42,6 +42,31 @@ __all__ = [
 # Acceptance margin for Monte Carlo inequality checks, in standard errors.
 # Under a normal approximation the false-failure rate per check is < 1e-6.
 MC_SIGMAS = 5.0
+
+# Rows per block of the verification loops: the samples of one Monte Carlo
+# point, and the probes of the inequality check and of the dominance
+# sampler.  A block's temporaries then stay a few MB at n = 100, whatever
+# the number of samples or probes.
+SAMPLE_BLOCK = 4096
+PROBE_BLOCK = 1024
+
+
+def _blocks(num: int, size: int):
+    """(lo, hi) bounds of ceil(num / size) consecutive, near-equal blocks.
+
+    Near-equal rather than full blocks and a remainder: no block is shorter
+    than size // 2 unless num is.  OpenBLAS computes a small gemm with
+    another kernel whose bits differ (at (m, n) = (20, 100) below 61 rows),
+    so a short remainder would change the bits of a batched f.
+    """
+    count = -(-num // size)
+    edges = [num * b // count for b in range(count + 1)]
+    return zip(edges, edges[1:])
+
+
+def _einsum_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, n) arrays by einsum, not BLAS."""
+    return np.einsum("ij,ij->i", a, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,33 +188,36 @@ def _c11_sigma_sq(mu: float, n: int, lip_const: float, grad_sq):
 
 def prox_quantity(
     feasible_set: FeasibleSet, x: np.ndarray, a: float, vec: np.ndarray
-) -> float:
+) -> float | np.ndarray:
     """-2a * min over feasible z of (a/2)||z - x||^2 + <vec, z - x>.
 
     The inner minimum is attained at z* = project(x - vec / a).  Over the
     whole space this equals ||vec||^2, the unconstrained gradient-dominance
-    numerator; on a proper subset it is the constrained analogue.
+    numerator; on a proper subset it is the constrained analogue.  x and
+    vec may be (k, n) stacks: the k values are then bit for bit the calls
+    on each row, and one infeasible row raises.
     """
     if not a > 0:
         raise ValueError(f"a must be positive, got {a}")
     x = np.asarray(x, dtype=float)
     vec = np.asarray(vec, dtype=float)
-    if not feasible_set.contains(x):
+    if not np.all(feasible_set.contains(x)):
         raise ValueError("x must be feasible")
+    value = _prox_values(feasible_set, x, a, vec, np.vecdot)
+    return float(value) if value.ndim == 0 else value
+
+
+def _prox_values(
+    feasible_set: FeasibleSet, x: np.ndarray, a: float, vec: np.ndarray, dot
+) -> np.ndarray:
+    """The prox_quantity formula, unchecked; dot reduces the last axis.
+
+    vec may be a stack against one x.  np.vecdot gives each row the bits of
+    a single call; probe_deviation passes _einsum_rows, whose bits it pins.
+    """
     z = feasible_set.project(x - vec / a)
     dz = z - x
-    return -2.0 * a * (0.5 * a * float(dz @ dz) + float(vec @ dz))
-
-
-def _prox_values_batch(
-    feasible_set: FeasibleSet, x: np.ndarray, a: float, vecs: np.ndarray
-) -> np.ndarray:
-    """prox_quantity for a batch of vecs at one feasible x."""
-    z = feasible_set.project(x[None, :] - vecs / a)
-    dz = z - x[None, :]
-    return -2.0 * a * (
-        0.5 * a * np.einsum("ij,ij->i", dz, dz) + np.einsum("ij,ij->i", vecs, dz)
-    )
+    return -2.0 * a * (0.5 * a * dot(dz, dz) + dot(vec, dz))
 
 
 def constrained_opt_value(problem: TestProblem, feasible_set: FeasibleSet) -> float:
@@ -245,7 +273,8 @@ def check_proximal_pl(
 
     Over WholeSpace, Q is ||grad f||^2 and this certifies pl_const.  Points
     with a gap under 1e-12 are skipped (the ratio is 0/0); the 1e-9 slack on
-    pl_const absorbs rounding.
+    pl_const absorbs rounding.  Points are drawn and evaluated in blocks of
+    PROBE_BLOCK, each ratio bit for bit as one point at a time.
     """
     if num_points <= 0:
         raise ValueError("num_points must be positive")
@@ -255,18 +284,18 @@ def check_proximal_pl(
     below = 0
     evaluated = 0
     skipped = 0
-    for _ in range(num_points):
-        x = feasible_set.sample(gen)
+    for lo, hi in _blocks(num_points, PROBE_BLOCK):
+        x = feasible_set.sample(gen, hi - lo)
         gap = problem.objective(x) - f_star
-        if gap < 1e-12:
-            skipped += 1
-            continue
+        near = gap < 1e-12
+        skipped += int(np.count_nonzero(near))
+        x, gap = x[~near], gap[~near]
         q = prox_quantity(feasible_set, x, problem.lip_const, problem.grad(x))
         ratio = 0.5 * q / gap
-        evaluated += 1
-        min_ratio = min(min_ratio, ratio)
-        if ratio < problem.pl_const * (1.0 - 1e-9):
-            below += 1
+        evaluated += ratio.size
+        # min over Python floats in point order, as a loop would take it
+        min_ratio = min([min_ratio, *ratio.tolist()])
+        below += int(np.count_nonzero(ratio < problem.pl_const * (1.0 - 1e-9)))
     return DominanceReport(
         min_ratio=float(min_ratio),
         below_unconstrained=below,
@@ -316,8 +345,10 @@ def probe_deviation(
     """Estimate deviation moments and the projected decrease at one point.
 
     Requires a quadratic problem so the smoothed gradient is the analytic
-    gradient.  All num_samples estimates come from one batched oracle_eval
-    call. Draws come from substream `counter` of cfg.seed.
+    gradient.  The num_samples directions come from one draw on substream
+    `counter` of cfg.seed and share one f(x); their estimates are made and
+    reduced per block of SAMPLE_BLOCK rows, each row as in one batched
+    oracle_eval call over all of them.
     """
     if num_samples < 2:
         raise ValueError("num_samples must be at least 2")
@@ -325,13 +356,18 @@ def probe_deviation(
     n = x.size
     h = theorem_step_size("constrained", n, problem.lip_const) if step_size is None else step_size
     grad = problem.grad(x)
-    g = oracle_eval(problem.objective, x, sample_directions(cfg, n, counter, num_samples), cfg)
+    u = sample_directions(cfg, n, counter, num_samples)
+    fx = _eval_one(problem.objective, x)
 
-    xi = g - grad
-    xi_norms = np.linalg.norm(xi, axis=1)
+    xi_norms, g_sq, t_values = (np.empty(num_samples) for _ in range(3))
+    for lo, hi in _blocks(num_samples, SAMPLE_BLOCK):
+        g = oracle_eval(problem.objective, x, u[lo:hi], cfg, fx=fx)
+        if lo == 0:
+            g_first = g[0]
+        xi_norms[lo:hi] = np.linalg.norm(g - grad, axis=1)
+        g_sq[lo:hi] = _einsum_rows(g, g)
+        t_values[lo:hi] = _prox_values(feasible_set, x, problem.lip_const, g, _einsum_rows)
     xi_sq = xi_norms**2
-    g_sq = np.einsum("ij,ij->i", g, g)
-    t_values = _prox_values_batch(feasible_set, x, problem.lip_const, g)
     (mean_xi, se_xi), (mean_xi_sq, se_xi_sq), (mean_g_sq, se_g_sq), (t_mean, t_se) = (
         map(float, _mean_and_stderr(samples)) for samples in (xi_norms, xi_sq, g_sq, t_values)
     )
@@ -345,7 +381,7 @@ def probe_deviation(
         mean_g_sq=mean_g_sq,
         se_g_sq=se_g_sq,
         grad_sq=float(grad @ grad),
-        s_example=gradient_map(feasible_set, x, g[0], h),
+        s_example=gradient_map(feasible_set, x, g_first, h),
         v=gradient_map(feasible_set, x, grad, h),
         t_mean=t_mean,
         t_se=t_se,
@@ -421,7 +457,9 @@ def verify_oracle_inequalities(
       standard errors (sets of finite diameter only).
 
     Probes are drawn at random feasible points; requires a quadratic
-    problem (see probe_deviation).
+    problem (see probe_deviation).  Probe i takes its direction from
+    substream i of cfg.seed; probes are handled in blocks of PROBE_BLOCK,
+    each one bit for bit as on its own.
     """
     n = problem.dim
     lip = problem.lip_const
@@ -431,20 +469,21 @@ def verify_oracle_inequalities(
 
     worst_ip = math.inf
     ip_violations = 0
-    for i in range(num_probes):
-        x = feasible_set.sample(gen)
+    for lo, hi in _blocks(num_probes, PROBE_BLOCK):
+        x = feasible_set.sample(gen, hi - lo)
         grad = problem.grad(x)
-        u = sample_directions(cfg, n, i, 1, sampler=sampler)[0]
+        u = np.concatenate(
+            [sample_directions(cfg, n, i, 1, sampler=sampler) for i in range(lo, hi)]
+        )
         g = oracle_eval(problem.objective, x, u, cfg)
         xi = g - grad
         s = gradient_map(feasible_set, x, g, h)
         v = gradient_map(feasible_set, x, grad, h)
-        lhs = float(xi @ (s - v))
-        rhs = float(xi @ xi)
-        slack = rhs - lhs
-        worst_ip = min(worst_ip, slack)
-        if lhs > rhs + 1e-12 * (1.0 + rhs):
-            ip_violations += 1
+        lhs = np.vecdot(xi, s - v)
+        rhs = np.vecdot(xi, xi)
+        # min over Python floats in probe order, as a loop would take it
+        worst_ip = min([worst_ip, *(rhs - lhs).tolist()])
+        ip_violations += int(np.count_nonzero(lhs > rhs + 1e-12 * (1.0 + rhs)))
     checks = [
         CheckResult(
             name="projection_inner_product",

@@ -32,7 +32,7 @@ from .analysis import (
 from .oracle import OracleConfig
 from .problems import TestProblem, make_least_squares
 from .rng import substream
-from .sets import SET_KEYS, FeasibleSet, set_from_spec
+from .sets import SET_KEYS, FeasibleSet, set_from_spec, spec_diameter
 from .solvers import (
     DivergenceError,
     RunRecord,
@@ -279,9 +279,9 @@ def load_config(path) -> ExperimentConfig:
         fail(*bad_seed)
     if set_spec is not None:
         try:
-            _constrained_set(set_spec, cfg.n)
+            _finite_diameter(spec_diameter(set_spec, cfg.n))
         except ValueError as exc:
-            # set_from_spec starts a message about one key's value with that key
+            # spec_diameter starts a message about one key's value with that key
             key = str(exc).split(" ", 1)[0]
             if key in set_spec:
                 fail("set", key, f"[set] {exc}")
@@ -289,12 +289,11 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-def _constrained_set(set_spec: dict, n: int) -> FeasibleSet:
-    """The feasible set of a constrained experiment; its diameter must be finite."""
-    feasible = set_from_spec(set_spec, n)
-    if not math.isfinite(feasible.diameter()):
+def _finite_diameter(d_x: float) -> float:
+    """The diameter of a constrained experiment's set, which must be finite."""
+    if not math.isfinite(d_x):
         raise ConfigError("constrained scenario requires a finite-diameter set")
-    return feasible
+    return d_x
 
 
 def _seed_range_error(config: ExperimentConfig) -> tuple[str, str, str] | None:
@@ -607,8 +606,8 @@ def run_experiment(
     feasible = None
     d_x = None
     if mode == "constrained":
-        feasible = _constrained_set(config.set_spec or {}, n)
-        d_x = feasible.diameter()
+        feasible = set_from_spec(config.set_spec or {}, n)
+        d_x = _finite_diameter(feasible.diameter())
 
     mu = config.mu
     if mu is None:

@@ -7,9 +7,12 @@ expected, as long as project is the exact Euclidean projection.
 
 project accepts arrays of shape (..., dim) and maps points along the last
 axis, so Monte Carlo code can project whole batches at once.  contains
-takes one point (a bool) or a (k, dim) stack (a bool per row); the solvers
-advance runs in stacks and rely on each row's answer, and each projected
-row, being bit for bit that of the row alone.
+takes one point (a bool) or a (k, dim) stack (a bool per row), and
+gradient_map takes one point or a stack; the solvers and the verification
+checks work on stacks and rely on each row's answer, and each projected
+row, being bit for bit that of the row alone.  sample(gen, num) draws num
+points as the rows of one array, equal to num single calls and leaving gen
+where they would.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "Ball",
     "gradient_map",
     "set_from_spec",
+    "spec_diameter",
 ]
 
 # Projections land exactly on boundaries; strict membership tests would flap.
@@ -65,8 +69,12 @@ class FeasibleSet:
     def diameter(self) -> float:
         raise NotImplementedError
 
-    def sample(self, gen: np.random.Generator) -> np.ndarray:
-        """A random feasible point (distribution is kind-specific)."""
+    def sample(self, gen: np.random.Generator, num: int | None = None) -> np.ndarray:
+        """A random feasible point (distribution is kind-specific).
+
+        With num, a (num, dim) stack whose rows are, bit for bit, num single
+        calls in order, and gen is left where those calls would leave it.
+        """
         raise NotImplementedError
 
     def spec(self) -> dict:
@@ -87,8 +95,9 @@ class WholeSpace(FeasibleSet):
     def diameter(self) -> float:
         return math.inf
 
-    def sample(self, gen: np.random.Generator) -> np.ndarray:
-        return gen.standard_normal(self.dim)
+    def sample(self, gen: np.random.Generator, num: int | None = None) -> np.ndarray:
+        # one call fills the rows in order, as num calls would
+        return gen.standard_normal(self.dim if num is None else (num, self.dim))
 
     def spec(self) -> dict:
         return {"kind": self.kind}
@@ -141,8 +150,9 @@ class Box(FeasibleSet):
     def diameter(self) -> float:
         return float(np.linalg.norm(self.upper - self.lower))
 
-    def sample(self, gen: np.random.Generator) -> np.ndarray:
-        return gen.uniform(self.lower, self.upper)
+    def sample(self, gen: np.random.Generator, num: int | None = None) -> np.ndarray:
+        # one call fills the rows in order, as num calls would
+        return gen.uniform(self.lower, self.upper, None if num is None else (num, self.dim))
 
     def spec(self) -> dict:
         return {
@@ -188,7 +198,9 @@ class Ball(FeasibleSet):
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def sample(self, gen: np.random.Generator) -> np.ndarray:
+    def sample(self, gen: np.random.Generator, num: int | None = None) -> np.ndarray:
+        if num is not None:  # each point interleaves a normal and a uniform draw
+            return np.array([self.sample(gen) for _ in range(num)]).reshape(num, self.dim)
         z = gen.standard_normal(self.dim)
         z /= max(np.linalg.norm(z), 1e-300)
         r = self.radius * gen.uniform() ** (1.0 / self.dim)
@@ -208,7 +220,9 @@ def gradient_map(
     """Projected-step direction (x - project(x - h g)) / h.
 
     Coincides with g whenever the step x - h g stays feasible; requires a
-    feasible x and a positive h.
+    feasible x and a positive h.  x and g may be (k, n) stacks: row i is
+    then bit for bit the call on x[i] and g[i], and one infeasible row
+    raises.
     """
     if not h > 0:
         raise ValueError(f"h must be positive, got {h}")
@@ -216,33 +230,30 @@ def gradient_map(
     g = np.asarray(g, dtype=float)
     if x.shape != g.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
-    if not feasible_set.contains(x):
+    if not np.all(feasible_set.contains(x)):
         raise ValueError("x must be feasible for the gradient map")
     step = x - h * g
     projected = feasible_set.project(step)
-    if np.array_equal(projected, step):
-        # inactive projection: the map is g itself, skip the lossy h round trip
-        return g.copy()
-    return (x - projected) / h
+    # inactive projection: the map is g itself, skip the lossy h round trip
+    inactive = (projected == step).all(axis=-1, keepdims=True)
+    return np.where(inactive, g, (x - projected) / h)
 
 
-def _parse_vector(text: str, dim: int, name: str) -> np.ndarray:
+def _parse_values(text: str, dim: int, name: str) -> float | np.ndarray:
+    """One number as a float, or dim numbers as a vector."""
     try:
-        values = np.array([float(p) for p in str(text).replace(",", " ").split()], dtype=float)
+        values = [float(p) for p in str(text).replace(",", " ").split()]
     except ValueError:
         raise ValueError(f"{name} must be a number or a list of numbers, got {text!r}") from None
-    if values.size == 1:
-        return np.full(dim, values[0])
-    if values.size != dim:
-        raise ValueError(f"{name} has {values.size} entries, expected 1 or {dim}")
-    return values
+    if len(values) == 1:
+        return values[0]
+    if len(values) != dim:
+        raise ValueError(f"{name} has {len(values)} entries, expected 1 or {dim}")
+    return np.array(values)
 
 
-def set_from_spec(spec: dict, dim: int) -> FeasibleSet:
-    """Build a set from a flat kind + parameters description.
-
-    A ValueError about one key's value starts with that key's name.
-    """
+def _spec_values(spec: dict, dim: int) -> tuple[str, dict]:
+    """A spec's kind and its parsed values; a value of one number stays a float."""
     kind = str(spec.get("kind", "")).strip().lower()
     if kind not in SET_KEYS:
         raise ValueError(f"unknown set kind {spec.get('kind')!r}")
@@ -250,18 +261,47 @@ def set_from_spec(spec: dict, dim: int) -> FeasibleSet:
     if extra:
         raise ValueError(f"{kind} set does not take {', '.join(map(repr, extra))}")
     if kind == "whole_space":
-        return WholeSpace(dim)
+        return kind, {}
     if kind == "box":
         if "lower" not in spec or "upper" not in spec:
             raise ValueError("box set requires 'lower' and 'upper'")
-        lower = _parse_vector(spec["lower"], dim, "lower")
-        upper = _parse_vector(spec["upper"], dim, "upper")
-        return Box(lower, upper)
+        return kind, {key: _parse_values(spec[key], dim, key) for key in ("lower", "upper")}
     if "radius" not in spec:
         raise ValueError("ball set requires 'radius'")
-    center = _parse_vector(spec.get("center", "0"), dim, "center")
+    center = _parse_values(spec.get("center", "0"), dim, "center")
     try:
         radius = float(spec["radius"])
     except ValueError:
         raise ValueError(f"radius must be a number, got {spec['radius']!r}") from None
-    return Ball(center, radius)
+    return kind, {"center": center, "radius": radius}
+
+
+def _build(kind: str, values: dict, dim: int) -> FeasibleSet:
+    if kind == "whole_space":
+        return WholeSpace(dim)
+    if kind == "box":
+        return Box(values["lower"], values["upper"], dim=dim)
+    return Ball(np.broadcast_to(values["center"], (dim,)), values["radius"])
+
+
+def set_from_spec(spec: dict, dim: int) -> FeasibleSet:
+    """Build a set from a flat kind + parameters description.
+
+    A ValueError about one key's value starts with that key's name.
+    """
+    return _build(*_spec_values(spec, dim), dim)
+
+
+def spec_diameter(spec: dict, dim: int) -> float:
+    """The diameter of set_from_spec(spec, dim), after the same checks.
+
+    When every value is one number, the checks run on the same set in one
+    dimension and its diameter is scaled up (a box's by sqrt(dim)), so no
+    dim-vector is built and a spec of any dimension costs the same.  The
+    scaled value can differ from the built set's in the last bits, and so
+    about where it overflows to inf.
+    """
+    kind, values = _spec_values(spec, dim)
+    if any(np.ndim(v) for v in values.values()):
+        return _build(kind, values, dim).diameter()
+    return _build(kind, values, 1).diameter() * (math.sqrt(dim) if kind == "box" else 1.0)

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from zopt import analysis
 from zopt.analysis import (
+    PROBE_BLOCK,
+    SAMPLE_BLOCK,
     BoundInputs,
     check_proximal_pl,
     constrained_gap_bound,
@@ -15,9 +18,10 @@ from zopt.analysis import (
     unconstrained_gap_bound,
     verify_oracle_inequalities,
 )
-from zopt.oracle import OracleConfig
+from zopt.oracle import OracleConfig, _mean_and_stderr, oracle_eval, sample_directions
 from zopt.problems import least_squares_from_arrays, make_least_squares
-from zopt.sets import Box, WholeSpace
+from zopt.rng import SubstreamSampler, substream
+from zopt.sets import Ball, Box, WholeSpace, gradient_map
 
 
 class TestUnconstrainedBound:
@@ -353,6 +357,167 @@ class TestPinnedAnalysisBits:
         for name, digest in digests.items():
             data = np.ascontiguousarray(getattr(probe, name)).tobytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def _einsum_rows(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _whole_batch_probe(problem, feasible_set, cfg, x, num_samples, counter):
+    """Reference sample statistics of probe_deviation from one oracle_eval
+    call over all the directions."""
+    grad = problem.grad(x)
+    g = oracle_eval(problem.objective, x, sample_directions(cfg, x.size, counter, num_samples), cfg)
+    xi_norms = np.linalg.norm(g - grad, axis=1)
+    a = problem.lip_const
+    dz = feasible_set.project(x[None, :] - g / a) - x[None, :]
+    t_values = -2.0 * a * (0.5 * a * _einsum_rows(dz, dz) + _einsum_rows(g, dz))
+    stats = {}
+    for name, samples in (
+        ("xi_norm", xi_norms),
+        ("xi_sq", xi_norms**2),
+        ("g_sq", _einsum_rows(g, g)),
+        ("t", t_values),
+    ):
+        stats[name] = tuple(map(float, _mean_and_stderr(samples)))
+    return stats, g[0]
+
+
+def _per_probe_inner_product(problem, feasible_set, cfg, num_probes, seed):
+    """The projection inner-product check one probe at a time; also the
+    generator, to continue its draws."""
+    n = problem.dim
+    h = 1.0 / problem.lip_const
+    gen = substream(seed, 1)
+    sampler = SubstreamSampler(cfg.seed)
+    worst, violations = math.inf, 0
+    for i in range(num_probes):
+        x = feasible_set.sample(gen)
+        grad = problem.grad(x)
+        u = sample_directions(cfg, n, i, 1, sampler=sampler)[0]
+        g = oracle_eval(problem.objective, x, u, cfg)
+        xi = g - grad
+        s = gradient_map(feasible_set, x, g, h)
+        lhs = float(xi @ (s - gradient_map(feasible_set, x, grad, h)))
+        rhs = float(xi @ xi)
+        worst = min(worst, rhs - lhs)
+        violations += lhs > rhs + 1e-12 * (1.0 + rhs)
+    return worst, violations, gen
+
+
+def _per_point_dominance(problem, feasible_set, f_star, num_points, seed):
+    gen = substream(seed, 0)
+    min_ratio, below, evaluated, skipped = math.inf, 0, 0, 0
+    for _ in range(num_points):
+        x = feasible_set.sample(gen)
+        gap = problem.objective(x) - f_star
+        if gap < 1e-12:
+            skipped += 1
+            continue
+        a, vec = problem.lip_const, problem.grad(x)
+        dz = feasible_set.project(x - vec / a) - x
+        ratio = 0.5 * (-2.0 * a * (0.5 * a * float(dz @ dz) + float(vec @ dz))) / gap
+        evaluated += 1
+        min_ratio = min(min_ratio, ratio)
+        below += ratio < problem.pl_const * (1.0 - 1e-9)
+    return min_ratio, below, evaluated, skipped
+
+
+def _spd(n, seed):
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return np.eye(n) + m @ m.T / n
+
+
+class TestBlockBoundaries:
+    # The verification loops work on blocks of rows; each output must keep
+    # the bits of the whole-batch or per-point computation it replaced, at
+    # sizes that leave a partial block.
+
+    @pytest.mark.parametrize("m, n", [(5, 20), (20, 100)])
+    @pytest.mark.parametrize("b_matrix", [False, True])
+    @pytest.mark.parametrize("num_samples", [5 * SAMPLE_BLOCK // 2, 2 * SAMPLE_BLOCK + 10])
+    def test_probe_deviation_equals_whole_batch(self, m, n, b_matrix, num_samples):
+        problem = make_least_squares(m, n, 0.1, 3)
+        box = Box(-0.5, 0.5, dim=n)
+        cfg = OracleConfig(mu=1e-3, seed=4, b_matrix=_spd(n, 5) if b_matrix else None)
+        x = box.sample(np.random.default_rng(6))
+        probe = probe_deviation(problem, box, cfg, x, num_samples, counter=7)
+        stats, g_first = _whole_batch_probe(problem, box, cfg, x, num_samples, 7)
+        assert (probe.mean_xi_norm, probe.se_xi_norm) == stats["xi_norm"]
+        assert (probe.mean_xi_sq, probe.se_xi_sq) == stats["xi_sq"]
+        assert (probe.mean_g_sq, probe.se_g_sq) == stats["g_sq"]
+        assert (probe.t_mean, probe.t_se) == stats["t"]
+        h = 1.0 / problem.lip_const
+        assert np.array_equal(probe.s_example, gradient_map(box, x, g_first, h))
+
+    # Small sets keep most projections active: a probe whose two steps both
+    # stay feasible has a slack of exactly 0, which would mask the others.
+    # Over WholeSpace the margin is 0; the Monte Carlo point still checks
+    # where the probes left the generator.
+    @pytest.mark.parametrize(
+        "feasible_set",
+        [Box(-0.05, 0.05, dim=12), Ball(np.full(12, 0.1), 0.05), WholeSpace(12)],
+        ids=["box", "ball", "whole_space"],
+    )
+    def test_probe_check_equals_per_probe_loop(self, feasible_set):
+        problem = make_least_squares(4, 12, 0.1, 8)
+        cfg = OracleConfig(mu=1e-3, seed=9)
+        num_probes = 5 * PROBE_BLOCK // 2
+        report = verify_oracle_inequalities(
+            problem, feasible_set, cfg, num_probes=num_probes, num_samples=50, seed=10,
+            num_mc_points=1,
+        )
+        worst, violations, gen = _per_probe_inner_product(
+            problem, feasible_set, cfg, num_probes, 10
+        )
+        check = report.checks[0]
+        assert (check.trials, check.violations, check.margin) == (num_probes, violations, worst)
+        assert (check.margin != 0) is not isinstance(feasible_set, WholeSpace)
+        # the Monte Carlo point is drawn after the probes from the same generator
+        probe = probe_deviation(
+            problem, feasible_set, cfg, feasible_set.sample(gen), 50, counter=10**6,
+            step_size=1.0 / problem.lip_const,
+        )
+        assert report.checks[1].margin == math.sqrt(probe.mean_xi_sq) - probe.mean_xi_norm
+
+    @pytest.mark.parametrize(
+        "feasible_set",
+        [Box(-0.5, 0.5, dim=12), Ball(np.full(12, 0.1), 0.8), WholeSpace(12)],
+        ids=["box", "ball", "whole_space"],
+    )
+    def test_dominance_sampler_equals_per_point_loop(self, feasible_set, monkeypatch):
+        problem = make_least_squares(4, 12, 0.1, 11)
+        if isinstance(feasible_set, Ball):
+            # no reference optimum on a ball; the unconstrained one bounds it below
+            monkeypatch.setattr(analysis, "constrained_opt_value", lambda p, s: p.opt_value)
+        num_points = 5 * PROBE_BLOCK // 2
+        report = check_proximal_pl(problem, feasible_set, num_points, seed=12)
+        expected = _per_point_dominance(problem, feasible_set, report.opt_value, num_points, 12)
+        got = (report.min_ratio, report.below_unconstrained, report.evaluated, report.skipped)
+        assert got == expected
+
+    def test_dominance_sampler_with_skipped_points_in_every_block(self):
+        # f = 1e-12 x^2 has a gap under 1e-12 for |x| < 1: about two thirds
+        # of the standard normal points are skipped, the rest evaluated
+        problem = least_squares_from_arrays(np.array([[1e-6]]), np.array([0.0]))
+        num_points = 5 * PROBE_BLOCK // 2
+        report = check_proximal_pl(problem, WholeSpace(1), num_points, seed=13)
+        expected = _per_point_dominance(problem, WholeSpace(1), report.opt_value, num_points, 13)
+        assert 0 < report.skipped < num_points
+        got = (report.min_ratio, report.below_unconstrained, report.evaluated, report.skipped)
+        assert got == expected
+
+    def test_stacked_prox_quantity_is_row_by_row(self):
+        box = Box(-0.5, 0.5, dim=6)
+        gen = np.random.default_rng(14)
+        x = box.sample(gen, 40)
+        vec = 3.0 * gen.standard_normal((40, 6))
+        values = prox_quantity(box, x, 2.0, vec)
+        assert values.shape == (40,)
+        assert values.tolist() == [prox_quantity(box, xi, 2.0, vi) for xi, vi in zip(x, vec)]
+        x[17, 2] = 0.7
+        with pytest.raises(ValueError, match="feasible"):
+            prox_quantity(box, x, 2.0, vec)
 
 
 class TestBoundInputsValidation:

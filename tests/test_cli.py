@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,12 @@ class TestSuggest:
         assert captured.out == ""
 
 
+# the one stderr line of a verify run that ends normally
+PHASE_TIMES = re.compile(
+    r"verify: inequality checks \d+\.\d{3} s, dominance sampler \d+\.\d{3} s\n"
+)
+
+
 class TestVerify:
     def test_reports_zero_violations(self, capsys, tmp_path):
         csv_path = tmp_path / "checks.csv"
@@ -133,7 +141,20 @@ class TestVerify:
     def test_top_seed_is_accepted(self, capsys):
         rc = main(["verify", "--probes", "2", "--samples", "20", "--seed", str(2**64 - 1)])
         assert rc in (0, 1)
-        assert capsys.readouterr().err == ""
+        assert PHASE_TIMES.fullmatch(capsys.readouterr().err)
+
+    def test_phase_times_go_to_stderr_only(self, capsys, tmp_path, monkeypatch):
+        # two runs differ in their phase times only, and those are not on stdout
+        monkeypatch.chdir(tmp_path)
+        args = ["verify", "--probes", "30", "--samples", "300", "--seed", "5"]
+        runs = []
+        for name in ("a.csv", "b.csv"):
+            assert main([*args, "--csv", name]) == 0
+            captured = capsys.readouterr()
+            assert PHASE_TIMES.fullmatch(captured.err)
+            runs.append((captured.out.replace(name, "x.csv"), (tmp_path / name).read_bytes()))
+        assert runs[0] == runs[1]
+        assert "verify:" not in runs[0][0]
 
 
 class TestRun:
@@ -223,14 +244,14 @@ class TestRun:
 
     @pytest.mark.parametrize("scenario", ["constrained", "unconstrained"])
     def test_dimension_too_large_to_allocate_exits_2(self, tmp_path, capsys, scenario):
-        # 10**15 float64 entries exceed a 47-bit address space, so the first
-        # n-vector (the box bounds) or m x n matrix fails to allocate at once
+        # 10**15 float64 entries exceed a 47-bit address space, so the m x n
+        # matrix fails to allocate at once; the config loads (scalar box
+        # bounds stay scalars), and 0 iterations pass the cost gate
         text = RUN_CONFIG.replace("n = 8", f"n = {10**15}")
+        text = text.replace("num_iters = 150", "num_iters = 0")
         if scenario == "constrained":
             text = text.replace("scenario = unconstrained", "scenario = constrained")
             text += "\n[set]\nkind = box\nlower = -0.5\nupper = 0.5\n"
-        else:
-            text = text.replace("num_iters = 150", "num_iters = 0")
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(text)
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2

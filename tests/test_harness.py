@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,25 @@ class TestConfigParsing:
         path.write_text(text)
         with pytest.raises(ConfigError, match="finite-diameter"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "set_section",
+        ["[set]\nkind = box\nlower = -0.5\nupper = 0.5", "[set]\nkind = ball\nradius = 2"],
+    )
+    def test_set_of_any_dimension_loads_without_allocating(self, tmp_path, set_section):
+        # one n-vector at n = 10**12 would need 8 TB: scalar values are
+        # checked as scalars, so loading takes the same memory at any n
+        text = GOOD_CONFIG.replace("scenario = unconstrained", "scenario = constrained")
+        path = tmp_path / "exp.cfg"
+        path.write_text(text.replace("n = 8", f"n = {10**12}") + "\n" + set_section + "\n")
+        tracemalloc.start()
+        try:
+            cfg = load_config(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.n == 10**12
+        assert peak < 10**6
 
     def test_mu_auto_requires_eps(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -769,3 +789,42 @@ class TestBlasThreadCount:
         assert hashlib.sha256(box).hexdigest() == (
             "65352adf05fa59d783a6db246a294a4054882c72d00137575722286cbecb3186"
         )
+
+    # The verify checks stream their samples and probes in blocks; at
+    # (m, n) = (20, 100), 10240 samples and 2600 probes end in partial
+    # blocks.  The expected text is what one gemm over all the samples of
+    # a point and one probe at a time give.
+    VERIFY_CHILD = (
+        "from zopt import analysis, problems, sets; from zopt.oracle import OracleConfig; "
+        "p = problems.make_least_squares(20, 100, 0.1, 0); "
+        "box = sets.Box(-0.5, 0.5, dim=100); "
+        "r = analysis.verify_oracle_inequalities(p, box, OracleConfig(mu=1e-3, seed=0), "
+        "num_probes=2600, num_samples=10240, seed=0); "
+        "print(*r.csv_rows(), sep='\\n'); "
+        "print(analysis.check_proximal_pl(p, box, num_points=2600, seed=0))"
+    )
+    VERIFY_EXPECTED = (
+        "check,trials,violations,margin\n"
+        "projection_inner_product,2600,0,15816.441956508672\n"
+        "jensen_ordering,4,0,1249.3500126180443\n"
+        "deviation_norm_bound,4,0,4119.991829037606\n"
+        "projected_decrease_bound,4,0,53109891.443358116\n"
+        "DominanceReport(min_ratio=121.17405133279495, below_unconstrained=0, "
+        "evaluated=2600, skipped=0, opt_value=28.017986976513296, "
+        "pl_const_unconstrained=74.92665380022684)\n"
+    )
+
+    def test_streamed_verify_at_one_and_two_threads(self):
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", self.VERIFY_CHILD],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads] = proc.stdout
+        assert outputs["1"] == outputs["2"] == self.VERIFY_EXPECTED

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from zopt.sets import MEMBERSHIP_TOL, Ball, Box, WholeSpace, gradient_map, set_from_spec
+from zopt.sets import (
+    MEMBERSHIP_TOL,
+    Ball,
+    Box,
+    WholeSpace,
+    gradient_map,
+    set_from_spec,
+    spec_diameter,
+)
 
 
 class TestProjection:
@@ -187,6 +195,28 @@ class TestMembership:
                 assert fs.contains(fs.sample(gen))
 
 
+class TestSampleStack:
+    @pytest.mark.parametrize(
+        "fs",
+        [
+            Box(-0.5, 0.5, dim=7),
+            Box(np.arange(7.0), np.arange(7.0) + 2.0),
+            Ball(np.ones(7), 2.0),
+            WholeSpace(7),
+        ],
+        ids=["box", "vector_box", "ball", "whole_space"],
+    )
+    @pytest.mark.parametrize("num", [0, 1, 37])
+    def test_stack_equals_single_calls_and_leaves_gen_there(self, fs, num):
+        stacked_gen, single_gen = np.random.default_rng(8), np.random.default_rng(8)
+        stack = fs.sample(stacked_gen, num)
+        assert stack.shape == (num, 7)
+        singles = [fs.sample(single_gen) for _ in range(num)]
+        assert stack.tolist() == [p.tolist() for p in singles]
+        assert stacked_gen.bit_generator.state == single_gen.bit_generator.state
+        assert fs.sample(stacked_gen).tolist() == fs.sample(single_gen).tolist()
+
+
 class TestGradientMap:
     def test_whole_space_returns_g(self):
         ws = WholeSpace(3)
@@ -223,6 +253,25 @@ class TestGradientMap:
     def test_requires_positive_step(self):
         with pytest.raises(ValueError, match="h"):
             gradient_map(WholeSpace(2), np.zeros(2), np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("fs", [Box(-0.5, 0.5, dim=5), Ball(np.zeros(5), 1.0), WholeSpace(5)])
+    def test_stack_is_row_by_row(self, fs):
+        gen = np.random.default_rng(9)
+        x = fs.sample(gen, 60)
+        g = gen.standard_normal((60, 5)) * np.geomspace(0.01, 100.0, 60)[:, None]
+        out = gradient_map(fs, x, g, 0.05)
+        singles = [gradient_map(fs, xi, gi, 0.05) for xi, gi in zip(x, g)]
+        assert out.tolist() == [row.tolist() for row in singles]
+        active = [not np.array_equal(row, gi) for row, gi in zip(singles, g)]
+        if not isinstance(fs, WholeSpace):
+            assert any(active) and not all(active)
+
+    def test_stack_with_an_infeasible_row_raises(self):
+        box = Box(-0.5, 0.5, dim=3)
+        x = np.zeros((4, 3))
+        x[2, 1] = 0.6
+        with pytest.raises(ValueError, match="feasible"):
+            gradient_map(box, x, np.ones((4, 3)), 0.1)
 
 
 class TestSpecRoundTrip:
@@ -264,3 +313,43 @@ class TestSpecRoundTrip:
     def test_key_the_kind_does_not_take(self, spec, key):
         with pytest.raises(ValueError, match=f"{spec['kind']} set does not take '{key}'"):
             set_from_spec(spec, dim=2)
+
+
+class TestSpecDiameter:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "box", "lower": "-0.5", "upper": "0.5"},
+            {"kind": "box", "lower": "-1,-2,0", "upper": "1"},
+            {"kind": "ball", "radius": "2.5"},
+            {"kind": "ball", "center": "1,2,3", "radius": "0.5"},
+            {"kind": "whole_space"},
+        ],
+    )
+    def test_matches_the_built_set(self, spec):
+        expected = set_from_spec(spec, dim=3).diameter()
+        assert spec_diameter(spec, 3) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "box", "lower": "1", "upper": "-1"}, "lower < upper"),
+            ({"kind": "box", "lower": "0,2,0", "upper": "1"}, "lower < upper"),
+            ({"kind": "box", "lower": "0,0", "upper": "1"}, "lower has 2 entries"),
+            ({"kind": "box", "lower": "x", "upper": "1"}, "lower must be a number"),
+            ({"kind": "ball", "radius": "-1"}, "radius must be positive"),
+            ({"kind": "ball", "radius": "1", "center": "a"}, "center must be a number"),
+            ({"kind": "simplex"}, "unknown set kind"),
+        ],
+    )
+    def test_fails_as_set_from_spec_fails(self, spec, message):
+        for check in (set_from_spec, spec_diameter):
+            with pytest.raises(ValueError, match=message):
+                check(spec, 3)
+
+    def test_scalar_bounds_at_any_dimension(self):
+        # 10**12 entries would need 8 TB: only scalars can pass
+        spec = {"kind": "box", "lower": "-0.5", "upper": "0.5"}
+        assert spec_diameter(spec, 10**12) == pytest.approx(10**6, rel=1e-15)
+        assert spec_diameter({"kind": "ball", "radius": "2"}, 10**12) == 4.0
+        assert math.isinf(spec_diameter({"kind": "box", "lower": "-inf", "upper": "0"}, 10**12))
