@@ -19,7 +19,7 @@ from scipy.optimize import lsq_linear
 
 from .oracle import OracleConfig, _eval_one, _mean_and_stderr, oracle_eval, sample_directions
 from .problems import TestProblem
-from .rng import SubstreamSampler, substream
+from .rng import SubstreamReader, SubstreamSampler, substream
 from .sets import Box, FeasibleSet, WholeSpace, gradient_map
 from .solvers import theorem_step_size
 
@@ -345,10 +345,13 @@ def probe_deviation(
     """Estimate deviation moments and the projected decrease at one point.
 
     Requires a quadratic problem so the smoothed gradient is the analytic
-    gradient.  The num_samples directions come from one draw on substream
-    `counter` of cfg.seed and share one f(x); their estimates are made and
-    reduced per block of SAMPLE_BLOCK rows, each row as in one batched
-    oracle_eval call over all of them.
+    gradient.  The num_samples directions are read on through substream
+    `counter` of cfg.seed and share one f(x).  Each block of SAMPLE_BLOCK
+    rows is drawn, evaluated and reduced to per-sample values before the
+    next one is drawn, so only those values grow with num_samples.  Each
+    row is bit for bit as in one draw and one batched oracle_eval call over
+    all of them, but for a dense B whose per-block transform runs another
+    BLAS kernel than one over all rows (the README's Determinism section).
     """
     if num_samples < 2:
         raise ValueError("num_samples must be at least 2")
@@ -356,12 +359,13 @@ def probe_deviation(
     n = x.size
     h = theorem_step_size("constrained", n, problem.lip_const) if step_size is None else step_size
     grad = problem.grad(x)
-    u = sample_directions(cfg, n, counter, num_samples)
+    reader = SubstreamReader(cfg.seed, counter)
     fx = _eval_one(problem.objective, x)
 
     xi_norms, g_sq, t_values = (np.empty(num_samples) for _ in range(3))
     for lo, hi in _blocks(num_samples, SAMPLE_BLOCK):
-        g = oracle_eval(problem.objective, x, u[lo:hi], cfg, fx=fx)
+        u = sample_directions(cfg, n, counter, hi - lo, sampler=reader)
+        g = oracle_eval(problem.objective, x, u, cfg, fx=fx)
         if lo == 0:
             g_first = g[0]
         xi_norms[lo:hi] = np.linalg.norm(g - grad, axis=1)
@@ -461,6 +465,12 @@ def verify_oracle_inequalities(
     substream i of cfg.seed; probes are handled in blocks of PROBE_BLOCK,
     each one bit for bit as on its own.
     """
+    if num_probes < 1:
+        raise ValueError(f"num_probes must be positive, got {num_probes}")
+    if num_mc_points < 0:
+        raise ValueError(f"num_mc_points must be nonnegative, got {num_mc_points}")
+    if num_mc_points > 0 and num_samples < 2:
+        raise ValueError("num_samples must be at least 2")
     n = problem.dim
     lip = problem.lip_const
     h = theorem_step_size("constrained", n, lip)

@@ -69,8 +69,9 @@ def _cmd_run(args) -> int:
     print(f"  mu={meta['mu']}, step_size={meta['step_size']}")
     if series.f_star is not None:
         print(f"  f_star={series.f_star!r}")
-    if meta.get("diverged_runs"):
-        print(f"  warning: diverged runs: {meta['diverged_runs']}", file=sys.stderr)
+    if series.diverged_at:
+        runs = ", ".join(f"{i} (iteration {k})" for i, k in series.diverged_at.items())
+        print(f"  warning: diverged runs: {runs}", file=sys.stderr)
     if "feasibility_violations" in meta:
         print(f"  feasibility violations: {meta['feasibility_violations']}")
     last = len(series.ks) - 1

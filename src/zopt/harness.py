@@ -352,6 +352,9 @@ class AggregateSeries:
     f_star: float | None
     num_runs: int
     metadata: dict = field(default_factory=dict)
+    # run index -> iteration at which that run diverged; reported on stderr
+    # only, the CSV (and so read_series_csv) keeps just the run indices
+    diverged_at: dict = field(default_factory=dict)
 
     def same_as(self, other: "AggregateSeries") -> bool:
         def eq(a, b):
@@ -508,6 +511,7 @@ class _RunOutcome:
     record: RunRecord | None
     sigma_sq: np.ndarray | None
     error: str | None
+    diverged_at: int | None = None
 
 
 def _execute_run(task: _RunTask) -> list[_RunOutcome]:
@@ -531,7 +535,7 @@ def _execute_run(task: _RunTask) -> list[_RunOutcome]:
     outcomes = []
     for i, (solver_cfg, outcome) in enumerate(zip(task.solvers, block.outcomes)):
         if isinstance(outcome, DivergenceError):
-            outcomes.append(_RunOutcome(None, None, str(outcome)))
+            outcomes.append(_RunOutcome(None, None, str(outcome), outcome.iteration))
             continue
         sigma_sq = None
         if grad_sq is not None:
@@ -563,8 +567,9 @@ def run_experiment(
     pool worker (in-process for one block), and each block is advanced in
     lockstep; a run's bits do not depend on its block, so the result does
     not depend on the worker count.  Diverged runs are
-    recorded in the metadata and skipped by the aggregation; if every run
-    diverges a RuntimeError is raised.
+    recorded in the metadata, with the iteration each one diverged at in
+    the returned series' diverged_at, and skipped by the aggregation; if
+    every run diverges a RuntimeError is raised.
     """
     if config.num_iters == 0 and config.svg_path is not None:
         message = "[outputs] svg_path needs [solver] num_iters >= 1 (a log-log chart needs k > 0)"
@@ -690,9 +695,8 @@ def run_experiment(
     records = [o.record for o in finished]
     if not records:
         raise RuntimeError("every run diverged; first failure: " + outcomes[0].error)
-    metadata["diverged_runs"] = ",".join(
-        str(i) for i, o in enumerate(outcomes) if o.record is None
-    )
+    diverged_at = {i: o.diverged_at for i, o in enumerate(outcomes) if o.record is None}
+    metadata["diverged_runs"] = ",".join(map(str, diverged_at))
 
     bound_inputs = None
     if config.bound_overlay and f_star is not None:
@@ -727,6 +731,7 @@ def run_experiment(
 
     series = aggregate(records, bound_inputs=bound_inputs, f_star=f_star, step_size=step)
     series.metadata.update(metadata)
+    series.diverged_at = diverged_at
     if feasible is not None:
         series.metadata["feasibility_violations"] = str(
             sum(rec.feasibility_violations for rec in records)

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import SubstreamSampler, _check_seed, substream
+from .rng import SubstreamReader, SubstreamSampler, _check_seed, substream
 
 __all__ = [
     "EvaluationError",
@@ -118,12 +118,14 @@ def sample_directions(
     dim: int,
     counter: int,
     num: int,
-    sampler: SubstreamSampler | None = None,
+    sampler: SubstreamSampler | SubstreamReader | None = None,
 ) -> np.ndarray:
     """Draw `num` directions from N(0, B^-1) as a (num, dim) array.
 
     The block is read sequentially from substream `counter`; passing a
-    SubstreamSampler rooted at cfg.seed gives the same draws faster.
+    SubstreamSampler rooted at cfg.seed gives the same draws faster, and a
+    SubstreamReader of (cfg.seed, counter) continues where its previous
+    call stopped.
     """
     dim = _check_dim(cfg, dim)
     if num <= 0:

@@ -64,3 +64,23 @@ class SubstreamSampler:
         self._counter[1] = _check_counter(counter)
         self._bitgen.state = self._state
         return self._gen.standard_normal(size)
+
+
+class SubstreamReader:
+    """One substream, read on from call to call.
+
+    The draws of consecutive calls, stacked, are bit for bit those of one
+    call on substream(seed, counter) that draws them all.  A call for any
+    other counter raises.
+    """
+
+    def __init__(self, seed: int, counter: int):
+        self._counter = _check_counter(counter)
+        self._gen = substream(seed, self._counter)
+
+    def standard_normal(self, counter: int, size) -> np.ndarray:
+        if counter != self._counter:
+            raise ValueError(
+                f"this reader continues substream {self._counter}, not {counter}"
+            )
+        return self._gen.standard_normal(size)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +295,55 @@ class TestDeviationChecks:
         v = gradient_map(box, x, grad, 0.1)
         xi = grad - grad
         assert float(xi @ (s - v)) == 0.0 <= float(xi @ xi)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ({"num_probes": 0}, "num_probes must be positive, got 0"),
+            ({"num_probes": -3}, "num_probes must be positive, got -3"),
+            ({"num_mc_points": -1}, "num_mc_points must be nonnegative, got -1"),
+            ({"num_samples": 1}, "num_samples must be at least 2"),
+        ],
+    )
+    def test_rejects_bad_counts_before_any_work(self, counts, message, monkeypatch):
+        monkeypatch.setattr(analysis, "substream", None)  # any work would fail here
+        with pytest.raises(ValueError, match=message):
+            verify_oracle_inequalities(
+                make_least_squares(3, 8, 0.1, 16), Box(-0.5, 0.5, dim=8),
+                OracleConfig(mu=1e-3, seed=17), **{"num_probes": 5, **counts},
+            )
+
+    def test_no_mc_points_needs_no_samples(self):
+        report = verify_oracle_inequalities(
+            make_least_squares(3, 8, 0.1, 16), Box(-0.5, 0.5, dim=8),
+            OracleConfig(mu=1e-3, seed=17), num_probes=5, num_samples=0, num_mc_points=0,
+        )
+        assert [(c.name, c.trials) for c in report.checks][1:] == [
+            ("jensen_ordering", 0), ("deviation_norm_bound", 0), ("projected_decrease_bound", 0),
+        ]
+
+    def test_probe_memory_grows_only_by_per_sample_values(self):
+        # the directions are drawn per block and freed; only the per-sample
+        # value vectors (three filled in the loop, xi^2 and one reduction
+        # temporary, 8 bytes each) may grow with num_samples, not the 8 n
+        # bytes of a sample's direction
+        n = 100
+        problem = make_least_squares(5, n, 0.1, 3)
+        box = Box(-0.5, 0.5, dim=n)
+        cfg = OracleConfig(mu=1e-3, seed=4)
+        x = box.sample(np.random.default_rng(6))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for blocks in (4, 16):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                probe_deviation(problem, box, cfg, x, blocks * SAMPLE_BLOCK, counter=7)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        extra_samples = 12 * SAMPLE_BLOCK
+        assert peaks[1] - peaks[0] <= extra_samples * 5 * 8 + 256 * 1024
 
     def test_csv_rows_shape(self):
         problem = make_least_squares(3, 8, 0.1, 16)

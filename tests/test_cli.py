@@ -168,6 +168,26 @@ class TestRun:
         series = read_series_csv(tmp_path / "cli_out.csv")
         assert series.num_runs == 2
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_diverged_runs_warn_with_their_iteration(self, tmp_path, capsys, jobs):
+        # a step near 1 / lip_const: four of the six runs blow up, two converge
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text(
+            RUN_CONFIG.replace("num_runs = 2", "num_runs = 6").replace(
+                "step_size = theorem", "step_size = 0.0562"
+            )
+        )
+        rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path), "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "runs=2/6" in captured.out
+        warning = "  warning: diverged runs: 0 (iteration 92), 1 (iteration 103), "
+        warning += "4 (iteration 121), 5 (iteration 73)\n"
+        assert captured.err == warning
+        csv_text = (tmp_path / "cli_out.csv").read_text()
+        assert "# diverged_runs = 0,1,4,5\n" in csv_text
+        assert "iteration" not in csv_text
+
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin.cfg"
         cfg.write_bytes(RUN_CONFIG.encode().replace(b"noise_std", b"noise\xffstd"))

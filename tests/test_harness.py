@@ -410,7 +410,10 @@ class TestConfigParsing:
         finally:
             patches.restore()
         assert harness._execute_run is original
-        for name in ("oracle.eval", "rng.draw", "sets.contains", "problems.f", "analysis.sigma_hook"):
+        layers = ("oracle.eval", "rng.draw", "sets.contains", "problems.f", "analysis.sigma_hook")
+        # the Monte Carlo points' directions must be drawn through the traced
+        # analysis.sample_directions, block by block
+        for name in (*layers, "rng.draw_batch", "analysis.probe_deviation"):
             assert tracer.calls[name] > 0, name
 
     def test_readme_config_block_names_exactly_the_schema_keys(self, tmp_path):

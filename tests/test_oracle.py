@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zopt.analysis import SAMPLE_BLOCK, _blocks
 from zopt.oracle import (
     EvaluationError,
     OracleConfig,
@@ -11,7 +12,7 @@ from zopt.oracle import (
     sample_directions,
 )
 from zopt.problems import Objective, make_least_squares
-from zopt.rng import SubstreamSampler, substream
+from zopt.rng import SubstreamReader, SubstreamSampler, substream
 
 
 def quadratic_1d(x):
@@ -114,6 +115,55 @@ class TestCounterRange:
         assert np.array_equal(
             sampler.standard_normal(2, 4), substream(31, 2).standard_normal(4)
         )
+
+
+class TestSubstreamReader:
+    # probe_deviation draws its directions block by block through one reader;
+    # the stacked blocks must be the bits of one sample_directions call
+    @pytest.mark.parametrize(
+        "sizes", [[1] * 9, [1, 3, 7, 2, 1], [40, 1, 17]], ids=["rows", "uneven", "long"]
+    )
+    @pytest.mark.parametrize(
+        "b_matrix", [None, np.diag(np.arange(1.0, 7.0))], ids=["identity", "diagonal_b"]
+    )
+    def test_blocks_equal_one_call(self, sizes, b_matrix):
+        # a diagonal B keeps the transform exact whatever the block shape;
+        # a dense B keeps it only where each block's gemm runs the kernel of
+        # the whole product, as at the sizes of the next test
+        cfg = OracleConfig(mu=1.0, b_matrix=b_matrix, seed=23)
+        reader = SubstreamReader(23, 2**63 + 5)
+        blocks = [sample_directions(cfg, 6, 2**63 + 5, k, sampler=reader) for k in sizes]
+        assert [len(b) for b in blocks] == sizes
+        whole = sample_directions(cfg, 6, 2**63 + 5, sum(sizes))
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_dense_b_over_near_equal_blocks(self, n):
+        root = np.random.default_rng(n).standard_normal((n, n))
+        cfg = OracleConfig(mu=1.0, b_matrix=np.eye(n) + root @ root.T / n, seed=4)
+        num = 2 * SAMPLE_BLOCK + 10
+        reader = SubstreamReader(4, 7)
+        blocks = [
+            sample_directions(cfg, n, 7, hi - lo, sampler=reader)
+            for lo, hi in _blocks(num, SAMPLE_BLOCK)
+        ]
+        assert len(blocks) == 3
+        assert np.concatenate(blocks).tobytes() == sample_directions(cfg, n, 7, num).tobytes()
+
+    def test_other_counter_raises(self):
+        cfg = OracleConfig(mu=1.0, seed=23)
+        reader = SubstreamReader(23, 5)
+        first = sample_directions(cfg, 4, 5, 3, sampler=reader)
+        with pytest.raises(ValueError, match="substream 5, not 6"):
+            sample_directions(cfg, 4, 6, 3, sampler=reader)
+        # the refused call drew nothing: the reader goes on where it stopped
+        rest = sample_directions(cfg, 4, 5, 2, sampler=reader)
+        assert np.array_equal(np.concatenate([first, rest]), sample_directions(cfg, 4, 5, 5))
+
+    @pytest.mark.parametrize("counter", [-1, 2**64])
+    def test_out_of_range_counter_rejected(self, counter):
+        with pytest.raises(ValueError, match="counter"):
+            SubstreamReader(23, counter)
 
 
 class TestOracleEval:
