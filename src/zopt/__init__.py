@@ -37,20 +37,15 @@ from .oracle import (
     MonteCarloEstimate,
     OracleConfig,
     estimate_smoothed_gradient,
-    estimate_smoothed_value,
     oracle_eval,
-    sample_direction,
     sample_directions,
 )
 from .problems import (
     LeastSquaresObjective,
     Objective,
     TestProblem,
-    least_squares_from_arrays,
-    load_problem,
     make_least_squares,
     problem_constants,
-    save_problem,
 )
 from .sets import Ball, Box, FeasibleSet, WholeSpace, gradient_map, set_from_spec
 from .solvers import (
@@ -58,7 +53,6 @@ from .solvers import (
     RunBlock,
     RunRecord,
     SolverConfig,
-    best_iterate,
     projected_random_search,
     random_search,
     suggest_params,

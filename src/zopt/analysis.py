@@ -19,7 +19,7 @@ from scipy.optimize import lsq_linear
 
 from .oracle import OracleConfig, _eval_one, _mean_and_stderr, oracle_eval, sample_directions
 from .problems import TestProblem
-from .rng import SubstreamReader, SubstreamSampler, substream
+from .rng import SubstreamSampler, substream
 from .sets import Box, FeasibleSet, WholeSpace, gradient_map
 from .solvers import theorem_step_size
 
@@ -359,12 +359,12 @@ def probe_deviation(
     n = x.size
     h = theorem_step_size("constrained", n, problem.lip_const) if step_size is None else step_size
     grad = problem.grad(x)
-    reader = SubstreamReader(cfg.seed, counter)
+    sampler = SubstreamSampler(cfg.seed)
     fx = _eval_one(problem.objective, x)
 
     xi_norms, g_sq, t_values = (np.empty(num_samples) for _ in range(3))
     for lo, hi in _blocks(num_samples, SAMPLE_BLOCK):
-        u = sample_directions(cfg, n, counter, hi - lo, sampler=reader)
+        u = sample_directions(cfg, n, counter, hi - lo, sampler=sampler)
         g = oracle_eval(problem.objective, x, u, cfg, fx=fx)
         if lo == 0:
             g_first = g[0]

@@ -470,16 +470,29 @@ def read_series_csv(path) -> AggregateSeries:
         if key == "f_star":
             f_star = None if value == "none" else float(value)
         elif key == "num_runs":
-            num_runs = int(value)
+            try:
+                num_runs = int(value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {idx + 1}: num_runs must be an integer, got {value!r}"
+                ) from None
         else:
             metadata[key] = value
         idx += 1
     if num_runs is None:
         raise ValueError(f"{path}: missing num_runs header")
+    if idx == len(lines):
+        raise ValueError(f"{path}: line {idx + 1}: file ends before the column line")
     columns = lines[idx].split(",")
-    rows = [line.split(",") for line in lines[idx + 1 :] if line]
     data = {name: [] for name in columns}
-    for row in rows:
+    for number, line in enumerate(lines[idx + 1 :], start=idx + 2):
+        if not line:
+            continue
+        row = line.split(",")
+        if len(row) != len(columns):
+            raise ValueError(
+                f"{path}: line {number}: {len(row)} cells, the header has {len(columns)}"
+            )
         for name, cell in zip(columns, row):
             data[name].append(cell)
 

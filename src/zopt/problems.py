@@ -1,6 +1,7 @@
 """Black-box objectives and the random least-squares test family.
 
-Solvers only ever see a value oracle (a callable with a dim attribute).
+Solvers only ever see a value oracle: a callable from a point to its value,
+and from a (k, n) stack to k values when its rows_exact attribute is true.
 TestProblem additionally carries the analytic gradient and certified
 constants, which exist for analysis and verification and are never handed
 to a solver.
@@ -33,9 +34,6 @@ __all__ = [
     "ProblemConstants",
     "problem_constants",
     "make_least_squares",
-    "least_squares_from_arrays",
-    "save_problem",
-    "load_problem",
 ]
 
 RANK_TOL = 1e-10
@@ -186,16 +184,6 @@ class TestProblem:
         return 2.0 * np.matvec(a.T, np.matvec(a, x) - b)
 
 
-def least_squares_from_arrays(
-    a_matrix: np.ndarray,
-    b_vector: np.ndarray,
-    seed: int | None = None,
-    noise_std: float | None = None,
-) -> TestProblem:
-    """Build a TestProblem from explicit A and b."""
-    return TestProblem(LeastSquaresObjective(a_matrix, b_vector), seed, noise_std)
-
-
 def make_least_squares(
     m: int, n: int, noise_std: float, seed: int
 ) -> TestProblem:
@@ -214,53 +202,5 @@ def make_least_squares(
     a = gen.standard_normal((m, n))
     x_bar = gen.standard_normal(n)
     b = a @ x_bar + noise_std * gen.standard_normal(m)
-    return least_squares_from_arrays(a, b, seed=seed, noise_std=noise_std)
+    return TestProblem(LeastSquaresObjective(a, b), seed, noise_std)
 
-
-_PROBLEM_MAGIC = "zopt-least-squares-v1"
-
-
-def save_problem(problem: TestProblem, path) -> None:
-    """Write A and b as plain text (row-major, 17 significant digits).
-
-    The format round-trips float64 exactly and is replayable anywhere.
-    """
-    m, n = problem.a_matrix.shape
-    lines = [
-        _PROBLEM_MAGIC,
-        f"m {m}",
-        f"n {n}",
-        f"seed {'none' if problem.seed is None else problem.seed}",
-        f"noise_std {'none' if problem.noise_std is None else repr(problem.noise_std)}",
-        "A",
-    ]
-    for row in problem.a_matrix:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    lines.append("b")
-    lines.append(" ".join(f"{v:.17g}" for v in problem.b_vector))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_problem(path) -> TestProblem:
-    """Read a problem written by save_problem; constants are recomputed."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != _PROBLEM_MAGIC:
-        raise ValueError(f"{path}: not a {_PROBLEM_MAGIC} file")
-    header = dict(line.split(maxsplit=1) for line in lines[1:5])
-    m = int(header["m"])
-    n = int(header["n"])
-    seed = None if header["seed"] == "none" else int(header["seed"])
-    noise = None if header["noise_std"] == "none" else float(header["noise_std"])
-    if lines[5] != "A":
-        raise ValueError(f"{path}: expected matrix marker 'A'")
-    a = np.array(
-        [[float(v) for v in line.split()] for line in lines[6 : 6 + m]], dtype=float
-    )
-    if lines[6 + m] != "b":
-        raise ValueError(f"{path}: expected vector marker 'b'")
-    b = np.array([float(v) for v in lines[7 + m].split()], dtype=float)
-    if a.shape != (m, n) or b.shape != (m,):
-        raise ValueError(f"{path}: shape mismatch against header")
-    return least_squares_from_arrays(a, b, seed=seed, noise_std=noise)

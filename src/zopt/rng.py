@@ -12,29 +12,30 @@ substream.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+__all__ = ["substream", "SubstreamSampler"]
 
 _COUNTER_STRIDE_BITS = 64
 
 
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
-
-
-def _check_counter(counter: int) -> int:
-    counter = int(counter)
-    if not 0 <= counter < 2**64:
-        raise ValueError(f"counter must be a 64-bit unsigned integer, got {counter}")
-    return counter
+def _check_u64(value, name: str) -> int:
+    """value as a Python int in [0, 2**64); a float or other non-integer raises."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}") from None
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value}")
+    return value
 
 
 def substream(seed: int, counter: int = 0) -> np.random.Generator:
     """Generator for substream `counter` of the stream rooted at `seed`."""
-    seed = _check_seed(seed)
-    counter = _check_counter(counter)
+    seed = _check_u64(seed, "seed")
+    counter = _check_u64(counter, "counter")
     bitgen = np.random.Philox(key=seed, counter=counter << _COUNTER_STRIDE_BITS)
     return np.random.Generator(bitgen)
 
@@ -42,14 +43,16 @@ def substream(seed: int, counter: int = 0) -> np.random.Generator:
 class SubstreamSampler:
     """Reusable sampler for hot loops.
 
-    Produces draws bit-identical to substream(seed, counter) while avoiding
-    the per-call cost of constructing a fresh Generator.  Not thread-safe;
-    each worker should own its own instance.
+    standard_normal(counter, size) starts substream(seed, counter) afresh,
+    without the cost of constructing a Generator, unless counter is the
+    previous call's: then it reads on where that call stopped, so the
+    stacked draws of consecutive calls are bit for bit those of one call
+    that draws them all.  Not thread-safe; each worker should own its own
+    instance.
     """
 
     def __init__(self, seed: int):
-        self._seed = _check_seed(seed)
-        self._bitgen = np.random.Philox(key=self._seed)
+        self._bitgen = np.random.Philox(key=_check_u64(seed, "seed"))
         self._gen = np.random.Generator(self._bitgen)
         # the fresh state of substream 0; a reset rewrites only counter word
         # 1 (substream k starts at k * 2**64) and assigns this same dict back.
@@ -59,28 +62,12 @@ class SubstreamSampler:
         self._state["state"] = {k: v.tolist() for k, v in self._state["state"].items()}
         self._state["buffer"] = self._state["buffer"].tolist()
         self._counter = self._state["state"]["counter"]
+        self._previous = None
 
     def standard_normal(self, counter: int, size) -> np.ndarray:
-        self._counter[1] = _check_counter(counter)
-        self._bitgen.state = self._state
-        return self._gen.standard_normal(size)
-
-
-class SubstreamReader:
-    """One substream, read on from call to call.
-
-    The draws of consecutive calls, stacked, are bit for bit those of one
-    call on substream(seed, counter) that draws them all.  A call for any
-    other counter raises.
-    """
-
-    def __init__(self, seed: int, counter: int):
-        self._counter = _check_counter(counter)
-        self._gen = substream(seed, self._counter)
-
-    def standard_normal(self, counter: int, size) -> np.ndarray:
-        if counter != self._counter:
-            raise ValueError(
-                f"this reader continues substream {self._counter}, not {counter}"
-            )
+        counter = _check_u64(counter, "counter")
+        if counter != self._previous:
+            self._counter[1] = counter
+            self._bitgen.state = self._state
+            self._previous = counter
         return self._gen.standard_normal(size)

@@ -118,6 +118,8 @@ class Box(FeasibleSet):
             upper = np.broadcast_to(upper, (dim,))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be vectors of equal length")
+        if dim is not None and lower.size != dim:
+            raise ValueError(f"dim is {dim} but the bounds have length {lower.size}")
         if not np.all(lower < upper):
             raise ValueError("box requires lower < upper componentwise")
         super().__init__(lower.size)

@@ -13,6 +13,7 @@ bit as it would alone.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,7 +31,6 @@ __all__ = [
     "DivergenceError",
     "random_search",
     "projected_random_search",
-    "best_iterate",
     "suggest_params",
     "theorem_step_size",
 ]
@@ -68,12 +68,14 @@ class SolverConfig:
     lip_const: float | None = None
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if self.num_iters < 0:
-            raise ValueError(f"num_iters must be nonnegative, got {self.num_iters}")
-        if self.record_stride < 1:
-            raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
+        for name, low in (("num_iters", 0), ("record_stride", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.lip_const is not None and not 0 < self.lip_const < math.inf:
+            raise ValueError(f"lip_const must be positive and finite, got {self.lip_const}")
 
 
 @dataclass(eq=False)
@@ -334,15 +336,6 @@ def projected_random_search(
     RunBlock, as for random_search.
     """
     return _solve(f, x0, cfg, feasible_set, on_iterate)
-
-
-def best_iterate(record: RunRecord) -> tuple[int, np.ndarray, float]:
-    """Earliest recorded iterate attaining the minimum value.
-
-    Ties break to the smallest k; tracking is done online during the run,
-    so the returned point is exact even when iterate storage is thinned.
-    """
-    return record.best_k, record.best_point.copy(), record.best_value
 
 
 def theorem_step_size(mode: str, n: int, lip_const: float) -> float:

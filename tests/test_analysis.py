@@ -20,7 +20,7 @@ from zopt.analysis import (
     verify_oracle_inequalities,
 )
 from zopt.oracle import OracleConfig, _mean_and_stderr, oracle_eval, sample_directions
-from zopt.problems import least_squares_from_arrays, make_least_squares
+from zopt.problems import LeastSquaresObjective, TestProblem, make_least_squares
 from zopt.rng import SubstreamSampler, substream
 from zopt.sets import Ball, Box, WholeSpace, gradient_map
 
@@ -216,7 +216,7 @@ class TestProximalPLSampling:
         assert report.min_ratio >= problem.pl_const * (1 - 1e-9)
 
     def test_scalar_quadratic_ratio_exact(self):
-        problem = least_squares_from_arrays(np.array([[1.0]]), np.array([0.0]))
+        problem = TestProblem(LeastSquaresObjective(np.array([[1.0]]), np.array([0.0])))
         report = check_proximal_pl(problem, WholeSpace(1), num_points=200, seed=0)
         assert report.below_unconstrained == 0
         assert report.min_ratio == pytest.approx(2.0, rel=1e-12)
@@ -230,7 +230,7 @@ class TestProximalPLSampling:
 
     def test_near_constant_objective_all_points_skipped(self):
         # f(x) = 1e-14 x^2 stays under the 1e-12 gap floor for |x| < 10
-        problem = least_squares_from_arrays(np.array([[1e-7]]), np.array([0.0]))
+        problem = TestProblem(LeastSquaresObjective(np.array([[1e-7]]), np.array([0.0])))
         report = check_proximal_pl(problem, WholeSpace(1), num_points=50, seed=2)
         assert report.skipped == 50
         assert report.evaluated == 0
@@ -549,7 +549,7 @@ class TestBlockBoundaries:
     def test_dominance_sampler_with_skipped_points_in_every_block(self):
         # f = 1e-12 x^2 has a gap under 1e-12 for |x| < 1: about two thirds
         # of the standard normal points are skipped, the rest evaluated
-        problem = least_squares_from_arrays(np.array([[1e-6]]), np.array([0.0]))
+        problem = TestProblem(LeastSquaresObjective(np.array([[1e-6]]), np.array([0.0])))
         num_points = 5 * PROBE_BLOCK // 2
         report = check_proximal_pl(problem, WholeSpace(1), num_points, seed=13)
         expected = _per_point_dominance(problem, WholeSpace(1), report.opt_value, num_points, 13)

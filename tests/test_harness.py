@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -204,6 +205,39 @@ class TestCsvRoundTrip:
         path = tmp_path / "foreign.csv"
         path.write_text("k,mean\n0,1\n")
         with pytest.raises(ValueError, match="zopt-aggregate"):
+            read_series_csv(path)
+
+    def written_lines(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_series_csv(aggregate(tiny_records()[1]), path)
+        return path, path.read_text().splitlines()
+
+    def test_file_ending_before_column_line(self, tmp_path):
+        # used to raise a bare IndexError
+        path, lines = self.written_lines(tmp_path)
+        path.write_text(f"{lines[0]}\n# num_runs = 3\n")
+        message = rf"{re.escape(str(path))}: line 3: file ends before the column line"
+        with pytest.raises(ValueError, match=message):
+            read_series_csv(path)
+
+    def test_short_data_row(self, tmp_path):
+        # used to be read into columns of unequal length
+        path, lines = self.written_lines(tmp_path)
+        at = lines.index(next(line for line in lines if line.startswith("k,"))) + 2
+        lines[at - 1] = lines[at - 1].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        columns = len(lines[at - 2].split(","))
+        message = rf"{re.escape(str(path))}: line {at}: {columns - 1} cells, the header has {columns}"
+        with pytest.raises(ValueError, match=message):
+            read_series_csv(path)
+
+    def test_bad_num_runs_header(self, tmp_path):
+        path, lines = self.written_lines(tmp_path)
+        at = lines.index("# num_runs = 2") + 1
+        lines[at - 1] = "# num_runs = two"
+        path.write_text("\n".join(lines) + "\n")
+        message = rf"{re.escape(str(path))}: line {at}: num_runs must be an integer, got 'two'"
+        with pytest.raises(ValueError, match=message):
             read_series_csv(path)
 
 

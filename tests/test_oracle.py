@@ -6,13 +6,11 @@ from zopt.oracle import (
     EvaluationError,
     OracleConfig,
     estimate_smoothed_gradient,
-    estimate_smoothed_value,
     oracle_eval,
-    sample_direction,
     sample_directions,
 )
 from zopt.problems import Objective, make_least_squares
-from zopt.rng import SubstreamReader, SubstreamSampler, substream
+from zopt.rng import SubstreamSampler, substream
 
 
 def quadratic_1d(x):
@@ -39,6 +37,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             OracleConfig(mu=1.0, seed=-1)
 
+    def test_rejects_infinite_mu_and_b(self):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            OracleConfig(mu=np.inf)
+        # B = [[inf]] drew only zero directions, so no run ever moved
+        with pytest.raises(ValueError, match="b_matrix must be finite"):
+            OracleConfig(mu=1.0, b_matrix=np.array([[np.inf]]))
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), "3"])
+    def test_rejects_non_integer_seed(self, seed):
+        # int() used to truncate 1.5 to 1 for the draws while the config
+        # kept 1.5, so a run reported a seed it did not use
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            OracleConfig(mu=0.1, seed=seed)
+
+    def test_stores_the_checked_seed(self):
+        cfg = OracleConfig(mu=0.1, seed=np.uint64(2**64 - 1))
+        assert type(cfg.seed) is int and cfg.seed == 2**64 - 1
+
 
 class TestSampling:
     def test_identity_covariance(self):
@@ -58,20 +74,20 @@ class TestSampling:
 
     def test_same_counter_is_deterministic(self):
         cfg = OracleConfig(mu=0.1, seed=99)
-        a = sample_direction(cfg, 5, counter=11)
-        b = sample_direction(cfg, 5, counter=11)
+        a = sample_directions(cfg, 5, 11, 1)[0]
+        b = sample_directions(cfg, 5, 11, 1)[0]
         assert np.array_equal(a, b)
 
     def test_distinct_counters_differ(self):
         cfg = OracleConfig(mu=0.1, seed=99)
         assert not np.array_equal(
-            sample_direction(cfg, 5, counter=0), sample_direction(cfg, 5, counter=1)
+            sample_directions(cfg, 5, 0, 1)[0], sample_directions(cfg, 5, 1, 1)[0]
         )
 
     def test_single_draw_heads_batch(self):
         cfg = OracleConfig(mu=0.1, seed=5)
         batch = sample_directions(cfg, 4, counter=2, num=6)
-        assert np.array_equal(sample_direction(cfg, 4, counter=2), batch[0])
+        assert np.array_equal(sample_directions(cfg, 4, 2, 1)[0], batch[0])
 
     def test_fast_sampler_matches_fresh_generator(self):
         sampler = SubstreamSampler(31)
@@ -83,7 +99,7 @@ class TestSampling:
     def test_dimension_must_match_b(self):
         cfg = OracleConfig(mu=1.0, b_matrix=np.eye(3))
         with pytest.raises(ValueError, match="dimension"):
-            sample_direction(cfg, 4, counter=0)
+            sample_directions(cfg, 4, 0, 1)
 
 
 class TestCounterRange:
@@ -97,6 +113,17 @@ class TestCounterRange:
             fast = sampler.standard_normal(counter, size)
             assert fast.shape == size
             assert np.array_equal(fresh, fast)
+
+    @pytest.mark.parametrize("counter", [2.9, 2.0, np.float32(1.0)])
+    def test_non_integer_counter_rejected_on_both_paths(self, counter):
+        # substream(7, 2.9) used to read substream 2
+        with pytest.raises(ValueError, match="counter"):
+            substream(7, counter)
+        with pytest.raises(ValueError, match="counter"):
+            SubstreamSampler(7).standard_normal(counter, 4)
+        assert np.array_equal(
+            substream(7, np.int32(2)).standard_normal(4), substream(7, 2).standard_normal(4)
+        )
 
     def test_end_counters_are_distinct_streams(self):
         sampler = SubstreamSampler(31)
@@ -118,8 +145,9 @@ class TestCounterRange:
 
 
 class TestSubstreamReader:
-    # probe_deviation draws its directions block by block through one reader;
-    # the stacked blocks must be the bits of one sample_directions call
+    # probe_deviation reads its directions block by block through one
+    # SubstreamSampler called on one counter; the stacked blocks must be the
+    # bits of one sample_directions call
     @pytest.mark.parametrize(
         "sizes", [[1] * 9, [1, 3, 7, 2, 1], [40, 1, 17]], ids=["rows", "uneven", "long"]
     )
@@ -131,8 +159,8 @@ class TestSubstreamReader:
         # a dense B keeps it only where each block's gemm runs the kernel of
         # the whole product, as at the sizes of the next test
         cfg = OracleConfig(mu=1.0, b_matrix=b_matrix, seed=23)
-        reader = SubstreamReader(23, 2**63 + 5)
-        blocks = [sample_directions(cfg, 6, 2**63 + 5, k, sampler=reader) for k in sizes]
+        sampler = SubstreamSampler(23)
+        blocks = [sample_directions(cfg, 6, 2**63 + 5, k, sampler=sampler) for k in sizes]
         assert [len(b) for b in blocks] == sizes
         whole = sample_directions(cfg, 6, 2**63 + 5, sum(sizes))
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
@@ -142,28 +170,38 @@ class TestSubstreamReader:
         root = np.random.default_rng(n).standard_normal((n, n))
         cfg = OracleConfig(mu=1.0, b_matrix=np.eye(n) + root @ root.T / n, seed=4)
         num = 2 * SAMPLE_BLOCK + 10
-        reader = SubstreamReader(4, 7)
+        sampler = SubstreamSampler(4)
         blocks = [
-            sample_directions(cfg, n, 7, hi - lo, sampler=reader)
+            sample_directions(cfg, n, 7, hi - lo, sampler=sampler)
             for lo, hi in _blocks(num, SAMPLE_BLOCK)
         ]
         assert len(blocks) == 3
         assert np.concatenate(blocks).tobytes() == sample_directions(cfg, n, 7, num).tobytes()
 
-    def test_other_counter_raises(self):
-        cfg = OracleConfig(mu=1.0, seed=23)
-        reader = SubstreamReader(23, 5)
-        first = sample_directions(cfg, 4, 5, 3, sampler=reader)
-        with pytest.raises(ValueError, match="substream 5, not 6"):
-            sample_directions(cfg, 4, 6, 3, sampler=reader)
-        # the refused call drew nothing: the reader goes on where it stopped
-        rest = sample_directions(cfg, 4, 5, 2, sampler=reader)
-        assert np.array_equal(np.concatenate([first, rest]), sample_directions(cfg, 4, 5, 5))
+    def test_repeated_counter_reads_on(self):
+        sampler = SubstreamSampler(23)
+        draws = [sampler.standard_normal(5, 3) for _ in range(3)]
+        assert np.concatenate(draws).tobytes() == substream(23, 5).standard_normal(9).tobytes()
+
+    def test_other_counter_between_resets(self):
+        sampler = SubstreamSampler(23)
+        first = sampler.standard_normal(5, 3)
+        other = sampler.standard_normal(6, 3)
+        again = sampler.standard_normal(5, 3)
+        assert first.tobytes() == again.tobytes() == substream(23, 5).standard_normal(3).tobytes()
+        assert other.tobytes() == substream(23, 6).standard_normal(3).tobytes()
 
     @pytest.mark.parametrize("counter", [-1, 2**64])
     def test_out_of_range_counter_rejected(self, counter):
-        with pytest.raises(ValueError, match="counter"):
-            SubstreamReader(23, counter)
+        # a refused counter draws nothing and does not become the previous
+        # one: it is refused again, and the sampler reads on where it stopped
+        sampler = SubstreamSampler(23)
+        first = sampler.standard_normal(5, 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="counter"):
+                sampler.standard_normal(counter, 3)
+        rest = sampler.standard_normal(5, 2)
+        assert np.array_equal(np.concatenate([first, rest]), substream(23, 5).standard_normal(5))
 
 
 class TestOracleEval:
@@ -306,14 +344,6 @@ class TestOracleEvalPaired:
 
 
 class TestSmoothedEstimates:
-    def test_value_mode_scalar_quadratic(self):
-        # smoothing x^2 with scale mu adds exactly mu^2 at the origin
-        cfg = OracleConfig(mu=0.1, seed=8)
-        est = estimate_smoothed_value(
-            Objective(1, quadratic_1d), np.zeros(1), cfg, num_samples=100_000
-        )
-        assert abs(est.value - 0.01) < 3 * est.stderr
-
     def test_gradient_mode_linear(self):
         gen = np.random.default_rng(12)
         a = gen.standard_normal(10)
@@ -332,7 +362,7 @@ class TestSmoothedEstimates:
     def test_minimum_sample_count(self):
         cfg = OracleConfig(mu=0.1, seed=0)
         with pytest.raises(ValueError, match="num_samples"):
-            estimate_smoothed_value(quadratic_1d, np.zeros(1), cfg, num_samples=1)
+            estimate_smoothed_gradient(quadratic_1d, np.zeros(1), cfg, num_samples=1)
 
 
 class TestGeneralCorrelation:
@@ -346,16 +376,6 @@ class TestGeneralCorrelation:
         m = np.random.default_rng(2).standard_normal((5, 5))
         b = m @ m.T + 5 * np.eye(5)
         return problem, x, OracleConfig(mu=0.05, b_matrix=b, seed=3)
-
-    def test_value_mode_matches_analytic_shift(self, setup):
-        # smoothing a quadratic adds exactly mu^2 * tr(A B^-1 A^T)
-        problem, x, cfg = setup
-        est = estimate_smoothed_value(problem.objective, x, cfg, 200_000)
-        shift = cfg.mu**2 * np.trace(
-            problem.a_matrix @ np.linalg.inv(cfg.b_matrix) @ problem.a_matrix.T
-        )
-        expected = problem.objective(x) + shift
-        assert abs(est.value - expected) < 5 * est.stderr
 
     def test_gradient_mode_stays_unbiased(self, setup):
         problem, x, cfg = setup

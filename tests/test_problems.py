@@ -4,11 +4,8 @@ import pytest
 from zopt.problems import (
     LeastSquaresObjective,
     TestProblem,
-    least_squares_from_arrays,
-    load_problem,
     make_least_squares,
     problem_constants,
-    save_problem,
 )
 
 
@@ -29,7 +26,7 @@ class TestConstruction:
         assert np.array_equal(a.b_vector, b.b_vector)
 
     def test_scalar_identity_instance(self):
-        problem = least_squares_from_arrays(np.array([[1.0]]), np.array([0.0]))
+        problem = TestProblem(LeastSquaresObjective(np.array([[1.0]]), np.array([0.0])))
         assert problem.objective(np.array([3.0])) == 9.0
         assert problem.opt_value == 0.0
         assert problem.lip_const == pytest.approx(2.0, rel=1e-12)
@@ -68,7 +65,7 @@ class TestConstruction:
     def test_arrays_are_private_read_only_copies(self):
         a = np.array([[1.0, 0.0], [0.0, 2.0]])
         b = np.array([1.0, 1.0])
-        problem = least_squares_from_arrays(a, b)
+        problem = TestProblem(LeastSquaresObjective(a, b))
         lip, opt = problem.lip_const, problem.opt_value
         a[:] = 7.0
         b[:] = 7.0
@@ -169,22 +166,3 @@ class TestAnalyticGradient:
             gap = problem.objective(x) - problem.opt_value
             assert 0.5 * float(g @ g) >= problem.pl_const * gap * (1 - 1e-9)
 
-
-class TestSerialization:
-    def test_roundtrip_is_exact(self, tmp_path):
-        problem = make_least_squares(4, 6, 0.3, 99)
-        path = tmp_path / "instance.txt"
-        save_problem(problem, path)
-        loaded = load_problem(path)
-        assert np.array_equal(loaded.a_matrix, problem.a_matrix)
-        assert np.array_equal(loaded.b_vector, problem.b_vector)
-        assert loaded.seed == 99
-        assert loaded.noise_std == 0.3
-        assert loaded.lip_const == problem.lip_const
-        assert loaded.pl_const == problem.pl_const
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a problem file\n")
-        with pytest.raises(ValueError, match="not a"):
-            load_problem(path)

@@ -99,6 +99,12 @@ class TestBoxBounds:
             with pytest.raises(ValueError, match="read-only"):
                 bound[0] = 0.0
 
+    def test_dim_must_agree_with_vector_bounds(self):
+        with pytest.raises(ValueError, match="dim is 3 but the bounds have length 2"):
+            Box([0.0, 0.0], [1.0, 1.0], dim=3)
+        assert Box([0.0, 0.0], [1.0, 1.0], dim=2).dim == 2
+        assert Box(0.0, [1.0, 1.0, 1.0], dim=3).dim == 3
+
     def test_contains_rejects_nan(self):
         box = Box(-0.5, 0.5, dim=3)
         assert not box.contains(np.array([0.0, np.nan, 0.0]))

@@ -4,15 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from zopt.oracle import EvaluationError, OracleConfig, oracle_eval, sample_direction
-from zopt.problems import Objective, least_squares_from_arrays, make_least_squares
+from zopt.oracle import EvaluationError, OracleConfig, oracle_eval, sample_directions
+from zopt.problems import LeastSquaresObjective, Objective, TestProblem, make_least_squares
 from zopt.sets import Ball, Box, gradient_map
 from zopt.solvers import (
     DivergenceError,
     RunBlock,
     RunRecord,
     SolverConfig,
-    best_iterate,
     projected_random_search,
     random_search,
     suggest_params,
@@ -21,7 +20,7 @@ from zopt.solvers import (
 
 
 def scalar_problem():
-    return least_squares_from_arrays(np.array([[1.0]]), np.array([0.0]))
+    return TestProblem(LeastSquaresObjective(np.array([[1.0]]), np.array([0.0])))
 
 
 def config(mu=1e-6, seed=123, step=0.025, iters=2000, stride=100, lip=None):
@@ -46,9 +45,9 @@ class TestUnconstrainedRun:
         # analyzed step for n=1, lip=2 is 1/(4*5*2) = 0.025
         problem = scalar_problem()
         record = random_search(problem.objective, np.array([1.0]), config())
-        k, x, value = best_iterate(record)
+        value = record.best_value
         assert value <= 1e-3
-        assert k == 698
+        assert record.best_k == 698
         assert value == pytest.approx(1.76326399707493e-21, rel=1e-9)
 
     def test_runs_are_bit_deterministic(self):
@@ -145,7 +144,7 @@ class TestProjectedRun:
             k = int(record.iterate_ks[idx])
             x_k = record.iterates[idx]
             x_next = record.iterates[idx + 1]
-            u = sample_direction(cfg.oracle, 5, counter=k)
+            u = sample_directions(cfg.oracle, 5, k, 1)[0]
             g = oracle_eval(problem.objective, x_k, u, cfg.oracle)
             s = gradient_map(box, x_k, g, h)
             drift = np.linalg.norm(x_next - (x_k - h * s))
@@ -213,7 +212,7 @@ def reference_run(f, x0, cfg, feasible_set=None, grad=None):
             grad_sq.append(g @ g)
         if k == cfg.num_iters:
             break
-        u = sample_direction(cfg.oracle, x.size, k)
+        u = sample_directions(cfg.oracle, x.size, k, 1)[0]
         try:
             g = oracle_eval(f, x, u, cfg.oracle, fx=fx)
         except EvaluationError as exc:
@@ -382,29 +381,29 @@ class TestBlocks:
 
 
 class TestBestIterate:
-    def make_record(self, values):
-        values = np.array(values, dtype=float)
-        best_k = int(np.argmin(values))
-        return RunRecord(
-            config=config(iters=len(values) - 1, stride=1),
-            values=values,
-            iterates=np.zeros((len(values), 1)),
-            best_k=best_k,
-            best_point=np.full(1, float(best_k)),
-        )
+    # a real run tracks its best iterate online; ties break to the earliest k
 
     def test_tie_breaks_to_earliest(self):
-        record = self.make_record([3.0, 1.0, 1.0, 2.0])
-        k, _, value = best_iterate(record)
-        assert (k, value) == (1, 1.0)
+        # f(x) = max(x^2, 1/4) from x0 = 1: the run descends onto the plateau,
+        # where every later value ties at 1/4 and the estimate vanishes
+        f = Objective(1, lambda x: max(float(x[0] ** 2), 0.25))
+        record = random_search(f, np.array([1.0]), config(iters=400, stride=1))
+        k = record.best_k
+        assert 0 < k < 400
+        assert np.all(record.values[:k] > 0.25) and np.all(record.values[k:] == 0.25)
+        assert record.best_value == 0.25
+        assert record.best_point.tobytes() == record.iterates[k].tobytes()
 
     def test_single_entry(self):
-        k, _, value = best_iterate(self.make_record([4.0]))
-        assert (k, value) == (0, 4.0)
+        problem = scalar_problem()
+        record = random_search(problem.objective, np.array([2.0]), config(iters=0, stride=1))
+        assert (record.best_k, record.best_value) == (0, 4.0)
+        assert np.array_equal(record.best_point, [2.0])
 
     def test_constant_values(self):
-        k, _, value = best_iterate(self.make_record([2.0, 2.0, 2.0]))
-        assert (k, value) == (0, 2.0)
+        record = random_search(Objective(1, lambda x: 2.0), np.array([0.5]), config(iters=20))
+        assert (record.best_k, record.best_value) == (0, 2.0)
+        assert np.array_equal(record.best_point, [0.5])
 
 
 class TestDerivedFields:
@@ -493,3 +492,21 @@ class TestRecordSerialization:
             SolverConfig(
                 oracle=OracleConfig(mu=0.1), step_size=0.1, num_iters=1, record_stride=0
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_iters", 10.0), ("record_stride", 2.5), ("step_size", math.inf),
+         ("step_size", math.nan), ("lip_const", 0.0)],
+    )
+    def test_config_rejects_what_the_run_cannot_use(self, field, value):
+        # each failed later inside the run, or diverged at iteration 1
+        kwargs = {"step_size": 0.1, "num_iters": 10, "record_stride": 1, field: value}
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(oracle=OracleConfig(mu=0.1), **kwargs)
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = SolverConfig(
+            oracle=OracleConfig(mu=0.1), step_size=0.1, num_iters=np.int64(3),
+            record_stride=np.uint8(2),
+        )
+        assert random_search(scalar_problem().objective, np.array([1.0]), cfg).num_iters == 3
