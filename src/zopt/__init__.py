@@ -45,7 +45,6 @@ from .problems import (
     Objective,
     TestProblem,
     make_least_squares,
-    problem_constants,
 )
 from .sets import Ball, Box, FeasibleSet, WholeSpace, gradient_map, set_from_spec
 from .solvers import (

@@ -504,72 +504,49 @@ def verify_oracle_inequalities(
         )
     ]
 
-    jensen_viol = 0
-    jensen_margin = math.inf
-    dev_viol = 0
-    dev_margin = math.inf
-    dec_viol = 0
-    dec_margin = math.inf
-    finite_diam = math.isfinite(feasible_set.diameter())
     d_x = feasible_set.diameter()
+    jensen, deviation, decrease = [], [], []  # per point: (slack, violated)
     for j in range(num_mc_points):
         x = feasible_set.sample(gen)
         probe = probe_deviation(
             problem, feasible_set, cfg, x, num_samples, counter=10**6 + j, step_size=h
         )
-        jensen_slack = math.sqrt(probe.mean_xi_sq) - probe.mean_xi_norm
-        jensen_margin = min(jensen_margin, jensen_slack)
-        if jensen_slack < -1e-12:
-            jensen_viol += 1
+        slack = math.sqrt(probe.mean_xi_sq) - probe.mean_xi_norm
+        jensen.append((slack, slack < -1e-12))
 
         sigma = math.sqrt(
             oracle_variance_candidate("c11", cfg.mu, n, lip, math.sqrt(probe.grad_sq))
         )
-        dev_slack = sigma - probe.mean_xi_norm
-        dev_margin = min(dev_margin, dev_slack)
-        if probe.mean_xi_norm > sigma + MC_SIGMAS * probe.se_xi_norm:
-            dev_viol += 1
+        violated = probe.mean_xi_norm > sigma + MC_SIGMAS * probe.se_xi_norm
+        deviation.append((sigma - probe.mean_xi_norm, violated))
 
-        if finite_diam:
+        if math.isfinite(d_x):
             rhs = (
                 probe.q_value
                 - cfg.mu * lip**2 * (n + 3) ** 1.5 * d_x
                 - 2.0 * lip * d_x * probe.mean_xi_norm
             )
             se = probe.t_se + 2.0 * lip * d_x * probe.se_xi_norm
-            slack = probe.t_mean - rhs
-            dec_margin = min(dec_margin, slack)
-            if probe.t_mean < rhs - MC_SIGMAS * se:
-                dec_viol += 1
+            decrease.append((probe.t_mean - rhs, probe.t_mean < rhs - MC_SIGMAS * se))
 
-    checks.append(
+    # check name -> (detail, per-point (slack, violated)), in report order
+    mc_checks = {
+        "jensen_ordering": ("min of sqrt(mean||xi||^2) - mean||xi||", jensen),
+        "deviation_norm_bound": ("min of sigma_c11 - mean||xi||", deviation),
+    }
+    if math.isfinite(d_x):
+        mc_checks["projected_decrease_bound"] = ("min of mean T - lower bound", decrease)
+    checks += [
         CheckResult(
-            name="jensen_ordering",
+            name=name,
             trials=num_mc_points,
-            violations=jensen_viol,
-            margin=jensen_margin,
-            detail="min of sqrt(mean||xi||^2) - mean||xi||",
+            violations=sum(violated for _, violated in points),
+            # min over Python floats in point order, as a running min takes it
+            margin=min([math.inf, *(slack for slack, _ in points)]),
+            detail=detail,
         )
-    )
-    checks.append(
-        CheckResult(
-            name="deviation_norm_bound",
-            trials=num_mc_points,
-            violations=dev_viol,
-            margin=dev_margin,
-            detail="min of sigma_c11 - mean||xi||",
-        )
-    )
-    if finite_diam:
-        checks.append(
-            CheckResult(
-                name="projected_decrease_bound",
-                trials=num_mc_points,
-                violations=dec_viol,
-                margin=dec_margin,
-                detail="min of mean T - lower bound",
-            )
-        )
+        for name, (detail, points) in mc_checks.items()
+    ]
 
     description = (
         f"oracle inequality checks: m={problem.a_matrix.shape[0]}, n={problem.dim}, "

@@ -34,7 +34,6 @@ from .problems import TestProblem, make_least_squares
 from .rng import substream
 from .sets import SET_KEYS, FeasibleSet, set_from_spec, spec_diameter
 from .solvers import (
-    DivergenceError,
     RunRecord,
     SolverConfig,
     projected_random_search,
@@ -484,6 +483,8 @@ def read_series_csv(path) -> AggregateSeries:
     if idx == len(lines):
         raise ValueError(f"{path}: line {idx + 1}: file ends before the column line")
     columns = lines[idx].split(",")
+    if "k" not in columns:
+        raise ValueError(f"{path}: line {idx + 1}: the column line has no k column")
     data = {name: [] for name in columns}
     for number, line in enumerate(lines[idx + 1 :], start=idx + 2):
         if not line:
@@ -494,13 +495,19 @@ def read_series_csv(path) -> AggregateSeries:
                 f"{path}: line {number}: {len(row)} cells, the header has {len(columns)}"
             )
         for name, cell in zip(columns, row):
-            data[name].append(cell)
+            try:
+                data[name].append(int(cell) if name == "k" else float(cell))
+            except ValueError:
+                kind = "an integer" if name == "k" else "a number"
+                raise ValueError(
+                    f"{path}: line {number}: {name} must be {kind}, got {cell!r}"
+                ) from None
 
     def floats(name):
-        return np.array([float(v) for v in data[name]]) if name in data else None
+        return np.array(data[name], dtype=float) if name in data else None
 
     return AggregateSeries(
-        ks=np.array([int(v) for v in data["k"]], dtype=np.int64),
+        ks=np.array(data["k"], dtype=np.int64),
         **{name: floats(name) for name in _VALUE_COLUMNS},
         f_star=f_star,
         num_runs=num_runs,
@@ -519,16 +526,10 @@ class _RunTask:
     collect_sigma: bool
 
 
-@dataclass(eq=False)
-class _RunOutcome:
-    record: RunRecord | None
-    sigma_sq: np.ndarray | None
-    error: str | None
-    diverged_at: int | None = None
-
-
-def _execute_run(task: _RunTask) -> list[_RunOutcome]:
-    """Advance a block of runs together; one outcome per run, in block order."""
+def _execute_run(task: _RunTask) -> tuple[list, np.ndarray | None]:
+    """Advance a block of runs together: each run's RunRecord or DivergenceError
+    in block order, and with collect_sigma the c11 sigma^2 of every run as
+    (runs, N + 1) rows (meaningless for a diverged run), else None."""
     problem = task.problem
     grad_sq = None
     on_iterate = None
@@ -545,18 +546,11 @@ def _execute_run(task: _RunTask) -> list[_RunOutcome]:
         block = projected_random_search(
             problem.objective, task.feasible_set, task.x0, task.solvers, on_iterate=on_iterate
         )
-    outcomes = []
-    for i, (solver_cfg, outcome) in enumerate(zip(task.solvers, block.outcomes)):
-        if isinstance(outcome, DivergenceError):
-            outcomes.append(_RunOutcome(None, None, str(outcome), outcome.iteration))
-            continue
-        sigma_sq = None
-        if grad_sq is not None:
-            sigma_sq = _c11_sigma_sq(
-                solver_cfg.oracle.mu, problem.dim, problem.lip_const, grad_sq[:, i]
-            )
-        outcomes.append(_RunOutcome(outcome, sigma_sq, None))
-    return outcomes
+    sigma_sq = None
+    if grad_sq is not None:
+        mu = task.solvers[0].oracle.mu  # the runs of a block share it
+        sigma_sq = _c11_sigma_sq(mu, problem.dim, problem.lip_const, grad_sq.T)
+    return block.outcomes, sigma_sq
 
 
 def resolve_output_path(path: str | None, out_dir: str | None) -> str | None:
@@ -605,6 +599,9 @@ def run_experiment(
         raise ValueError(f"num_runs must be >= 1, got {config.num_runs}")
     csv_path = resolve_output_path(config.csv_path, out_dir)
     svg_path = resolve_output_path(config.svg_path, out_dir)
+    if csv_path and svg_path and Path(csv_path).resolve() == Path(svg_path).resolve():
+        message = f"[outputs] csv_path and svg_path name the same file {csv_path}"
+        raise ConfigError(message, path=config.source_path)
     for path in filter(None, (csv_path, svg_path)):
         if Path(path).is_dir():
             raise ConfigError(f"cannot write {path}: it is a directory")
@@ -702,13 +699,13 @@ def run_experiment(
     else:
         with ProcessPoolExecutor(max_workers=num_blocks) as pool:
             blocks = list(pool.map(_execute_run, tasks))
-    outcomes = [outcome for block in blocks for outcome in block]
+    outcomes = [outcome for block_outcomes, _ in blocks for outcome in block_outcomes]
 
-    finished = [o for o in outcomes if o.record is not None]
-    records = [o.record for o in finished]
+    finished = [i for i, o in enumerate(outcomes) if isinstance(o, RunRecord)]
+    records = [outcomes[i] for i in finished]
     if not records:
-        raise RuntimeError("every run diverged; first failure: " + outcomes[0].error)
-    diverged_at = {i: o.diverged_at for i, o in enumerate(outcomes) if o.record is None}
+        raise RuntimeError(f"every run diverged; first failure: {outcomes[0]}")
+    diverged_at = {i: o.iteration for i, o in enumerate(outcomes) if not isinstance(o, RunRecord)}
     metadata["diverged_runs"] = ",".join(map(str, diverged_at))
 
     bound_inputs = None
@@ -717,7 +714,9 @@ def run_experiment(
         if collect_sigma:
             # rms across runs upper-bounds both the mean of sigma and the
             # mean of sigma^2 that the expectation form of the bound needs
-            sigma_seq = np.sqrt(np.stack([o.sigma_sq for o in finished]).mean(axis=0))
+            # indexing copies the rows C-contiguously, the layout of the pinned bits
+            sigma_sq = np.concatenate([rows for _, rows in blocks])[finished]
+            sigma_seq = np.sqrt(sigma_sq.mean(axis=0))
             metadata["sigma_note"] = (
                 "sigma_k from the c11 candidate with analytic gradient norms, "
                 "rms across runs"

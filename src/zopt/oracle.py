@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import SubstreamSampler, _check_u64, substream
+from .rng import SubstreamSampler, _check_u64
 
 __all__ = [
     "EvaluationError",
@@ -122,18 +122,17 @@ def sample_directions(
 ) -> np.ndarray:
     """Draw `num` directions from N(0, B^-1) as a (num, dim) array.
 
-    The block is read sequentially from substream `counter`.  A
-    SubstreamSampler rooted at cfg.seed gives the same draws faster, and
-    continues where its previous call stopped when that call had the same
-    counter.
+    The block is read sequentially from substream `counter` of cfg.seed
+    through `sampler`, a SubstreamSampler rooted at cfg.seed (a fresh one
+    when None); a reused sampler continues where its previous call stopped
+    when that call had the same counter.
     """
     dim = _check_dim(cfg, dim)
     if num <= 0:
         raise ValueError(f"num must be positive, got {num}")
     if sampler is None:
-        z = substream(cfg.seed, counter).standard_normal((num, dim))
-    else:
-        z = sampler.standard_normal(counter, (num, dim))
+        sampler = SubstreamSampler(cfg.seed)
+    z = sampler.standard_normal(counter, (num, dim))
     transform = getattr(cfg, "_sample_transform")
     if transform is None:
         return z

@@ -31,8 +31,6 @@ __all__ = [
     "Objective",
     "LeastSquaresObjective",
     "TestProblem",
-    "ProblemConstants",
-    "problem_constants",
     "make_least_squares",
 ]
 
@@ -106,47 +104,14 @@ class LeastSquaresObjective:
 
 
 @dataclass(frozen=True, eq=False)
-class ProblemConstants:
-    """Certified constants of a least-squares objective, from one SVD of A."""
-
-    lip_const: float
-    pl_const: float
-    _u: np.ndarray = field(repr=False)
-
-    def opt_value(self, b_vector: np.ndarray) -> float:
-        """min_x ||A x - b||^2: squared residual of b off the range of A."""
-        b = np.asarray(b_vector, dtype=float)
-        coeffs = self._u.T @ b
-        residual = b - self._u @ coeffs
-        return float(residual @ residual)
-
-
-def problem_constants(a_matrix: np.ndarray) -> ProblemConstants:
-    """Constants of f(x) = ||A x - b||^2 that do not depend on b.
-
-    Singular values below RANK_TOL times the largest are treated as zero.
-    Raises for an all-zero matrix, which has no meaningful constants.
-    """
-    a = np.asarray(a_matrix, dtype=float)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.count_nonzero(s > RANK_TOL * s.max(initial=0.0)))
-    if rank == 0:
-        raise ValueError("matrix has rank 0, the problem is degenerate")
-    return ProblemConstants(
-        lip_const=2.0 * float(s[0]) ** 2,
-        pl_const=2.0 * float(s[rank - 1]) ** 2,
-        _u=u[:, :rank],
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class TestProblem:
     """Least-squares instance with analytic gradient and certified constants.
 
-    lip_const, pl_const and opt_value are derived from the objective by
-    problem_constants; a_matrix and b_vector are the objective's own arrays.
-    The gradient and the constants are for analysis only; solvers receive
-    just the objective.
+    lip_const, pl_const and opt_value are derived from the objective by one
+    SVD of A (singular values below RANK_TOL times the largest count as
+    zero); a_matrix and b_vector are the objective's own arrays.  The
+    gradient and the constants are for analysis only; solvers receive just
+    the objective.
     """
 
     __test__ = False  # benchmark fixture, not a pytest case
@@ -159,10 +124,16 @@ class TestProblem:
     opt_value: float = field(init=False)
 
     def __post_init__(self):
-        consts = problem_constants(self.objective.a_matrix)
-        object.__setattr__(self, "lip_const", consts.lip_const)
-        object.__setattr__(self, "pl_const", consts.pl_const)
-        object.__setattr__(self, "opt_value", consts.opt_value(self.objective.b_vector))
+        b = self.objective.b_vector
+        u, s, _ = np.linalg.svd(self.objective.a_matrix, full_matrices=False)
+        rank = int(np.count_nonzero(s > RANK_TOL * s.max(initial=0.0)))
+        if rank == 0:
+            raise ValueError("matrix has rank 0, the problem is degenerate")
+        u = u[:, :rank]
+        residual = b - u @ (u.T @ b)  # of b off the range of A, so min_x f = its square
+        object.__setattr__(self, "lip_const", 2.0 * float(s[0]) ** 2)
+        object.__setattr__(self, "pl_const", 2.0 * float(s[rank - 1]) ** 2)
+        object.__setattr__(self, "opt_value", float(residual @ residual))
 
     @property
     def a_matrix(self) -> np.ndarray:

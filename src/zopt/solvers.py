@@ -49,6 +49,11 @@ class DivergenceError(RuntimeError):
         )
         self.iteration = iteration
         self.point_norm = point_norm
+        self.detail = detail
+
+    def __reduce__(self):
+        # the default rebuilds from the message alone, which __init__ rejects
+        return type(self), (self.iteration, self.point_norm, self.detail)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,11 @@ _MARGIN_B = 60
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
+def _escape(text: str) -> str:
+    # xml.sax.saxutils.escape does this, but importing it loads urllib.request
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _decades(lo: float, hi: float) -> list[int]:
     return list(range(math.floor(lo), math.ceil(hi) + 1))
 
@@ -71,7 +76,7 @@ def write_log_log_chart(
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="28" font-size="16" text-anchor="middle" '
-        f'font-family="sans-serif">{title}</text>',
+        f'font-family="sans-serif">{_escape(title)}</text>',
     ]
 
     # frame
@@ -107,12 +112,12 @@ def write_log_log_chart(
 
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 16}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif">{x_label} (log)</text>'
+        f'text-anchor="middle" font-family="sans-serif">{_escape(x_label)} (log)</text>'
     )
     parts.append(
         f'<text x="20" y="{_MARGIN_T + plot_h / 2:.1f}" font-size="13" '
         f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 20 {_MARGIN_T + plot_h / 2:.1f})">{y_label} (log)</text>'
+        f'transform="rotate(-90 20 {_MARGIN_T + plot_h / 2:.1f})">{_escape(y_label)} (log)</text>'
     )
 
     for idx, (label, pts) in enumerate(cleaned):
@@ -130,7 +135,7 @@ def write_log_log_chart(
         )
         parts.append(
             f'<text x="{lx + 32}" y="{ly}" font-size="12" '
-            f'font-family="sans-serif">{label}</text>'
+            f'font-family="sans-serif">{_escape(label)}</text>'
         )
 
     parts.append("</svg>")

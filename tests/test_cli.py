@@ -289,6 +289,33 @@ class TestRun:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "svg_path" in err and "num_iters" in err
 
+    @pytest.mark.parametrize("svg_path", ["cli_out.csv", "./cli_out.csv", "sub/../cli_out.csv"])
+    @pytest.mark.parametrize("use_out_dir", [True, False])
+    def test_csv_and_svg_naming_one_file_exit_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, svg_path, use_out_dir
+    ):
+        # the chart used to overwrite the CSV, with exit 0
+        def no_runs(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "_execute_run", no_runs)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(RUN_CONFIG + f"svg_path = {svg_path}\n")
+        out_dir = tmp_path / "out"
+        args = ["run", "--config", str(cfg)]
+        if use_out_dir:
+            args += ["--out-dir", str(out_dir)]
+        else:
+            out_dir.mkdir()
+            monkeypatch.chdir(out_dir)
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        csv_path = out_dir / "cli_out.csv" if use_out_dir else "cli_out.csv"
+        message = f"{cfg}: [outputs] csv_path and svg_path name the same file {csv_path}\n"
+        assert captured.err == message
+        assert captured.out == ""
+        assert list(tmp_path.rglob("cli_out*")) == []
+
     def test_out_dir_under_a_file_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
         def no_runs(task):
             raise AssertionError("a run started")

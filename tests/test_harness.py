@@ -33,7 +33,7 @@ from zopt.harness import (
 from zopt.oracle import OracleConfig
 from zopt.problems import make_least_squares
 from zopt.sets import SET_KEYS
-from zopt.solvers import SolverConfig, random_search
+from zopt.solvers import DivergenceError, SolverConfig, random_search
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -237,6 +237,33 @@ class TestCsvRoundTrip:
         lines[at - 1] = "# num_runs = two"
         path.write_text("\n".join(lines) + "\n")
         message = rf"{re.escape(str(path))}: line {at}: num_runs must be an integer, got 'two'"
+        with pytest.raises(ValueError, match=message):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize(
+        "column, cell, kind",
+        [("mean_f", "x", "a number"), ("k", "1.5", "an integer")],
+    )
+    def test_bad_data_cell(self, tmp_path, column, cell, kind):
+        # used to end in float()'s or int()'s own message, naming no file
+        path, lines = self.written_lines(tmp_path)
+        header = lines.index(next(line for line in lines if line.startswith("k,")))
+        at = header + 3
+        row = lines[at - 1].split(",")
+        row[lines[header].split(",").index(column)] = cell
+        lines[at - 1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        message = rf"{re.escape(str(path))}: line {at}: {column} must be {kind}, got '{cell}'"
+        with pytest.raises(ValueError, match=message):
+            read_series_csv(path)
+
+    def test_column_line_without_k(self, tmp_path):
+        # used to raise a bare KeyError: 'k'
+        path, lines = self.written_lines(tmp_path)
+        at = lines.index(next(line for line in lines if line.startswith("k,"))) + 1
+        lines[at - 1] = "step" + lines[at - 1][1:]
+        path.write_text("\n".join(lines) + "\n")
+        message = rf"{re.escape(str(path))}: line {at}: the column line has no k column"
         with pytest.raises(ValueError, match=message):
             read_series_csv(path)
 
@@ -673,32 +700,55 @@ class TestRunExperiment:
             task = harness._RunTask(problem, x0, block, box, collect_sigma=True)
             return harness._execute_run(task)
 
-        together = execute(solvers)
-        for solver, outcome in zip(solvers, together):
-            (alone,) = execute((solver,))
+        together, sigma_sq = execute(solvers)
+        assert sigma_sq.shape == (len(solvers), 201)
+        for solver, record, row in zip(solvers, together, sigma_sq):
+            (alone,), alone_sigma_sq = execute((solver,))
             for name in ("values", "iterates", "best_point"):
-                together_bytes = getattr(outcome.record, name).tobytes()
-                assert together_bytes == getattr(alone.record, name).tobytes()
-            assert outcome.record.best_k == alone.record.best_k
-            assert outcome.record.feasibility_violations == alone.record.feasibility_violations
-            assert outcome.sigma_sq.tobytes() == alone.sigma_sq.tobytes()
+                assert getattr(record, name).tobytes() == getattr(alone, name).tobytes()
+            assert record.best_k == alone.best_k
+            assert record.feasibility_violations == alone.feasibility_violations
+            assert row.tobytes() == alone_sigma_sq[0].tobytes()
 
     def test_partial_divergence_keeps_going(self, monkeypatch):
+        # run 1 of 12 is replaced by a DivergenceError.  On the constrained
+        # path the sigma overlay must then average the other 11 rows stacked
+        # C-contiguously in run order: over that many rows numpy's axis-0
+        # mean gives other bits on another layout.
         original = harness._execute_run
+        executed = []
 
         def sabotaged(task):
-            outcomes = original(task)
+            outcomes, sigma_sq = original(task)
+            executed.append(sigma_sq)
             for i, solver in enumerate(task.solvers):
                 if solver.oracle.seed == 101:  # run 1: run_seed_base is 100
-                    outcomes[i] = harness._RunOutcome(None, None, "synthetic failure")
-            return outcomes
+                    outcomes[i] = DivergenceError(7, 1.5, "synthetic failure")
+            return outcomes, sigma_sq
+
+        sigma_seqs = []
+
+        def recording_aggregate(records, bound_inputs=None, **kwargs):
+            sigma_seqs.append(bound_inputs.sigma_seq)
+            return aggregate(records, bound_inputs=bound_inputs, **kwargs)
 
         monkeypatch.setattr(harness, "_execute_run", sabotaged)
-        cfg = small_config(num_iters=100, num_runs=3)
-        series = run_experiment(cfg, jobs=1)
-        assert series.num_runs == 2
-        assert series.metadata["diverged_runs"] == "1"
-        assert series.metadata["completed_runs"] == "2"
+        monkeypatch.setattr(harness, "aggregate", recording_aggregate)
+        for scenario, set_spec in (
+            ("unconstrained", None),
+            ("constrained", {"kind": "box", "lower": "-0.5", "upper": "0.5"}),
+        ):
+            executed.clear()
+            cfg = small_config(num_iters=100, num_runs=12, scenario=scenario, set_spec=set_spec)
+            series = run_experiment(cfg, jobs=1)
+            assert series.num_runs == 11
+            assert series.metadata["diverged_runs"] == "1"
+            assert series.metadata["completed_runs"] == "11"
+            assert series.diverged_at == {1: 7}
+        (sigma_sq,) = executed
+        finished_rows = [row for i, row in enumerate(sigma_sq) if i != 1]
+        expected = np.sqrt(np.stack(finished_rows).mean(axis=0))
+        assert sigma_seqs[-1].tobytes() == expected.tobytes()
 
     def test_all_diverged_raises(self):
         cfg = small_config(step_size=1e12, num_iters=100, num_runs=2, bound_overlay=False)

@@ -5,7 +5,6 @@ from zopt.problems import (
     LeastSquaresObjective,
     TestProblem,
     make_least_squares,
-    problem_constants,
 )
 
 
@@ -75,21 +74,24 @@ class TestConstruction:
                 array[0] = 0.0
         x = np.array([1.0, 0.5])
         assert problem.objective(x) == 0.0 == opt
-        assert problem.lip_const == lip == problem_constants(problem.a_matrix).lip_const
+        rebuilt = TestProblem(LeastSquaresObjective(problem.a_matrix, problem.b_vector))
+        assert problem.lip_const == lip == rebuilt.lip_const
+
+
+def constants_of(a, b):
+    return TestProblem(LeastSquaresObjective(a, b))
 
 
 class TestConstants:
     def test_identity_matrix(self):
-        consts = problem_constants(np.eye(4))
+        consts = constants_of(np.eye(4), np.array([1.0, 2.0, 0.0, -1.0]))
         assert consts.lip_const == pytest.approx(2.0, rel=1e-12)
         assert consts.pl_const == pytest.approx(2.0, rel=1e-12)
-        assert consts.opt_value(np.array([1.0, 2.0, 0.0, -1.0])) == pytest.approx(
-            0.0, abs=1e-24
-        )
+        assert consts.opt_value == pytest.approx(0.0, abs=1e-24)
 
     def test_diagonal_by_hand(self):
         # A = diag(3, 1): eigenvalues of A^T A are 9 and 1
-        consts = problem_constants(np.diag([3.0, 1.0]))
+        consts = constants_of(np.diag([3.0, 1.0]), np.zeros(2))
         assert consts.lip_const == pytest.approx(18.0, rel=1e-12)
         assert consts.pl_const == pytest.approx(2.0, rel=1e-12)
 
@@ -103,23 +105,18 @@ class TestConstants:
         gen = np.random.default_rng(8)
         a = np.outer(gen.standard_normal(4), gen.standard_normal(6))
         b = gen.standard_normal(4)
-        consts = problem_constants(a)
         x_ls, *_ = np.linalg.lstsq(a, b, rcond=None)
         r = a @ x_ls - b
-        assert consts.opt_value(b) == pytest.approx(float(r @ r), rel=1e-9)
+        assert constants_of(a, b).opt_value == pytest.approx(float(r @ r), rel=1e-9)
 
     def test_rank_zero_rejected(self):
         with pytest.raises(ValueError, match="rank 0"):
-            problem_constants(np.zeros((3, 5)))
+            constants_of(np.zeros((3, 5)), np.zeros(3))
 
     def test_problem_derives_its_constants_from_its_objective(self):
         a = np.random.default_rng(3).standard_normal((3, 5))
         b = np.arange(3.0)
         problem = TestProblem(LeastSquaresObjective(a, b), seed=4, noise_std=0.5)
-        consts = problem_constants(problem.objective.a_matrix)
-        assert problem.lip_const == consts.lip_const
-        assert problem.pl_const == consts.pl_const
-        assert problem.opt_value == consts.opt_value(b)
         assert problem.a_matrix is problem.objective.a_matrix
         assert problem.b_vector is problem.objective.b_vector
         with pytest.raises(TypeError):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -227,6 +229,12 @@ def block_configs(size, seed=300, **kwargs):
     return [config(seed=seed + i, **kwargs) for i in range(size)]
 
 
+def diverging_block():
+    """A block of three runs that all diverge (module level, for a pool)."""
+    cfgs = block_configs(3, mu=1e-3, step=1e9, iters=500)
+    return random_search(scalar_problem().objective, np.array([1.0]), cfgs)
+
+
 def run_block(f, x0, cfgs, feasible_set=None, on_iterate=None):
     if feasible_set is None:
         return random_search(f, x0, cfgs, on_iterate=on_iterate)
@@ -359,6 +367,20 @@ class TestBlocks:
             with pytest.raises(DivergenceError) as alone:
                 random_search(problem.objective, np.array([1.0]), cfg)
             assert str(outcome) == str(alone.value)
+
+    def test_a_diverged_run_survives_pickling(self):
+        # a pool worker hands its block back pickled; the default exception
+        # pickle rebuilt a DivergenceError from its message alone and failed
+        error = pickle.loads(pickle.dumps(DivergenceError(3, 1.5, "f(x) = nan")))
+        assert (error.iteration, error.point_norm, error.detail) == (3, 1.5, "f(x) = nan")
+        assert str(error) == "run aborted at iteration 3 (point norm 1.5): f(x) = nan"
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            block = pool.submit(diverging_block).result(timeout=60)
+        for outcome, local in zip(block.outcomes, diverging_block().outcomes):
+            assert isinstance(outcome, DivergenceError)
+            assert (outcome.iteration, outcome.point_norm, str(outcome)) == (
+                local.iteration, local.point_norm, str(local)
+            )
 
     def test_hook_gets_a_nan_row_once_a_run_has_diverged(self):
         f, x0, cfgs, diverged = self.wall(1e-6)
