@@ -177,13 +177,15 @@ def oracle_variance_candidate(
     if mode == "c11":
         if grad_norm is None or grad_norm < 0:
             raise ValueError("mode 'c11' requires a nonnegative grad_norm")
-        return _c11_sigma_sq(mu, n, lip_const, grad_norm**2)
+        return float(_c11_sigma_sq(mu, n, lip_const, grad_norm**2))
     raise ValueError(f"mode must be 'c00' or 'c11', got {mode!r}")
 
 
-def _c11_sigma_sq(mu: float, n: int, lip_const: float, grad_sq):
-    """The c11 candidate from squared gradient norms (a float or an array), unvalidated."""
-    return mu**2 * lip_const**2 * (n + 6) ** 3 / 2.0 + 2.0 * (n + 4) * grad_sq
+def _c11_sigma_sq(mu: float, n: int, lip_const: float, grad_sq, out=None):
+    """The c11 candidate from squared gradient norms (a float or an array),
+    unvalidated; into out when given, which may be grad_sq itself."""
+    floor = mu**2 * lip_const**2 * (n + 6) ** 3 / 2.0
+    return np.add(floor, np.multiply(2.0 * (n + 4), grad_sq, out=out), out=out)
 
 
 def prox_quantity(
@@ -208,15 +210,22 @@ def prox_quantity(
 
 
 def _prox_values(
-    feasible_set: FeasibleSet, x: np.ndarray, a: float, vec: np.ndarray, dot
+    feasible_set: FeasibleSet,
+    x: np.ndarray,
+    a: float,
+    vec: np.ndarray,
+    dot,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """The prox_quantity formula, unchecked; dot reduces the last axis.
 
     vec may be a stack against one x.  np.vecdot gives each row the bits of
     a single call; probe_deviation passes _einsum_rows, whose bits it pins.
+    scratch, an array shaped like vec that shares no memory with x or vec,
+    takes the point to project and then z - x in place of new arrays.
     """
-    z = feasible_set.project(x - vec / a)
-    dz = z - x
+    z = feasible_set.project(np.subtract(x, np.divide(vec, a, out=scratch), out=scratch))
+    dz = np.subtract(z, x, out=scratch)
     return -2.0 * a * (0.5 * a * dot(dz, dz) + dot(vec, dz))
 
 
@@ -363,14 +372,24 @@ def probe_deviation(
     fx = _eval_one(problem.objective, x)
 
     xi_norms, g_sq, t_values = (np.empty(num_samples) for _ in range(3))
+    # two (block, n) buffers serve every block: the estimates, and the
+    # scratch for g - grad and the prox terms
+    rows = max(hi - lo for lo, hi in _blocks(num_samples, SAMPLE_BLOCK))
+    g_buf, scratch_buf = np.empty((rows, n)), np.empty((rows, n))
     for lo, hi in _blocks(num_samples, SAMPLE_BLOCK):
         u = sample_directions(cfg, n, counter, hi - lo, sampler=sampler)
-        g = oracle_eval(problem.objective, x, u, cfg, fx=fx)
+        g = oracle_eval(problem.objective, x, u, cfg, fx=fx, out=g_buf[: hi - lo])
+        scratch = scratch_buf[: hi - lo]
         if lo == 0:
-            g_first = g[0]
-        xi_norms[lo:hi] = np.linalg.norm(g - grad, axis=1)
+            g_first = g[0].copy()  # the buffer is overwritten by later blocks
+        # np.linalg.norm(g - grad, axis=1), operation for operation
+        xi = xi_norms[lo:hi]
+        d = np.subtract(g, grad, out=scratch)
+        np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=1, out=xi), out=xi)
         g_sq[lo:hi] = _einsum_rows(g, g)
-        t_values[lo:hi] = _prox_values(feasible_set, x, problem.lip_const, g, _einsum_rows)
+        t_values[lo:hi] = _prox_values(
+            feasible_set, x, problem.lip_const, g, _einsum_rows, scratch=scratch
+        )
     xi_sq = xi_norms**2
     (mean_xi, se_xi), (mean_xi_sq, se_xi_sq), (mean_g_sq, se_g_sq), (t_mean, t_se) = (
         map(float, _mean_and_stderr(samples)) for samples in (xi_norms, xi_sq, g_sq, t_values)

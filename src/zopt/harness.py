@@ -549,7 +549,9 @@ def _execute_run(task: _RunTask) -> tuple[list, np.ndarray | None]:
     sigma_sq = None
     if grad_sq is not None:
         mu = task.solvers[0].oracle.mu  # the runs of a block share it
-        sigma_sq = _c11_sigma_sq(mu, problem.dim, problem.lip_const, grad_sq.T)
+        # in place: the (runs, N + 1) rows are a transposed view of grad_sq
+        sigma_sq = grad_sq.T
+        _c11_sigma_sq(mu, problem.dim, problem.lip_const, sigma_sq, out=sigma_sq)
     return block.outcomes, sigma_sq
 
 

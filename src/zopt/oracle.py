@@ -88,11 +88,12 @@ class OracleConfig:
     def b_dim(self) -> int | None:
         return None if self.b_matrix is None else self.b_matrix.shape[0]
 
-    def apply_b(self, u: np.ndarray) -> np.ndarray:
-        """B u, row by row over leading axes. Identity B returns the input."""
+    def apply_b(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """B u, row by row over leading axes, into out when given. Identity B
+        returns the input."""
         if self.b_matrix is None:
             return u
-        return np.vecmat(u, self.b_matrix)
+        return np.vecmat(u, self.b_matrix, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,12 +184,25 @@ def _eval_many(f: Callable, points: np.ndarray) -> np.ndarray:
     return values
 
 
+def _check_out(out: np.ndarray, x: np.ndarray, u: np.ndarray) -> None:
+    if x.ndim != 1 or u.ndim != 2:
+        raise ValueError("out is for one point x and a (k, n) block of directions u")
+    # a C-contiguous float64 buffer meets f.batch as a fresh array would
+    ok = isinstance(out, np.ndarray) and out.dtype == np.float64 and out.flags.c_contiguous
+    if not ok or out.shape != u.shape:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {u.shape}")
+    # u is read again for B u after out holds the shifted points
+    if np.shares_memory(out, x) or np.shares_memory(out, u):
+        raise ValueError("out must not share memory with x or u")
+
+
 def oracle_eval(
     f: Callable,
     x: np.ndarray,
     u: np.ndarray,
     cfg: OracleConfig,
     fx: float | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Two-point gradient estimate ((f(x + mu u) - f(x)) / mu) * B u.
 
@@ -200,6 +214,11 @@ def oracle_eval(
     the (k,) values at the points, and a non-finite value raises an
     EvaluationError whose row is the first failing pair.  Pass fx to reuse
     an already paid evaluation at x.
+
+    out, for one x and a (k, n) block u only, is a C-contiguous float64
+    (k, n) buffer that shares no memory with x or u: it holds the shifted
+    points while f evaluates them, then the estimate, which is returned in
+    it with the bits of the call without out.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -207,6 +226,8 @@ def oracle_eval(
     if not (paired or x.ndim == 1 and u.ndim in (1, 2) and u.shape[-1] == x.size):
         raise ValueError(f"shape mismatch: x {x.shape} vs u {u.shape}")
     _check_dim(cfg, x.shape[-1])
+    if out is not None:
+        _check_out(out, x, u)
     if paired:
         if fx is None:
             fx = _check_rows(_eval_rows(f, x), x)
@@ -218,8 +239,11 @@ def oracle_eval(
     if u.ndim == 1:
         fxp = _eval_one(f, x + cfg.mu * u)
         return ((fxp - fx) / cfg.mu) * cfg.apply_b(u)
-    fxp = _eval_many(f, x + cfg.mu * u)
-    return ((fxp - fx) / cfg.mu)[:, None] * cfg.apply_b(u)
+    # x + mu u and the estimate are each written into out when it is given;
+    # its shifted points are spent before B u overwrites them
+    shifted = np.add(x, np.multiply(cfg.mu, u, out=out), out=out)
+    coef = ((_eval_many(f, shifted) - fx) / cfg.mu)[:, None]
+    return np.multiply(coef, cfg.apply_b(u, out=out), out=out)
 
 
 def _mean_and_stderr(samples: np.ndarray) -> tuple:

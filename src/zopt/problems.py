@@ -99,7 +99,8 @@ class LeastSquaresObjective:
         return float(values) if values.ndim == 0 else values
 
     def batch(self, points: np.ndarray) -> np.ndarray:
-        r = np.asarray(points, dtype=float) @ self.a_matrix.T - self.b_vector
+        r = np.asarray(points, dtype=float) @ self.a_matrix.T
+        r -= self.b_vector
         return np.einsum("ij,ij->i", r, r)
 
 

@@ -483,22 +483,35 @@ class TestBlockBoundaries:
     # the bits of the whole-batch or per-point computation it replaced, at
     # sizes that leave a partial block.
 
-    @pytest.mark.parametrize("m, n", [(5, 20), (20, 100)])
+    # Both sample counts leave blocks of different lengths, so the reused
+    # (block, n) buffers are sliced.  A box keeps its ids of "m-n" alone.
+    @pytest.mark.parametrize(
+        "m, n, kind",
+        [
+            pytest.param(m, n, kind, id=f"{m}-{n}" + ("" if kind == "box" else f"-{kind}"))
+            for kind in ("box", "ball", "whole_space")
+            for m, n in ((5, 20), (20, 100))
+        ],
+    )
     @pytest.mark.parametrize("b_matrix", [False, True])
     @pytest.mark.parametrize("num_samples", [5 * SAMPLE_BLOCK // 2, 2 * SAMPLE_BLOCK + 10])
-    def test_probe_deviation_equals_whole_batch(self, m, n, b_matrix, num_samples):
+    def test_probe_deviation_equals_whole_batch(self, m, n, kind, b_matrix, num_samples):
         problem = make_least_squares(m, n, 0.1, 3)
-        box = Box(-0.5, 0.5, dim=n)
+        feasible_set = {
+            "box": Box(-0.5, 0.5, dim=n),
+            "ball": Ball(np.full(n, 0.1), 0.5),
+            "whole_space": WholeSpace(n),
+        }[kind]
         cfg = OracleConfig(mu=1e-3, seed=4, b_matrix=_spd(n, 5) if b_matrix else None)
-        x = box.sample(np.random.default_rng(6))
-        probe = probe_deviation(problem, box, cfg, x, num_samples, counter=7)
-        stats, g_first = _whole_batch_probe(problem, box, cfg, x, num_samples, 7)
+        x = feasible_set.sample(np.random.default_rng(6))
+        probe = probe_deviation(problem, feasible_set, cfg, x, num_samples, counter=7)
+        stats, g_first = _whole_batch_probe(problem, feasible_set, cfg, x, num_samples, 7)
         assert (probe.mean_xi_norm, probe.se_xi_norm) == stats["xi_norm"]
         assert (probe.mean_xi_sq, probe.se_xi_sq) == stats["xi_sq"]
         assert (probe.mean_g_sq, probe.se_g_sq) == stats["g_sq"]
         assert (probe.t_mean, probe.t_se) == stats["t"]
         h = 1.0 / problem.lip_const
-        assert np.array_equal(probe.s_example, gradient_map(box, x, g_first, h))
+        assert np.array_equal(probe.s_example, gradient_map(feasible_set, x, g_first, h))
 
     # Small sets keep most projections active: a probe whose two steps both
     # stay feasible has a slack of exactly 0, which would mask the others.

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from zopt import analysis, harness
 from zopt.cli import main
 from zopt.harness import read_series_csv
 from zopt.solvers import suggest_params, theorem_step_size
+
+DATA_DIR = Path(__file__).parent / "data"
 
 RUN_CONFIG = """\
 [experiment]
@@ -142,6 +145,16 @@ class TestVerify:
         rc = main(["verify", "--probes", "2", "--samples", "20", "--seed", str(2**64 - 1)])
         assert rc in (0, 1)
         assert PHASE_TIMES.fullmatch(capsys.readouterr().err)
+
+    def test_pinned_stdout_and_csv(self, capsys, tmp_path):
+        # one run with a Monte Carlo point of three sample blocks, pinned to
+        # the bit: its check lines on stdout and its CSV bytes
+        csv_path = tmp_path / "checks.csv"
+        args = ["verify", "--probes", "2500", "--samples", "10000", "--seed", "7"]
+        assert main([*args, "--csv", str(csv_path)]) == 0
+        expected = (DATA_DIR / "verify_seed7.txt").read_text(encoding="ascii")
+        assert capsys.readouterr().out == expected + f"  wrote csv: {csv_path}\n"
+        assert csv_path.read_bytes() == (DATA_DIR / "verify_seed7.csv").read_bytes()
 
     def test_phase_times_go_to_stderr_only(self, capsys, tmp_path, monkeypatch):
         # two runs differ in their phase times only, and those are not on stdout

@@ -293,6 +293,76 @@ class TestOracleEvalBlock:
             oracle_eval(f, np.zeros(2), u, OracleConfig(mu=0.1, seed=0))
 
 
+class TestOracleEvalOut:
+    # out= writes the shifted points and then the estimate into one buffer;
+    # the result must keep every bit of the call that allocates
+    @staticmethod
+    def _case(dense_b):
+        problem = make_least_squares(10, 40, 0.1, 6)
+        gen = np.random.default_rng(11)
+        b = None
+        if dense_b:
+            root = gen.standard_normal((40, 40))
+            b = root @ root.T / 40 + np.eye(40)
+        cfg = OracleConfig(mu=1e-3, b_matrix=b, seed=0)
+        return problem, cfg, gen.standard_normal(40), gen.standard_normal((70, 40))
+
+    @pytest.mark.parametrize("dense_b", [False, True])
+    @pytest.mark.parametrize("has_batch", [True, False])
+    def test_equals_allocating_call(self, dense_b, has_batch):
+        problem, cfg, x, u = self._case(dense_b)
+        f = problem.objective if has_batch else (lambda p: problem.objective(p))
+        assert hasattr(f, "batch") is has_batch
+        expected = oracle_eval(f, x, u, cfg, fx=2.5)
+        out = np.full_like(u, np.nan)
+        got = oracle_eval(f, x, u, cfg, fx=2.5, out=out)
+        assert got is out
+        assert got.tobytes() == expected.tobytes()
+
+    def test_f_sees_the_shifted_points_in_out(self):
+        problem, cfg, x, u = self._case(False)
+        out = np.empty_like(u)
+        seen = []
+
+        class Recording:
+            def __call__(self, p):
+                return problem.objective(p)
+
+            def batch(self, points):
+                seen.append((points is out, points.copy()))
+                return problem.objective.batch(points)
+
+        oracle_eval(Recording(), x, u, cfg, out=out)
+        assert seen[0][0]
+        assert seen[0][1].tobytes() == (x + cfg.mu * u).tobytes()
+
+    def test_bad_out_rejected(self):
+        problem, cfg, x, u = self._case(False)
+        f = problem.objective
+        xu = np.vstack([x, u])  # x as row 0 of one array with the directions
+        for out, message in [
+            (np.empty((69, 40)), "shape"),
+            (np.empty((70, 41)), "shape"),
+            (np.empty((70, 40), dtype=np.float32), "float64"),
+            (np.empty((40, 70)).T, "C-contiguous"),
+            (u, "share memory"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                oracle_eval(f, x, u, cfg, out=out)
+        with pytest.raises(ValueError, match="share memory"):
+            oracle_eval(f, xu[0], u, cfg, out=xu[:70])
+        with pytest.raises(ValueError, match="share memory"):
+            oracle_eval(f, x, xu[1:], cfg, out=xu[:70])
+
+    def test_out_only_for_one_point_and_a_block(self):
+        problem, cfg, x, u = self._case(False)
+        f = problem.objective
+        with pytest.raises(ValueError, match="one point x"):
+            oracle_eval(f, x, u[0], cfg, out=np.empty(40))
+        with pytest.raises(ValueError, match="one point x"):
+            oracle_eval(f, u + 1.0, u, cfg, out=np.empty_like(u))
+
+
 class TestOracleEvalPaired:
     # k points paired with k directions: row i is the single call at x[i]
     # along u[i], bit for bit, for a row-exact objective, any other
