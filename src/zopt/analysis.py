@@ -349,7 +349,6 @@ def probe_deviation(
     x: np.ndarray,
     num_samples: int,
     counter: int,
-    step_size: float | None = None,
 ) -> DeviationProbe:
     """Estimate deviation moments and the projected decrease at one point.
 
@@ -359,14 +358,14 @@ def probe_deviation(
     rows is drawn, evaluated and reduced to per-sample values before the
     next one is drawn, so only those values grow with num_samples.  Each
     row is bit for bit as in one draw and one batched oracle_eval call over
-    all of them, but for a dense B whose per-block transform runs another
-    BLAS kernel than one over all rows (the README's Determinism section).
+    all of them.  The projected steps take the constrained theorem step
+    1 / lip_const.
     """
     if num_samples < 2:
         raise ValueError("num_samples must be at least 2")
     x = np.asarray(x, dtype=float)
     n = x.size
-    h = theorem_step_size("constrained", n, problem.lip_const) if step_size is None else step_size
+    h = theorem_step_size("constrained", n, problem.lip_const)
     grad = problem.grad(x)
     sampler = SubstreamSampler(cfg.seed)
     fx = _eval_one(problem.objective, x)
@@ -527,9 +526,7 @@ def verify_oracle_inequalities(
     jensen, deviation, decrease = [], [], []  # per point: (slack, violated)
     for j in range(num_mc_points):
         x = feasible_set.sample(gen)
-        probe = probe_deviation(
-            problem, feasible_set, cfg, x, num_samples, counter=10**6 + j, step_size=h
-        )
+        probe = probe_deviation(problem, feasible_set, cfg, x, num_samples, counter=10**6 + j)
         slack = math.sqrt(probe.mean_xi_sq) - probe.mean_xi_norm
         jensen.append((slack, slack < -1e-12))
 

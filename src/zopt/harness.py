@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import math
 import re
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -288,10 +289,10 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-def _finite_diameter(d_x: float) -> float:
+def _finite_diameter(d_x: float, path: str | None = None) -> float:
     """The diameter of a constrained experiment's set, which must be finite."""
     if not math.isfinite(d_x):
-        raise ConfigError("constrained scenario requires a finite-diameter set")
+        raise ConfigError("constrained scenario requires a finite-diameter set", path=path)
     return d_x
 
 
@@ -624,7 +625,7 @@ def run_experiment(
     d_x = None
     if mode == "constrained":
         feasible = set_from_spec(config.set_spec or {}, n)
-        d_x = _finite_diameter(feasible.diameter())
+        d_x = _finite_diameter(feasible.diameter(), config.source_path)
 
     mu = config.mu
     if mu is None:
@@ -632,9 +633,8 @@ def run_experiment(
             mu, _ = suggest_params(mode, config.eps, n, lip, pl, d_x=d_x)
         except ValueError as exc:
             raise ConfigError(f"[solver] mu = auto: {exc}", path=config.source_path) from exc
-    step = config.step_size
-    if step is None:
-        step = theorem_step_size(mode, n, lip)
+    analyzed = theorem_step_size(mode, n, lip)
+    step = analyzed if config.step_size is None else config.step_size
 
     metadata = {
         "scenario": mode,
@@ -672,6 +672,13 @@ def run_experiment(
                     path=config.source_path,
                 )
 
+    if mode == "constrained" and step > analyzed:
+        # once, before any block starts: the blocks may run in other processes
+        warnings.warn(
+            f"step size {step:.3g} exceeds 1/lip_const {analyzed:.3g}; the projected "
+            "scheme's guarantees assume steps at or below it",
+            stacklevel=2,
+        )
     collect_sigma = config.bound_overlay and mode == "constrained"
     solvers = [
         SolverConfig(
@@ -679,7 +686,6 @@ def run_experiment(
             step_size=float(step),
             num_iters=config.num_iters,
             record_stride=config.record_stride,
-            lip_const=lip,
         )
         for i in range(config.num_runs)
     ]
@@ -736,7 +742,6 @@ def run_experiment(
             d_x=d_x,
             sigma_seq=sigma_seq,
         )
-        analyzed = theorem_step_size(mode, n, lip)
         if not math.isclose(step, analyzed, rel_tol=1e-9):
             metadata["bound_step_note"] = (
                 "step size differs from the analyzed one; leading bound term "

@@ -1,11 +1,10 @@
 """Gaussian direction sampling and two-point gradient estimation.
 
-Directions u are drawn from N(0, B^-1) for a symmetric positive definite
-matrix B (identity by default); the Gaussian weight uses the B-weighted
-quadratic form, so its normalizer never needs to be evaluated, sampling
-replaces the integral.  The two-point estimate
+Directions u are drawn from the standard normal N(0, I); sampling replaces
+the smoothing integral, so the Gaussian normalizer is never evaluated.  The
+two-point estimate
 
-    g = ((f(x + mu * u) - f(x)) / mu) * B u
+    g = ((f(x + mu * u) - f(x)) / mu) * u
 
 uses exactly two function evaluations and is an unbiased estimate of the
 gradient of the smoothed objective f_mu(x) = E[f(x + mu * u)].  oracle_eval
@@ -49,51 +48,20 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class OracleConfig:
-    """Smoothing scale, direction covariance, and RNG root seed.
+    """Smoothing scale and RNG root seed.
 
-    mu is the smoothing parameter (in units of x).  b_matrix is B itself;
-    None means identity.  Directions are sampled with covariance B^-1 via
-    the Cholesky factor of B, so a non-SPD matrix fails at construction
-    rather than at sample time.  All arithmetic is float64: mu can be as
-    small as 1e-10, which a 32-bit difference quotient would underflow.
+    mu is the smoothing parameter (in units of x).  All arithmetic is
+    float64: mu can be as small as 1e-10, which a 32-bit difference
+    quotient would underflow.
     """
 
     mu: float
-    b_matrix: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         object.__setattr__(self, "seed", _check_u64(self.seed, "seed"))
-        if self.b_matrix is None:
-            object.__setattr__(self, "_sample_transform", None)
-            return
-        b = np.array(self.b_matrix, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError(f"b_matrix must be square, got shape {b.shape}")
-        if not np.isfinite(b).all():
-            raise ValueError("b_matrix must be finite")
-        if not np.allclose(b, b.T, rtol=1e-12, atol=1e-12):
-            raise ValueError("b_matrix must be symmetric")
-        try:
-            chol = np.linalg.cholesky(b)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("b_matrix must be positive definite") from exc
-        object.__setattr__(self, "b_matrix", b)
-        # u = z @ inv(L) has covariance (L L^T)^-1 = B^-1 for standard normal z
-        object.__setattr__(self, "_sample_transform", np.linalg.inv(chol))
-
-    @property
-    def b_dim(self) -> int | None:
-        return None if self.b_matrix is None else self.b_matrix.shape[0]
-
-    def apply_b(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """B u, row by row over leading axes, into out when given. Identity B
-        returns the input."""
-        if self.b_matrix is None:
-            return u
-        return np.vecmat(u, self.b_matrix, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,15 +73,6 @@ class MonteCarloEstimate:
     num_samples: int
 
 
-def _check_dim(cfg: OracleConfig, dim: int) -> int:
-    dim = int(dim)
-    if dim <= 0:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    if cfg.b_dim is not None and cfg.b_dim != dim:
-        raise ValueError(f"b_matrix is {cfg.b_dim}x{cfg.b_dim} but dimension is {dim}")
-    return dim
-
-
 def sample_directions(
     cfg: OracleConfig,
     dim: int,
@@ -121,23 +80,21 @@ def sample_directions(
     num: int,
     sampler: SubstreamSampler | None = None,
 ) -> np.ndarray:
-    """Draw `num` directions from N(0, B^-1) as a (num, dim) array.
+    """Draw `num` standard normal directions as a (num, dim) array.
 
     The block is read sequentially from substream `counter` of cfg.seed
     through `sampler`, a SubstreamSampler rooted at cfg.seed (a fresh one
     when None); a reused sampler continues where its previous call stopped
     when that call had the same counter.
     """
-    dim = _check_dim(cfg, dim)
+    dim = int(dim)
+    if dim <= 0:
+        raise ValueError(f"dimension must be positive, got {dim}")
     if num <= 0:
         raise ValueError(f"num must be positive, got {num}")
     if sampler is None:
         sampler = SubstreamSampler(cfg.seed)
-    z = sampler.standard_normal(counter, (num, dim))
-    transform = getattr(cfg, "_sample_transform")
-    if transform is None:
-        return z
-    return z @ transform
+    return sampler.standard_normal(counter, (num, dim))
 
 
 def _nonfinite(value: float, point: np.ndarray, row: int | None = None) -> EvaluationError:
@@ -191,7 +148,7 @@ def _check_out(out: np.ndarray, x: np.ndarray, u: np.ndarray) -> None:
     ok = isinstance(out, np.ndarray) and out.dtype == np.float64 and out.flags.c_contiguous
     if not ok or out.shape != u.shape:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {u.shape}")
-    # u is read again for B u after out holds the shifted points
+    # u is read again for the estimate after out holds the shifted points
     if np.shares_memory(out, x) or np.shares_memory(out, u):
         raise ValueError("out must not share memory with x or u")
 
@@ -204,7 +161,7 @@ def oracle_eval(
     fx: float | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Two-point gradient estimate ((f(x + mu u) - f(x)) / mu) * B u.
+    """Two-point gradient estimate ((f(x + mu u) - f(x)) / mu) * u.
 
     u is one direction (n,) or a (k, n) block of k directions, whose rows
     share one f(x) and whose shifted points go to f.batch when f has one
@@ -225,7 +182,8 @@ def oracle_eval(
     paired = x.ndim == 2 and u.shape == x.shape
     if not (paired or x.ndim == 1 and u.ndim in (1, 2) and u.shape[-1] == x.size):
         raise ValueError(f"shape mismatch: x {x.shape} vs u {u.shape}")
-    _check_dim(cfg, x.shape[-1])
+    if x.shape[-1] == 0:
+        raise ValueError("dimension must be positive, got 0")
     if out is not None:
         _check_out(out, x, u)
     if paired:
@@ -233,17 +191,17 @@ def oracle_eval(
             fx = _check_rows(_eval_rows(f, x), x)
         shifted = x + cfg.mu * u
         fxp = _check_rows(_eval_rows(f, shifted), shifted)
-        return ((fxp - fx) / cfg.mu)[:, None] * cfg.apply_b(u)
+        return ((fxp - fx) / cfg.mu)[:, None] * u
     if fx is None:
         fx = _eval_one(f, x)
     if u.ndim == 1:
         fxp = _eval_one(f, x + cfg.mu * u)
-        return ((fxp - fx) / cfg.mu) * cfg.apply_b(u)
+        return ((fxp - fx) / cfg.mu) * u
     # x + mu u and the estimate are each written into out when it is given;
-    # its shifted points are spent before B u overwrites them
+    # its shifted points are spent before the estimate overwrites them
     shifted = np.add(x, np.multiply(cfg.mu, u, out=out), out=out)
     coef = ((_eval_many(f, shifted) - fx) / cfg.mu)[:, None]
-    return np.multiply(coef, cfg.apply_b(u, out=out), out=out)
+    return np.multiply(coef, u, out=out)
 
 
 def _mean_and_stderr(samples: np.ndarray) -> tuple:

@@ -150,7 +150,9 @@ class Box(FeasibleSet):
         return ((x >= lower) & (x <= upper)).all(axis=-1)
 
     def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
+        # a norm past the largest float is inf, as it is in plain arithmetic
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.upper - self.lower))
 
     def sample(self, gen: np.random.Generator, num: int | None = None) -> np.ndarray:
         # one call fills the rows in order, as num calls would
@@ -298,12 +300,16 @@ def spec_diameter(spec: dict, dim: int) -> float:
     """The diameter of set_from_spec(spec, dim), after the same checks.
 
     When every value is one number, the checks run on the same set in one
-    dimension and its diameter is scaled up (a box's by sqrt(dim)), so no
-    dim-vector is built and a spec of any dimension costs the same.  The
-    scaled value can differ from the built set's in the last bits, and so
-    about where it overflows to inf.
+    dimension, so no dim-vector is built and a spec of any dimension costs
+    the same.  A box's diameter is then sqrt(dim * width**2): the built
+    box's norm sums the dim squared widths before the root, so both
+    overflow to inf at the same widths, up to rounding in the last bits.
     """
     kind, values = _spec_values(spec, dim)
     if any(np.ndim(v) for v in values.values()):
         return _build(kind, values, dim).diameter()
-    return _build(kind, values, 1).diameter() * (math.sqrt(dim) if kind == "box" else 1.0)
+    one = _build(kind, values, 1)
+    if kind != "box":
+        return one.diameter()
+    width = values["upper"] - values["lower"]  # Python floats: inf, no warning
+    return math.sqrt(dim * (width * width))

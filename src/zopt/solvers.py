@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,15 +61,13 @@ class SolverConfig:
 
     record_stride thins stored iterate vectors (values f(x_k) are always
     kept densely; a full iterate trajectory at n = 1000, N = 200000 would
-    be 1.6 GB per run).  lip_const is optional and only used to warn when a
-    constrained run uses a step size above 1 / lip_const.
+    be 1.6 GB per run).
     """
 
     oracle: OracleConfig
     step_size: float
     num_iters: int
     record_stride: int = 1
-    lip_const: float | None = None
 
     def __post_init__(self):
         if not 0 < self.step_size < math.inf:
@@ -79,8 +76,6 @@ class SolverConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.lip_const is not None and not 0 < self.lip_const < math.inf:
-            raise ValueError(f"lip_const must be positive and finite, got {self.lip_const}")
 
 
 @dataclass(eq=False)
@@ -141,9 +136,8 @@ class RunBlock:
 
 
 def _same_but_seed(a: SolverConfig, b: SolverConfig) -> bool:
-    return np.array_equal(a.oracle.b_matrix, b.oracle.b_matrix) and (
-        (a.step_size, a.num_iters, a.record_stride, a.lip_const, a.oracle.mu)
-        == (b.step_size, b.num_iters, b.record_stride, b.lip_const, b.oracle.mu)
+    return (a.step_size, a.num_iters, a.record_stride, a.oracle.mu) == (
+        b.step_size, b.num_iters, b.record_stride, b.oracle.mu
     )
 
 
@@ -177,13 +171,6 @@ def _run(
             )
         if not feasible_set.contains(x):
             raise ValueError("x0 is infeasible")
-        if cfg.lip_const is not None and cfg.step_size > 1.0 / cfg.lip_const:
-            warnings.warn(
-                f"step size {cfg.step_size:.3g} exceeds 1/lip_const "
-                f"{1.0 / cfg.lip_const:.3g}; the projected scheme's guarantees "
-                "assume steps at or below it",
-                stacklevel=4,
-            )
 
     num_runs = len(cfgs)
     num_iters = cfg.num_iters

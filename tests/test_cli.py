@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ from zopt.cli import main
 from zopt.harness import read_series_csv
 from zopt.solvers import suggest_params, theorem_step_size
 
+ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = Path(__file__).parent / "data"
 
 RUN_CONFIG = """\
@@ -33,6 +37,10 @@ record_stride = 50
 [outputs]
 csv_path = cli_out.csv
 """
+# RUN_CONFIG as a projected run on a box
+BOX_RUN_CONFIG = RUN_CONFIG.replace("scenario = unconstrained", "scenario = constrained") + (
+    "\n[set]\nkind = box\nlower = -0.5\nupper = 0.5\n"
+)
 
 
 class TestSuggest:
@@ -200,6 +208,41 @@ class TestRun:
         csv_text = (tmp_path / "cli_out.csv").read_text()
         assert "# diverged_runs = 0,1,4,5\n" in csv_text
         assert "iteration" not in csv_text
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_oversized_projected_step_warns_once(self, tmp_path, jobs):
+        # a child process, so that a warning from a pool worker reaches stderr too
+        cfg = tmp_path / "steep_box.cfg"
+        cfg.write_text(BOX_RUN_CONFIG.replace("step_size = theorem", "step_size = 1.0"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "zopt.cli", "run", "--config", str(cfg),
+             "--out-dir", str(tmp_path), "--jobs", jobs],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        warning = "UserWarning: step size 1 exceeds 1/lip_const"
+        assert proc.stderr.count(warning) == 1, proc.stderr
+
+    @pytest.mark.filterwarnings("error")
+    def test_box_whose_diameter_overflows_exits_2_at_its_set(self, tmp_path, capsys):
+        # 0.5e154 is finite in one dimension, but the 40 squared widths overflow,
+        # so the built box's diameter is inf: loading refuses the [set], and no
+        # numpy overflow warning may be raised on the way
+        text = BOX_RUN_CONFIG.replace("n = 8", "n = 40")
+        text = text.replace("lower = -0.5", "lower = -0.5e154")
+        text = text.replace("upper = 0.5", "upper = 0.5e154")
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        line = text.splitlines().index("[set]") + 1
+        message = f"{cfg}:{line}: constrained scenario requires a finite-diameter set\n"
+        assert captured.err == message
+        assert captured.out == ""
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin.cfg"

@@ -7,6 +7,8 @@ import pytest
 
 import zopt
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 @pytest.mark.parametrize("name", sorted(info.name for info in pkgutil.iter_modules(zopt.__path__)))
 def test_all_names_resolve(name):
@@ -64,3 +66,11 @@ def test_unused_import_detector():
 def test_no_module_imports_a_name_it_never_uses(path):
     # the package's __init__ imports only to re-export, so it is exempt
     assert imported_but_unused(path.read_text(encoding="utf-8")) == []
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's Python must keep running against the current API
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {})
+    assert capsys.readouterr().out.startswith("best value ")

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -691,7 +692,6 @@ class TestRunExperiment:
                 step_size=1.0 / problem.lip_const,
                 num_iters=200,
                 record_stride=50,
-                lip_const=problem.lip_const,
             )
             for i in range(7)
         )
@@ -763,6 +763,25 @@ class TestRunExperiment:
         cfg = small_config(scenario="constrained", set_spec={"kind": "whole_space"})
         with pytest.raises(ConfigError, match="finite-diameter"):
             run_experiment(cfg, jobs=1)
+
+    def test_run_time_diameter_error_names_the_config(self):
+        cfg = small_config(
+            scenario="constrained",
+            set_spec={"kind": "box", "lower": "-1e308", "upper": "1e308"},
+            source_path="exp.cfg",
+        )
+        with pytest.raises(ConfigError, match=r"^exp\.cfg: constrained scenario requires"):
+            run_experiment(cfg, jobs=1)
+
+    def test_oversized_projected_step_warns(self):
+        lip = make_least_squares(3, 8, 0.1, 7).lip_const
+        box = {"kind": "box", "lower": "-0.5", "upper": "0.5"}
+        kwargs = {"scenario": "constrained", "set_spec": box, "num_iters": 5, "num_runs": 2}
+        with pytest.warns(UserWarning, match="step size"):
+            run_experiment(small_config(step_size=10.0 / lip, **kwargs), jobs=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_experiment(small_config(step_size=1.0 / lip, **kwargs), jobs=1)
 
     def test_auto_mu_without_finite_iteration_count_rejected(self):
         cfg = small_config(mu=None, eps=1e-320)

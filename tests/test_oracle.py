@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from zopt.analysis import SAMPLE_BLOCK, _blocks
 from zopt.oracle import (
     EvaluationError,
     OracleConfig,
@@ -24,25 +23,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="mu"):
             OracleConfig(mu=-0.1)
 
-    def test_rejects_non_spd_matrix(self):
-        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(ValueError, match="positive definite"):
-            OracleConfig(mu=1.0, b_matrix=indefinite)
-
-    def test_rejects_asymmetric_matrix(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            OracleConfig(mu=1.0, b_matrix=np.array([[1.0, 0.5], [0.0, 1.0]]))
-
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError, match="seed"):
             OracleConfig(mu=1.0, seed=-1)
 
-    def test_rejects_infinite_mu_and_b(self):
+    def test_rejects_infinite_mu(self):
         with pytest.raises(ValueError, match="mu must be positive and finite"):
             OracleConfig(mu=np.inf)
-        # B = [[inf]] drew only zero directions, so no run ever moved
-        with pytest.raises(ValueError, match="b_matrix must be finite"):
-            OracleConfig(mu=1.0, b_matrix=np.array([[np.inf]]))
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), "3"])
     def test_rejects_non_integer_seed(self, seed):
@@ -64,13 +51,6 @@ class TestSampling:
         assert np.all(np.abs(u.mean(axis=0)) < 5 * se)
         cov = np.cov(u.T)
         assert np.max(np.abs(cov - np.eye(2))) < 0.05
-
-    def test_general_b_covariance(self):
-        # covariance of the sampled directions is the inverse of B
-        cfg = OracleConfig(mu=1.0, b_matrix=np.diag([4.0, 1.0]), seed=7)
-        u = sample_directions(cfg, 2, counter=3, num=100_000)
-        cov = np.cov(u.T)
-        assert np.max(np.abs(cov - np.diag([0.25, 1.0]))) < 0.05
 
     def test_same_counter_is_deterministic(self):
         cfg = OracleConfig(mu=0.1, seed=99)
@@ -95,11 +75,6 @@ class TestSampling:
             fresh = substream(31, counter).standard_normal((3, 4))
             fast = sampler.standard_normal(counter, (3, 4))
             assert np.array_equal(fresh, fast)
-
-    def test_dimension_must_match_b(self):
-        cfg = OracleConfig(mu=1.0, b_matrix=np.eye(3))
-        with pytest.raises(ValueError, match="dimension"):
-            sample_directions(cfg, 4, 0, 1)
 
 
 class TestCounterRange:
@@ -147,36 +122,20 @@ class TestCounterRange:
 class TestSubstreamReader:
     # probe_deviation reads its directions block by block through one
     # SubstreamSampler called on one counter; the stacked blocks must be the
-    # bits of one sample_directions call
+    # bits of one sample_directions call ("identity" names the direction
+    # covariance, kept in the ids from when a diagonal one was a second case)
     @pytest.mark.parametrize(
-        "sizes", [[1] * 9, [1, 3, 7, 2, 1], [40, 1, 17]], ids=["rows", "uneven", "long"]
+        "sizes",
+        [[1] * 9, [1, 3, 7, 2, 1], [40, 1, 17]],
+        ids=["identity-rows", "identity-uneven", "identity-long"],
     )
-    @pytest.mark.parametrize(
-        "b_matrix", [None, np.diag(np.arange(1.0, 7.0))], ids=["identity", "diagonal_b"]
-    )
-    def test_blocks_equal_one_call(self, sizes, b_matrix):
-        # a diagonal B keeps the transform exact whatever the block shape;
-        # a dense B keeps it only where each block's gemm runs the kernel of
-        # the whole product, as at the sizes of the next test
-        cfg = OracleConfig(mu=1.0, b_matrix=b_matrix, seed=23)
+    def test_blocks_equal_one_call(self, sizes):
+        cfg = OracleConfig(mu=1.0, seed=23)
         sampler = SubstreamSampler(23)
         blocks = [sample_directions(cfg, 6, 2**63 + 5, k, sampler=sampler) for k in sizes]
         assert [len(b) for b in blocks] == sizes
         whole = sample_directions(cfg, 6, 2**63 + 5, sum(sizes))
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
-
-    @pytest.mark.parametrize("n", [20, 100])
-    def test_dense_b_over_near_equal_blocks(self, n):
-        root = np.random.default_rng(n).standard_normal((n, n))
-        cfg = OracleConfig(mu=1.0, b_matrix=np.eye(n) + root @ root.T / n, seed=4)
-        num = 2 * SAMPLE_BLOCK + 10
-        sampler = SubstreamSampler(4)
-        blocks = [
-            sample_directions(cfg, n, 7, hi - lo, sampler=sampler)
-            for lo, hi in _blocks(num, SAMPLE_BLOCK)
-        ]
-        assert len(blocks) == 3
-        assert np.concatenate(blocks).tobytes() == sample_directions(cfg, n, 7, num).tobytes()
 
     def test_repeated_counter_reads_on(self):
         sampler = SubstreamSampler(23)
@@ -246,22 +205,22 @@ class TestOracleEval:
 
 
 class TestOracleEvalBlock:
-    # f has no batch method and B is the identity or diagonal, so every row
-    # of a block call does the same float operations as a single call: each
-    # entry of B u is then one product in either BLAS path
+    # f has no batch method, so every row of a block call does the same
+    # float operations as a single call
     N = 6
 
     @staticmethod
     def f(p):
         return float(np.sum(np.arange(1.0, 7.0) * p**2) + p[0])
 
-    @pytest.mark.parametrize("b_matrix", [None, np.diag(np.arange(1.0, 7.0))])
-    @pytest.mark.parametrize("fx", [None, 1.25])
-    def test_block_equals_single_calls(self, b_matrix, fx):
+    # the "-None" in each id is the (identity) direction covariance, kept
+    # from when a diagonal one was a second case
+    @pytest.mark.parametrize("fx", [None, 1.25], ids=lambda fx: f"{fx}-None")
+    def test_block_equals_single_calls(self, fx):
         gen = np.random.default_rng(4)
         x = gen.standard_normal(self.N)
         u = gen.standard_normal((9, self.N))
-        cfg = OracleConfig(mu=1e-2, b_matrix=b_matrix, seed=0)
+        cfg = OracleConfig(mu=1e-2, seed=0)
         block = oracle_eval(self.f, x, u, cfg, fx=fx)
         singles = np.array([oracle_eval(self.f, x, row, cfg, fx=fx) for row in u])
         assert block.shape == (9, self.N)
@@ -276,6 +235,12 @@ class TestOracleEvalBlock:
 
         oracle_eval(f, np.ones(3), np.ones((5, 3)), OracleConfig(mu=0.1, seed=0))
         assert len(calls) == 1 + 5
+
+    @pytest.mark.parametrize("x_shape, u_shape", [((0,), (0,)), ((0,), (3, 0)), ((3, 0), (3, 0))])
+    def test_zero_dimension_rejected(self, x_shape, u_shape):
+        cfg = OracleConfig(mu=0.1, seed=0)
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            oracle_eval(self.f, np.zeros(x_shape), np.zeros(u_shape), cfg)
 
     @pytest.mark.parametrize("shape", [(4, N + 1), (2, 4, N), (N + 1,)])
     def test_bad_direction_shape_rejected(self, shape):
@@ -297,20 +262,17 @@ class TestOracleEvalOut:
     # out= writes the shifted points and then the estimate into one buffer;
     # the result must keep every bit of the call that allocates
     @staticmethod
-    def _case(dense_b):
+    def _case():
         problem = make_least_squares(10, 40, 0.1, 6)
         gen = np.random.default_rng(11)
-        b = None
-        if dense_b:
-            root = gen.standard_normal((40, 40))
-            b = root @ root.T / 40 + np.eye(40)
-        cfg = OracleConfig(mu=1e-3, b_matrix=b, seed=0)
+        cfg = OracleConfig(mu=1e-3, seed=0)
         return problem, cfg, gen.standard_normal(40), gen.standard_normal((70, 40))
 
-    @pytest.mark.parametrize("dense_b", [False, True])
-    @pytest.mark.parametrize("has_batch", [True, False])
-    def test_equals_allocating_call(self, dense_b, has_batch):
-        problem, cfg, x, u = self._case(dense_b)
+    # the "-False" in each id says no dense covariance, kept from when one
+    # was a second case
+    @pytest.mark.parametrize("has_batch", [True, False], ids=lambda b: f"{b}-False")
+    def test_equals_allocating_call(self, has_batch):
+        problem, cfg, x, u = self._case()
         f = problem.objective if has_batch else (lambda p: problem.objective(p))
         assert hasattr(f, "batch") is has_batch
         expected = oracle_eval(f, x, u, cfg, fx=2.5)
@@ -320,7 +282,7 @@ class TestOracleEvalOut:
         assert got.tobytes() == expected.tobytes()
 
     def test_f_sees_the_shifted_points_in_out(self):
-        problem, cfg, x, u = self._case(False)
+        problem, cfg, x, u = self._case()
         out = np.empty_like(u)
         seen = []
 
@@ -337,7 +299,7 @@ class TestOracleEvalOut:
         assert seen[0][1].tobytes() == (x + cfg.mu * u).tobytes()
 
     def test_bad_out_rejected(self):
-        problem, cfg, x, u = self._case(False)
+        problem, cfg, x, u = self._case()
         f = problem.objective
         xu = np.vstack([x, u])  # x as row 0 of one array with the directions
         for out, message in [
@@ -355,7 +317,7 @@ class TestOracleEvalOut:
             oracle_eval(f, x, xu[1:], cfg, out=xu[:70])
 
     def test_out_only_for_one_point_and_a_block(self):
-        problem, cfg, x, u = self._case(False)
+        problem, cfg, x, u = self._case()
         f = problem.objective
         with pytest.raises(ValueError, match="one point x"):
             oracle_eval(f, x, u[0], cfg, out=np.empty(40))
@@ -365,20 +327,16 @@ class TestOracleEvalOut:
 
 class TestOracleEvalPaired:
     # k points paired with k directions: row i is the single call at x[i]
-    # along u[i], bit for bit, for a row-exact objective, any other
-    # callable, and a dense B
-    @pytest.mark.parametrize("dense_b", [False, True])
-    @pytest.mark.parametrize("generic", [False, True])
+    # along u[i], bit for bit, for a row-exact objective and any other
+    # callable.  The last "-False" in each id says no dense covariance, kept
+    # from when one was a second case.
+    @pytest.mark.parametrize("generic", [False, True], ids=lambda g: f"{g}-False")
     @pytest.mark.parametrize("given_fx", [False, True])
-    def test_rows_equal_single_calls(self, dense_b, generic, given_fx):
+    def test_rows_equal_single_calls(self, generic, given_fx):
         problem = make_least_squares(10, 40, 0.1, 6)
         f = Objective(40, problem.objective) if generic else problem.objective
         gen = np.random.default_rng(9)
-        b = None
-        if dense_b:
-            root = gen.standard_normal((40, 40))
-            b = root @ root.T / 40 + np.eye(40)
-        cfg = OracleConfig(mu=1e-3, b_matrix=b, seed=0)
+        cfg = OracleConfig(mu=1e-3, seed=0)
         x = gen.standard_normal((5, 40))
         u = gen.standard_normal((5, 40))
         fx = problem.objective(x) if given_fx else None
@@ -388,14 +346,6 @@ class TestOracleEvalPaired:
             for xi, ui, fi in zip(x, u, problem.objective(x))
         ]
         assert paired.tobytes() == np.array(singles).tobytes()
-
-    def test_apply_b_is_row_exact(self):
-        root = np.random.default_rng(2).standard_normal((30, 30))
-        cfg = OracleConfig(mu=1.0, b_matrix=root @ root.T + np.eye(30))
-        u = np.random.default_rng(3).standard_normal((6, 30))
-        rows = cfg.apply_b(u)
-        for ui, row in zip(u, rows):
-            assert row.tobytes() == cfg.apply_b(ui).tobytes() == (ui @ cfg.b_matrix).tobytes()
 
     def test_nonfinite_value_names_its_row(self):
         def f(p):
@@ -433,24 +383,6 @@ class TestSmoothedEstimates:
         cfg = OracleConfig(mu=0.1, seed=0)
         with pytest.raises(ValueError, match="num_samples"):
             estimate_smoothed_gradient(quadratic_1d, np.zeros(1), cfg, num_samples=1)
-
-
-class TestGeneralCorrelation:
-    # exercises the full pipeline with a dense non-identity B: the Bu
-    # scaling must exactly compensate the B^-1 direction covariance
-
-    @pytest.fixture()
-    def setup(self):
-        problem = make_least_squares(3, 5, 0.1, 61)
-        x = np.random.default_rng(1).standard_normal(5)
-        m = np.random.default_rng(2).standard_normal((5, 5))
-        b = m @ m.T + 5 * np.eye(5)
-        return problem, x, OracleConfig(mu=0.05, b_matrix=b, seed=3)
-
-    def test_gradient_mode_stays_unbiased(self, setup):
-        problem, x, cfg = setup
-        est = estimate_smoothed_gradient(problem.objective, x, cfg, 200_000)
-        assert np.all(np.abs(est.value - problem.grad(x)) < 5 * est.stderr)
 
 
 class TestEstimatorProperties:

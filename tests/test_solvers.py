@@ -25,13 +25,12 @@ def scalar_problem():
     return TestProblem(LeastSquaresObjective(np.array([[1.0]]), np.array([0.0])))
 
 
-def config(mu=1e-6, seed=123, step=0.025, iters=2000, stride=100, lip=None):
+def config(mu=1e-6, seed=123, step=0.025, iters=2000, stride=100):
     return SolverConfig(
         oracle=OracleConfig(mu=mu, seed=seed),
         step_size=step,
         num_iters=iters,
         record_stride=stride,
-        lip_const=lip,
     )
 
 
@@ -99,17 +98,6 @@ class TestUnconstrainedRun:
         with pytest.raises(DivergenceError):
             random_search(f, np.array([0.0]), config(iters=5))
 
-    def test_general_correlation_matrix_converges(self):
-        problem = scalar_problem()
-        cfg = SolverConfig(
-            oracle=OracleConfig(mu=1e-6, seed=6, b_matrix=np.array([[4.0]])),
-            step_size=0.01,
-            num_iters=2000,
-            record_stride=500,
-        )
-        record = random_search(problem.objective, np.array([1.0]), cfg)
-        assert record.best_value < 1e-3
-
 
 class TestProjectedRun:
     def test_matches_unconstrained_when_projection_inactive(self):
@@ -159,17 +147,6 @@ class TestProjectedRun:
             projected_random_search(
                 problem.objective, box, np.full(4, 2.0), config(iters=10)
             )
-
-    def test_oversized_step_warns(self):
-        problem = make_least_squares(2, 4, 0.1, 16)
-        box = Box(-0.5, 0.5, dim=4)
-        x0 = np.zeros(4)
-        cfg = config(
-            mu=1e-6, seed=2, step=10.0 / problem.lip_const, iters=5,
-            lip=problem.lip_const,
-        )
-        with pytest.warns(UserWarning, match="step size"):
-            projected_random_search(problem.objective, box, x0, cfg)
 
     def test_decrease_in_expectation_across_seeds(self):
         problem = make_least_squares(5, 20, 0.1, 18)
@@ -253,13 +230,13 @@ def assert_record_is(record, reference):
 class TestBlocks:
     # Runs advanced together as one (R, n) block must each come out byte for
     # byte as the run computed alone on 1-D arrays.
-    CASES = ["unconstrained", "box_with_hook", "ball", "generic_objective", "b_matrix"]
+    CASES = ["unconstrained", "box_with_hook", "ball", "generic_objective"]
 
     @staticmethod
     def setup(case):
         problem = make_least_squares(6, 24, 0.1, 41)
         x0 = np.random.default_rng(7).standard_normal(24)
-        f, feasible, b_matrix, grad = problem.objective, None, None, None
+        f, feasible, grad = problem.objective, None, None
         step = theorem_step_size("unconstrained", 24, problem.lip_const)
         if case == "box_with_hook":
             feasible, grad = Box(-0.5, 0.5, dim=24), problem.grad
@@ -269,20 +246,17 @@ class TestBlocks:
             step = 1.0 / problem.lip_const
         elif case == "generic_objective":
             f = Objective(24, problem.objective)
-        elif case == "b_matrix":
-            dense = np.random.default_rng(8).standard_normal((24, 24))
-            b_matrix = dense @ dense.T / 24 + np.eye(24)
         if feasible is not None:
             x0 = feasible.project(x0)
-        return problem, f, x0, feasible, b_matrix, grad, step
+        return problem, f, x0, feasible, grad, step
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("size", [1, 2, 3, 7])
     def test_block_runs_equal_runs_alone(self, size, case):
-        problem, f, x0, feasible, b_matrix, grad, step = self.setup(case)
+        problem, f, x0, feasible, grad, step = self.setup(case)
         cfgs = [
             SolverConfig(
-                oracle=OracleConfig(mu=1e-6, b_matrix=b_matrix, seed=500 + i),
+                oracle=OracleConfig(mu=1e-6, seed=500 + i),
                 step_size=step,
                 num_iters=150,
                 record_stride=40,
@@ -518,7 +492,7 @@ class TestRecordSerialization:
     @pytest.mark.parametrize(
         "field, value",
         [("num_iters", 10.0), ("record_stride", 2.5), ("step_size", math.inf),
-         ("step_size", math.nan), ("lip_const", 0.0)],
+         ("step_size", math.nan)],
     )
     def test_config_rejects_what_the_run_cannot_use(self, field, value):
         # each failed later inside the run, or diverged at iteration 1
