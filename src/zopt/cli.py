@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 
 from . import analysis, harness, problems, sets, solvers
 from .oracle import OracleConfig
@@ -29,6 +30,11 @@ def _count_below(flag: str, value: int, minimum: int) -> bool:
         print(f"{flag} must be >= {minimum}, got {value}", file=sys.stderr)
         return True
     return False
+
+
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one stderr line, in the form of the run summary's."""
+    print(f"  warning: {message}", file=sys.stderr)
 
 
 def _cmd_run(args) -> int:
@@ -46,9 +52,12 @@ def _cmd_run(args) -> int:
                 ) from None
             config = harness.apply_seed_override(config, seed)
             print(f"seeds rebased on {harness.SEED_ENV_VAR}={seed}")
-        series = harness.run_experiment(
-            config, jobs=args.jobs, full=args.full, out_dir=args.out_dir
-        )
+        # the parent warns before any run starts, so the line comes first
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            series = harness.run_experiment(
+                config, jobs=args.jobs, full=args.full, out_dir=args.out_dir
+            )
     except (harness.ConfigError, harness.FullRunRequired) as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -35,6 +35,7 @@ from .problems import TestProblem, make_least_squares
 from .rng import substream
 from .sets import SET_KEYS, FeasibleSet, set_from_spec, spec_diameter
 from .solvers import (
+    DivergenceError,
     RunRecord,
     SolverConfig,
     projected_random_search,
@@ -61,7 +62,8 @@ __all__ = [
 # iterations * runs * dimension above this requires the --full opt-in
 FULL_GATE_COST = 1_000_000_000
 # so do more than this many f values, runs * (iterations + 1), which the
-# blocks and the aggregation hold as dense float arrays (80 MB each here)
+# workers' blocks hold as dense float arrays (80 MB here) until each run is
+# reduced to its checkpoint rows
 FULL_GATE_VALUES = 10_000_000
 
 _CSV_MAGIC = "# zopt-aggregate-v1"
@@ -370,45 +372,104 @@ class AggregateSeries:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class _RunSummary:
+    """One finished run read at checkpoint_grid(num_iters): what aggregate needs.
+
+    f and best_f are f(x_k) and the best value so far at the checkpoints;
+    gap is the running average of f(x_j) - f_star over j <= k there, or
+    None when f_star was not given.
+    """
+
+    num_iters: int
+    f: np.ndarray
+    best_f: np.ndarray
+    gap: np.ndarray | None
+    f_star: float | None
+    feasibility_violations: int
+
+
+def _summarize_run(record: RunRecord, f_star: float | None) -> _RunSummary:
+    """A run's checkpoint rows, with the bits of the dense per-run arrays there."""
+    ks = checkpoint_grid(record.num_iters)
+    gap = None
+    if f_star is not None:
+        # a sequential cumsum; dividing after the selection is elementwise
+        sums = record.values - f_star
+        gap = np.cumsum(sums, out=sums)[ks] / (ks + 1.0)
+    return _RunSummary(
+        num_iters=record.num_iters,
+        f=record.values[ks],
+        best_f=record.best_values[ks],
+        gap=gap,
+        f_star=f_star,
+        feasibility_violations=record.feasibility_violations,
+    )
+
+
+def _run_order_mean(rows: list[np.ndarray]) -> np.ndarray:
+    """Mean of rows summed one after another in run order.
+
+    These are the bits of numpy's axis-0 mean over the dense (runs, N + 1)
+    matrix at the same columns.  An axis-0 reduction of the narrow matrix of
+    rows may sum in another order, depending on its memory layout.
+    """
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total / len(rows)
+
+
+def _run_order_std(rows: list[np.ndarray], mean: np.ndarray) -> np.ndarray:
+    """Sample standard deviation (divisor R - 1, 0 for one run) by numpy's
+    two-pass formula, the squared deviations summed in run order."""
+    if len(rows) == 1:
+        return np.zeros_like(mean)
+    total = np.zeros_like(mean)
+    for row in rows:
+        dev = row - mean
+        total += dev * dev
+    return np.sqrt(total / (len(rows) - 1))
+
+
 def aggregate(
-    records: list[RunRecord],
+    records: list[RunRecord | _RunSummary],
     bound_inputs: BoundInputs | None = None,
     f_star: float | None = None,
     step_size: float | None = None,
 ) -> AggregateSeries:
     """Cross-run mean/std of f(x_k), best-so-far mean, and optional bound.
 
-    All records must share the same iteration count.  Standard deviations
+    records are RunRecords, or the checkpoint summaries that run_experiment's
+    workers hand back; both are read at the checkpoints only, and the output
+    has the bits of the same statistics over the dense per-run arrays.  All
+    records must share the same iteration count.  Standard deviations
     use the sample convention (divisor R - 1) and are 0 for a single run.
     When bound_inputs carries a diameter the constrained bound is evaluated,
     otherwise the unconstrained one; step_size is forwarded to the bound.
     """
     if not records:
         raise ValueError("no records to aggregate")
-    num_iters = records[0].num_iters
-    for rec in records[1:]:
-        if rec.num_iters != num_iters:
+    runs = [r if isinstance(r, _RunSummary) else _summarize_run(r, f_star) for r in records]
+    num_iters = runs[0].num_iters
+    for run in runs[1:]:
+        if run.num_iters != num_iters:
             raise ValueError("records do not share a checkpoint grid")
+    if f_star is not None and any(run.f_star != f_star for run in runs):
+        raise ValueError("run summaries were taken against another f_star")
     ks = checkpoint_grid(num_iters)
-    values = np.stack([rec.values for rec in records])
-    bests = np.stack([rec.best_values for rec in records])
-    n_runs = len(records)
+    n_runs = len(runs)
 
-    def col_std(matrix):
-        if n_runs == 1:
-            return np.zeros(matrix.shape[1])
-        return matrix.std(axis=0, ddof=1)
-
-    mean_f = values.mean(axis=0)[ks]
-    std_f = col_std(values)[ks]
-    mean_best = bests.mean(axis=0)[ks]
+    f_rows = [run.f for run in runs]
+    mean_f = _run_order_mean(f_rows)
+    std_f = _run_order_std(f_rows, mean_f)
+    mean_best = _run_order_mean([run.best_f for run in runs])
 
     gap = gap_se = None
     if f_star is not None:
-        denom = np.arange(1, num_iters + 2, dtype=float)
-        per_run = np.cumsum(values - f_star, axis=1) / denom
-        gap = per_run.mean(axis=0)[ks]
-        gap_se = (col_std(per_run) / math.sqrt(n_runs))[ks]
+        gap_rows = [run.gap for run in runs]
+        gap = _run_order_mean(gap_rows)
+        gap_se = _run_order_std(gap_rows, gap) / math.sqrt(n_runs)
 
     bound = None
     if bound_inputs is not None:
@@ -525,12 +586,15 @@ class _RunTask:
     solvers: tuple[SolverConfig, ...]
     feasible_set: FeasibleSet | None
     collect_sigma: bool
+    f_star: float | None
 
 
 def _execute_run(task: _RunTask) -> tuple[list, np.ndarray | None]:
-    """Advance a block of runs together: each run's RunRecord or DivergenceError
-    in block order, and with collect_sigma the c11 sigma^2 of every run as
-    (runs, N + 1) rows (meaningless for a diverged run), else None."""
+    """Advance a block of runs together: each run's checkpoint summary or
+    DivergenceError in block order, and with collect_sigma the c11 sigma^2
+    of every run as (runs, N + 1) rows (meaningless for a diverged run), else
+    None.  The sigma rows stay dense: the overlay averages them across runs
+    at every k."""
     problem = task.problem
     grad_sq = None
     on_iterate = None
@@ -553,7 +617,11 @@ def _execute_run(task: _RunTask) -> tuple[list, np.ndarray | None]:
         # in place: the (runs, N + 1) rows are a transposed view of grad_sq
         sigma_sq = grad_sq.T
         _c11_sigma_sq(mu, problem.dim, problem.lip_const, sigma_sq, out=sigma_sq)
-    return block.outcomes, sigma_sq
+    summaries = [
+        o if isinstance(o, DivergenceError) else _summarize_run(o, task.f_star)
+        for o in block.outcomes
+    ]
+    return summaries, sigma_sq
 
 
 def resolve_output_path(path: str | None, out_dir: str | None) -> str | None:
@@ -698,6 +766,7 @@ def run_experiment(
             solvers=tuple(solvers[lo:hi]),
             feasible_set=feasible,
             collect_sigma=collect_sigma,
+            f_star=f_star,
         )
         for lo, hi in zip(edges, edges[1:])
     ]
@@ -709,11 +778,13 @@ def run_experiment(
             blocks = list(pool.map(_execute_run, tasks))
     outcomes = [outcome for block_outcomes, _ in blocks for outcome in block_outcomes]
 
-    finished = [i for i, o in enumerate(outcomes) if isinstance(o, RunRecord)]
-    records = [outcomes[i] for i in finished]
-    if not records:
+    finished = [i for i, o in enumerate(outcomes) if isinstance(o, _RunSummary)]
+    summaries = [outcomes[i] for i in finished]
+    if not summaries:
         raise RuntimeError(f"every run diverged; first failure: {outcomes[0]}")
-    diverged_at = {i: o.iteration for i, o in enumerate(outcomes) if not isinstance(o, RunRecord)}
+    diverged_at = {
+        i: o.iteration for i, o in enumerate(outcomes) if isinstance(o, DivergenceError)
+    }
     metadata["diverged_runs"] = ",".join(map(str, diverged_at))
 
     bound_inputs = None
@@ -738,7 +809,7 @@ def run_experiment(
             lip_const=lip,
             pl_const=pl,
             mu=float(mu),
-            initial_gap=max(0.0, float(records[0].values[0]) - f_star),
+            initial_gap=max(0.0, float(summaries[0].f[0]) - f_star),
             d_x=d_x,
             sigma_seq=sigma_seq,
         )
@@ -748,12 +819,12 @@ def run_experiment(
                 "rescaled heuristically"
             )
 
-    series = aggregate(records, bound_inputs=bound_inputs, f_star=f_star, step_size=step)
+    series = aggregate(summaries, bound_inputs=bound_inputs, f_star=f_star, step_size=step)
     series.metadata.update(metadata)
     series.diverged_at = diverged_at
     if feasible is not None:
         series.metadata["feasibility_violations"] = str(
-            sum(rec.feasibility_violations for rec in records)
+            sum(run.feasibility_violations for run in summaries)
         )
 
     if csv_path is not None:
@@ -771,6 +842,6 @@ def run_experiment(
         write_log_log_chart(
             svg_path,
             curves,
-            title=f"{mode} run: m={config.m}, n={n}, {len(records)} runs",
+            title=f"{mode} run: m={config.m}, n={n}, {len(summaries)} runs",
         )
     return series

@@ -150,9 +150,16 @@ class Box(FeasibleSet):
         return ((x >= lower) & (x <= upper)).all(axis=-1)
 
     def diameter(self) -> float:
-        # a norm past the largest float is inf, as it is in plain arithmetic
+        # the squares overflow before the root does: rescale by the largest
+        # width then, and only then, so every finite norm keeps its bits; a
+        # diameter past the largest float is inf, as in plain arithmetic
         with np.errstate(over="ignore"):
-            return float(np.linalg.norm(self.upper - self.lower))
+            width = self.upper - self.lower
+            norm = float(np.linalg.norm(width))
+            if math.isinf(norm) and np.isfinite(width).all():
+                scale = float(width.max())
+                norm = scale * float(np.linalg.norm(width / scale))
+        return norm
 
     def sample(self, gen: np.random.Generator, num: int | None = None) -> np.ndarray:
         # one call fills the rows in order, as num calls would
@@ -301,9 +308,9 @@ def spec_diameter(spec: dict, dim: int) -> float:
 
     When every value is one number, the checks run on the same set in one
     dimension, so no dim-vector is built and a spec of any dimension costs
-    the same.  A box's diameter is then sqrt(dim * width**2): the built
-    box's norm sums the dim squared widths before the root, so both
-    overflow to inf at the same widths, up to rounding in the last bits.
+    the same.  A box's diameter is then sqrt(dim * width**2), or
+    width * sqrt(dim) when the squares overflow, as the built box computes
+    it; both are inf at the same widths, up to rounding in the last bits.
     """
     kind, values = _spec_values(spec, dim)
     if any(np.ndim(v) for v in values.values()):
@@ -312,4 +319,7 @@ def spec_diameter(spec: dict, dim: int) -> float:
     if kind != "box":
         return one.diameter()
     width = values["upper"] - values["lower"]  # Python floats: inf, no warning
-    return math.sqrt(dim * (width * width))
+    diameter = math.sqrt(dim * (width * width))
+    if math.isinf(diameter) and math.isfinite(width):
+        diameter = width * math.sqrt(dim)
+    return diameter

@@ -234,7 +234,7 @@ def test_criterion_8_bit_exact_reproduction(tmp_path):
     start = time.perf_counter()
     reference = (DATA_DIR / "pinned_desk.csv").read_bytes()
     outputs = []
-    for jobs, sub in ((1, "j1"), (8, "j8")):
+    for jobs, sub in ((1, "j1"), (2, "j2"), (8, "j8")):
         out_dir = tmp_path / sub
         rc = main(
             [
@@ -250,13 +250,13 @@ def test_criterion_8_bit_exact_reproduction(tmp_path):
         assert rc == 0
         outputs.append((out_dir / "pinned_desk.csv").read_bytes())
     elapsed = time.perf_counter() - start
-    passed = outputs[0] == reference and outputs[1] == reference
+    passed = all(output == reference for output in outputs)
     report(
         8,
         elapsed,
         passed,
         "pinned config reproduced the stored CSV byte-for-byte with "
-        "--jobs 1 and --jobs 8",
+        "--jobs 1, 2 and 8",
     )
 
 

@@ -211,7 +211,8 @@ class TestRun:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_oversized_projected_step_warns_once(self, tmp_path, jobs):
-        # a child process, so that a warning from a pool worker reaches stderr too
+        # a child process, so that a warning from a pool worker reaches stderr
+        # too; it is one line, not Python's file:line form with a source line
         cfg = tmp_path / "steep_box.cfg"
         cfg.write_text(BOX_RUN_CONFIG.replace("step_size = theorem", "step_size = 1.0"))
         env = dict(os.environ)
@@ -224,17 +225,37 @@ class TestRun:
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        warning = "UserWarning: step size 1 exceeds 1/lip_const"
-        assert proc.stderr.count(warning) == 1, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("  warning: step size 1 exceeds 1/lip_const "), line
+
+    def test_oversized_projected_step_warning_comes_before_the_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        execute_run = harness._execute_run
+        seen = []
+
+        def first_sees_the_warning(task):
+            seen.append(capsys.readouterr().err)
+            return execute_run(task)
+
+        monkeypatch.setattr(harness, "_execute_run", first_sees_the_warning)
+        cfg = tmp_path / "steep_box.cfg"
+        cfg.write_text(BOX_RUN_CONFIG.replace("step_size = theorem", "step_size = 1.0"))
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        (before,) = seen
+        assert before.startswith("  warning: step size 1 exceeds 1/lip_const ")
+        assert before.count("\n") == 1
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.filterwarnings("error")
     def test_box_whose_diameter_overflows_exits_2_at_its_set(self, tmp_path, capsys):
-        # 0.5e154 is finite in one dimension, but the 40 squared widths overflow,
-        # so the built box's diameter is inf: loading refuses the [set], and no
-        # numpy overflow warning may be raised on the way
+        # 0.5e308 is finite in one dimension, but the diameter of 40 such
+        # widths is past the largest float, so the built box's diameter is
+        # inf: loading refuses the [set], and no numpy overflow warning may
+        # be raised on the way
         text = BOX_RUN_CONFIG.replace("n = 8", "n = 40")
-        text = text.replace("lower = -0.5", "lower = -0.5e154")
-        text = text.replace("upper = 0.5", "upper = 0.5e154")
+        text = text.replace("lower = -0.5", "lower = -0.5e308")
+        text = text.replace("upper = 0.5", "upper = 0.5e308")
         cfg = tmp_path / "wide.cfg"
         cfg.write_text(text)
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
@@ -243,6 +264,20 @@ class TestRun:
         message = f"{cfg}:{line}: constrained scenario requires a finite-diameter set\n"
         assert captured.err == message
         assert captured.out == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_box_whose_squared_widths_overflow_runs(self, tmp_path, capsys):
+        # the diameter 2e154 is finite although its square is not; on so wide
+        # a box a small step keeps the runs from diverging
+        text = BOX_RUN_CONFIG.replace("step_size = theorem", "step_size = 0.001")
+        text = text.replace("lower = -0.5", "lower = -1e154")
+        text = text.replace("upper = 0.5", "upper = 1e154")
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "wrote csv" in captured.out
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin.cfg"

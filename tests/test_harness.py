@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -176,6 +177,47 @@ class TestAggregate:
         with_bound = aggregate(records, bound_inputs=inputs, f_star=0.0)
         assert with_bound.bound_rhs is not None
         assert len(with_bound.bound_rhs) == len(with_bound.ks)
+
+    @pytest.mark.parametrize("seed_base", [40, 7000])
+    def test_checkpoint_reduction_equals_the_dense_one(self, seed_base):
+        # aggregate reads each run at the checkpoints only; every column must
+        # keep the bits of numpy's reductions over the dense (runs, N + 1)
+        # matrices.  numpy's axis-0 mean of the narrow matrix values[:, ks],
+        # which is F-ordered, sums in another order and gives other bits.
+        problem = make_least_squares(3, 8, 0.1, 7)
+        cfgs = [
+            SolverConfig(
+                oracle=OracleConfig(mu=1e-5, seed=seed_base + i),
+                step_size=1e-3,
+                num_iters=3000,
+                record_stride=500,
+            )
+            for i in range(25)
+        ]
+        x0 = np.random.default_rng(9).standard_normal(8)
+        records = random_search(problem.objective, x0, cfgs).outcomes
+        f_star = problem.opt_value
+        series = aggregate(records, f_star=f_star)
+        ks = checkpoint_grid(3000)
+        values = np.stack([rec.values for rec in records])
+        per_run = np.cumsum(values - f_star, axis=1) / np.arange(1, 3002, dtype=float)
+        expected = {
+            "mean_f": values.mean(axis=0)[ks],
+            "std_f": values.std(axis=0, ddof=1)[ks],
+            "mean_best_f": np.minimum.accumulate(values, axis=1).mean(axis=0)[ks],
+            "running_avg_gap": per_run.mean(axis=0)[ks],
+            "running_avg_gap_se": (per_run.std(axis=0, ddof=1) / math.sqrt(25))[ks],
+        }
+        for name, column in expected.items():
+            assert getattr(series, name).tobytes() == column.tobytes(), name
+        assert values[:, ks].mean(axis=0).tobytes() != expected["mean_f"].tobytes()
+
+    def test_summaries_must_share_f_star(self):
+        problem, records = tiny_records()
+        summaries = [harness._summarize_run(rec, 0.0) for rec in records]
+        assert aggregate(summaries).running_avg_gap is None
+        with pytest.raises(ValueError, match="another f_star"):
+            aggregate(summaries, f_star=problem.opt_value)
 
 
 class TestCsvRoundTrip:
@@ -681,11 +723,13 @@ class TestRunExperiment:
 
     def test_block_size_does_not_change_any_run(self):
         # the same seven runs as one block and as seven blocks of one:
-        # records and sigma^2 byte for byte, on the projected path with the
-        # sigma hook
+        # checkpoint rows and sigma^2 byte for byte, on the projected path
+        # with the sigma hook; tests/test_solvers.py::TestBlocks holds each
+        # block's RunRecords to a run computed alone
         problem = make_least_squares(10, 40, 0.1, 202)
         box = harness.set_from_spec({"kind": "box", "lower": "-0.5", "upper": "0.5"}, 40)
         x0 = box.project(np.random.default_rng(88).standard_normal(40))
+        f_star = harness.constrained_opt_value(problem, box)
         solvers = tuple(
             SolverConfig(
                 oracle=OracleConfig(mu=1e-4, seed=9000 + i),
@@ -697,18 +741,42 @@ class TestRunExperiment:
         )
 
         def execute(block):
-            task = harness._RunTask(problem, x0, block, box, collect_sigma=True)
+            task = harness._RunTask(problem, x0, block, box, collect_sigma=True, f_star=f_star)
             return harness._execute_run(task)
 
         together, sigma_sq = execute(solvers)
         assert sigma_sq.shape == (len(solvers), 201)
-        for solver, record, row in zip(solvers, together, sigma_sq):
+        num_checkpoints = len(checkpoint_grid(200))
+        for solver, summary, row in zip(solvers, together, sigma_sq):
             (alone,), alone_sigma_sq = execute((solver,))
-            for name in ("values", "iterates", "best_point"):
-                assert getattr(record, name).tobytes() == getattr(alone, name).tobytes()
-            assert record.best_k == alone.best_k
-            assert record.feasibility_violations == alone.feasibility_violations
+            for name in ("f", "best_f", "gap"):
+                assert getattr(summary, name).shape == (num_checkpoints,)
+                assert getattr(summary, name).tobytes() == getattr(alone, name).tobytes()
+            assert summary.num_iters == alone.num_iters == 200
+            assert summary.f_star == alone.f_star == f_star
+            assert summary.feasibility_violations == alone.feasibility_violations
             assert row.tobytes() == alone_sigma_sq[0].tobytes()
+
+    def test_hand_off_holds_checkpoint_rows_only(self):
+        # a worker hands back its runs' rows at the ~80 checkpoints, not their
+        # dense f values, which pickle to 1.6 MB for two runs of 100000
+        # iterations
+        problem = make_least_squares(6, 24, 0.1, 31)
+        solvers = tuple(
+            SolverConfig(
+                oracle=OracleConfig(mu=1e-6, seed=900 + i),
+                step_size=harness.theorem_step_size("unconstrained", 24, problem.lip_const),
+                num_iters=100_000,
+                record_stride=1000,
+            )
+            for i in range(2)
+        )
+        x0 = np.random.default_rng(17).standard_normal(24)
+        task = harness._RunTask(
+            problem, x0, solvers, None, collect_sigma=False, f_star=problem.opt_value
+        )
+        result = harness._execute_run(task)
+        assert len(pickle.dumps(result)) < 64 * 1024
 
     def test_partial_divergence_keeps_going(self, monkeypatch):
         # run 1 of 12 is replaced by a DivergenceError.  On the constrained
@@ -820,7 +888,7 @@ class TestPinnedConstrainedBits:
             set_spec={"kind": "box", "lower": "-0.5", "upper": "0.5"},
             csv_path="box.csv",
         )
-        for jobs in (1, 2):
+        for jobs in (1, 2, 8):
             out_dir = tmp_path / f"j{jobs}"
             series = run_experiment(cfg, jobs=jobs, out_dir=str(out_dir))
             assert series.metadata["feasibility_violations"] == "0"

@@ -178,6 +178,40 @@ class TestDiameter:
     def test_whole_space_diameter_infinite(self):
         assert math.isinf(WholeSpace(2).diameter())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bound, dim, expected",
+        [
+            (1e154, 1, 2e154),
+            (0.5e154, 40, 1e154 * math.sqrt(40)),
+            (1e200, 3, 2e200 * math.sqrt(3)),
+        ],
+    )
+    def test_box_whose_squared_widths_overflow(self, bound, dim, expected):
+        # the norm squares each width before the root: past about 1.34e154
+        # that overflows although the diameter itself is a finite float
+        spec = {"kind": "box", "lower": repr(-bound), "upper": repr(bound)}
+        assert Box(-bound, bound, dim=dim).diameter() == expected
+        assert spec_diameter(spec, dim) == expected
+        uneven = Box(np.array([-bound, 0.0]), np.array([bound, 1.0]))
+        assert uneven.diameter() == pytest.approx(2 * bound, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bound, dim", [(1e308, 1), (0.5e308, 40), (math.inf, 2)])
+    def test_box_diameter_past_the_largest_float_is_inf(self, bound, dim):
+        spec = {"kind": "box", "lower": repr(-bound), "upper": repr(bound)}
+        assert math.isinf(Box(-bound, bound, dim=dim).diameter())
+        assert math.isinf(spec_diameter(spec, dim))
+
+    def test_finite_norm_keeps_the_plain_norms_bits(self):
+        # the rescaled norm rounds differently: it is taken only on overflow
+        gen = np.random.default_rng(5)
+        for dim, width in ((40, 1.0), (7, 1e-300), (1000, 1e150), (3, 1e153)):
+            lower = -gen.uniform(0.1, 1.0, dim) * width
+            upper = gen.uniform(0.1, 1.0, dim) * width
+            box = Box(lower, upper)
+            assert box.diameter() == float(np.linalg.norm(upper - lower))
+
 
 class TestMembership:
     def test_boundary_points_are_members(self):
