@@ -157,28 +157,17 @@ def constrained_gap_bound(
     )
 
 
-def oracle_variance_candidate(
-    mode: str,
-    mu: float,
-    n: int,
-    lip_const: float,
-    grad_norm: float | None = None,
-) -> float:
-    """Upper bound candidate sigma^2 for the oracle's second moment.
+def oracle_variance_candidate(mu: float, n: int, lip_const: float, grad_norm: float) -> float:
+    """The c11 upper-bound candidate sigma^2 for the oracle's second moment.
 
-    mode 'c00' uses only a value Lipschitz constant: L0^2 (n + 4)^2.
-    mode 'c11' uses a gradient Lipschitz constant and the gradient norm at
-    the probed point: mu^2 L1^2 (n + 6)^3 / 2 + 2 (n + 4) ||grad||^2.
+    It uses the gradient Lipschitz constant and the gradient norm at the
+    probed point: mu^2 L1^2 (n + 6)^3 / 2 + 2 (n + 4) ||grad||^2.
     """
     if not (mu > 0 and n > 0 and lip_const > 0):
         raise ValueError("mu, n, and lip_const must be positive")
-    if mode == "c00":
-        return lip_const**2 * (n + 4) ** 2
-    if mode == "c11":
-        if grad_norm is None or grad_norm < 0:
-            raise ValueError("mode 'c11' requires a nonnegative grad_norm")
-        return float(_c11_sigma_sq(mu, n, lip_const, grad_norm**2))
-    raise ValueError(f"mode must be 'c00' or 'c11', got {mode!r}")
+    if not grad_norm >= 0:
+        raise ValueError(f"grad_norm must be nonnegative, got {grad_norm}")
+    return float(_c11_sigma_sq(mu, n, lip_const, grad_norm**2))
 
 
 def _c11_sigma_sq(mu: float, n: int, lip_const: float, grad_sq, out=None):
@@ -320,23 +309,15 @@ class DeviationProbe:
     """Monte Carlo picture of the oracle at one feasible point.
 
     xi denotes the deviation g - grad_mu; for the quadratic problems probed
-    here grad_mu equals the analytic gradient.  s and v are the projected
-    step directions for one realized g and for the exact gradient; t_mean
-    estimates the expectation of the projected decrease functional T(x, lip)
-    and q_value is its deterministic counterpart Q(x, lip).
+    here grad_mu equals the analytic gradient.  t_mean estimates the
+    expectation of the projected decrease functional T(x, lip) and q_value
+    is its deterministic counterpart Q(x, lip).
     """
 
-    x: np.ndarray
-    grad: np.ndarray
     mean_xi_norm: float
     se_xi_norm: float
     mean_xi_sq: float
-    se_xi_sq: float
-    mean_g_sq: float
-    se_g_sq: float
     grad_sq: float
-    s_example: np.ndarray
-    v: np.ndarray
     t_mean: float
     t_se: float
     q_value: float
@@ -358,19 +339,17 @@ def probe_deviation(
     rows is drawn, evaluated and reduced to per-sample values before the
     next one is drawn, so only those values grow with num_samples.  Each
     row is bit for bit as in one draw and one batched oracle_eval call over
-    all of them.  The projected steps take the constrained theorem step
-    1 / lip_const.
+    all of them.
     """
     if num_samples < 2:
         raise ValueError("num_samples must be at least 2")
     x = np.asarray(x, dtype=float)
     n = x.size
-    h = theorem_step_size("constrained", n, problem.lip_const)
     grad = problem.grad(x)
     sampler = SubstreamSampler(cfg.seed)
     fx = _eval_one(problem.objective, x)
 
-    xi_norms, g_sq, t_values = (np.empty(num_samples) for _ in range(3))
+    xi_norms, t_values = np.empty(num_samples), np.empty(num_samples)
     # two (block, n) buffers serve every block: the estimates, and the
     # scratch for g - grad and the prox terms
     rows = max(hi - lo for lo, hi in _blocks(num_samples, SAMPLE_BLOCK))
@@ -379,32 +358,20 @@ def probe_deviation(
         u = sample_directions(cfg, n, counter, hi - lo, sampler=sampler)
         g = oracle_eval(problem.objective, x, u, cfg, fx=fx, out=g_buf[: hi - lo])
         scratch = scratch_buf[: hi - lo]
-        if lo == 0:
-            g_first = g[0].copy()  # the buffer is overwritten by later blocks
         # np.linalg.norm(g - grad, axis=1), operation for operation
         xi = xi_norms[lo:hi]
         d = np.subtract(g, grad, out=scratch)
         np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=1, out=xi), out=xi)
-        g_sq[lo:hi] = _einsum_rows(g, g)
         t_values[lo:hi] = _prox_values(
             feasible_set, x, problem.lip_const, g, _einsum_rows, scratch=scratch
         )
-    xi_sq = xi_norms**2
-    (mean_xi, se_xi), (mean_xi_sq, se_xi_sq), (mean_g_sq, se_g_sq), (t_mean, t_se) = (
-        map(float, _mean_and_stderr(samples)) for samples in (xi_norms, xi_sq, g_sq, t_values)
-    )
+    mean_xi, se_xi = map(float, _mean_and_stderr(xi_norms))
+    t_mean, t_se = map(float, _mean_and_stderr(t_values))
     return DeviationProbe(
-        x=x,
-        grad=grad,
         mean_xi_norm=mean_xi,
         se_xi_norm=se_xi,
-        mean_xi_sq=mean_xi_sq,
-        se_xi_sq=se_xi_sq,
-        mean_g_sq=mean_g_sq,
-        se_g_sq=se_g_sq,
+        mean_xi_sq=float((xi_norms**2).mean(axis=0)),
         grad_sq=float(grad @ grad),
-        s_example=gradient_map(feasible_set, x, g_first, h),
-        v=gradient_map(feasible_set, x, grad, h),
         t_mean=t_mean,
         t_se=t_se,
         q_value=prox_quantity(feasible_set, x, problem.lip_const, grad),
@@ -531,7 +498,7 @@ def verify_oracle_inequalities(
         jensen.append((slack, slack < -1e-12))
 
         sigma = math.sqrt(
-            oracle_variance_candidate("c11", cfg.mu, n, lip, math.sqrt(probe.grad_sq))
+            oracle_variance_candidate(cfg.mu, n, lip, math.sqrt(probe.grad_sq))
         )
         violated = probe.mean_xi_norm > sigma + MC_SIGMAS * probe.se_xi_norm
         deviation.append((sigma - probe.mean_xi_norm, violated))

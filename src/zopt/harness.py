@@ -358,19 +358,6 @@ class AggregateSeries:
     # only, the CSV (and so read_series_csv) keeps just the run indices
     diverged_at: dict = field(default_factory=dict)
 
-    def same_as(self, other: "AggregateSeries") -> bool:
-        def eq(a, b):
-            if a is None or b is None:
-                return a is None and b is None
-            return np.array_equal(a, b)
-
-        return (
-            all(eq(getattr(self, c), getattr(other, c)) for c in ("ks", *_VALUE_COLUMNS))
-            and self.f_star == other.f_star
-            and self.num_runs == other.num_runs
-            and self.metadata == other.metadata
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class _RunSummary:
@@ -378,7 +365,9 @@ class _RunSummary:
 
     f and best_f are f(x_k) and the best value so far at the checkpoints;
     gap is the running average of f(x_j) - f_star over j <= k there, or
-    None when f_star was not given.
+    None when f_star was not given.  sigma_sq is the run's c11 sigma^2 at
+    every k = 0..num_iters when the sigma overlay is on, else None: the
+    overlay averages it across runs at every k, so it stays dense.
     """
 
     num_iters: int
@@ -387,9 +376,12 @@ class _RunSummary:
     gap: np.ndarray | None
     f_star: float | None
     feasibility_violations: int
+    sigma_sq: np.ndarray | None = None
 
 
-def _summarize_run(record: RunRecord, f_star: float | None) -> _RunSummary:
+def _summarize_run(
+    record: RunRecord, f_star: float | None, sigma_sq: np.ndarray | None = None
+) -> _RunSummary:
     """A run's checkpoint rows, with the bits of the dense per-run arrays there."""
     ks = checkpoint_grid(record.num_iters)
     gap = None
@@ -404,6 +396,7 @@ def _summarize_run(record: RunRecord, f_star: float | None) -> _RunSummary:
         gap=gap,
         f_star=f_star,
         feasibility_violations=record.feasibility_violations,
+        sigma_sq=sigma_sq,
     )
 
 
@@ -589,12 +582,10 @@ class _RunTask:
     f_star: float | None
 
 
-def _execute_run(task: _RunTask) -> tuple[list, np.ndarray | None]:
-    """Advance a block of runs together: each run's checkpoint summary or
-    DivergenceError in block order, and with collect_sigma the c11 sigma^2
-    of every run as (runs, N + 1) rows (meaningless for a diverged run), else
-    None.  The sigma rows stay dense: the overlay averages them across runs
-    at every k."""
+def _execute_run(task: _RunTask) -> list[_RunSummary | DivergenceError]:
+    """Advance a block of runs together: each run's checkpoint summary (with
+    collect_sigma, carrying its c11 sigma^2 row) or DivergenceError, in
+    block order."""
     problem = task.problem
     grad_sq = None
     on_iterate = None
@@ -611,17 +602,16 @@ def _execute_run(task: _RunTask) -> tuple[list, np.ndarray | None]:
         block = projected_random_search(
             problem.objective, task.feasible_set, task.x0, task.solvers, on_iterate=on_iterate
         )
-    sigma_sq = None
+    sigma_rows = [None] * len(task.solvers)
     if grad_sq is not None:
         mu = task.solvers[0].oracle.mu  # the runs of a block share it
         # in place: the (runs, N + 1) rows are a transposed view of grad_sq
-        sigma_sq = grad_sq.T
-        _c11_sigma_sq(mu, problem.dim, problem.lip_const, sigma_sq, out=sigma_sq)
-    summaries = [
-        o if isinstance(o, DivergenceError) else _summarize_run(o, task.f_star)
-        for o in block.outcomes
+        sigma_rows = grad_sq.T
+        _c11_sigma_sq(mu, problem.dim, problem.lip_const, sigma_rows, out=sigma_rows)
+    return [
+        o if isinstance(o, DivergenceError) else _summarize_run(o, task.f_star, row)
+        for o, row in zip(block.outcomes, sigma_rows)
     ]
-    return summaries, sigma_sq
 
 
 def resolve_output_path(path: str | None, out_dir: str | None) -> str | None:
@@ -776,10 +766,9 @@ def run_experiment(
     else:
         with ProcessPoolExecutor(max_workers=num_blocks) as pool:
             blocks = list(pool.map(_execute_run, tasks))
-    outcomes = [outcome for block_outcomes, _ in blocks for outcome in block_outcomes]
+    outcomes = [outcome for block in blocks for outcome in block]
 
-    finished = [i for i, o in enumerate(outcomes) if isinstance(o, _RunSummary)]
-    summaries = [outcomes[i] for i in finished]
+    summaries = [o for o in outcomes if isinstance(o, _RunSummary)]
     if not summaries:
         raise RuntimeError(f"every run diverged; first failure: {outcomes[0]}")
     diverged_at = {
@@ -793,9 +782,7 @@ def run_experiment(
         if collect_sigma:
             # rms across runs upper-bounds both the mean of sigma and the
             # mean of sigma^2 that the expectation form of the bound needs
-            # indexing copies the rows C-contiguously, the layout of the pinned bits
-            sigma_sq = np.concatenate([rows for _, rows in blocks])[finished]
-            sigma_seq = np.sqrt(sigma_sq.mean(axis=0))
+            sigma_seq = np.sqrt(_run_order_mean([run.sigma_sq for run in summaries]))
             metadata["sigma_note"] = (
                 "sigma_k from the c11 candidate with analytic gradient norms, "
                 "rms across runs"

@@ -377,9 +377,10 @@ def suggest_params(
             num_iters = lip_const / (pl_const * eps)
         else:
             raise ValueError(f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         # float ** and int-to-float conversions raise where other float
-        # arithmetic gives inf
+        # arithmetic gives inf, and so does a divisor such as pl_const * eps
+        # that underflows to 0
         mu = num_iters = math.inf
     if not (0 < mu < math.inf and num_iters < math.inf):
         raise ValueError(

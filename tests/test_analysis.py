@@ -1,4 +1,3 @@
-import hashlib
 import math
 import tracemalloc
 
@@ -136,19 +135,19 @@ class TestConstrainedBound:
 class TestVarianceCandidates:
     def test_c11_hand_value(self):
         # 1e-6*4*512/2 + 2*6*1 = 0.001024 + 12
-        value = oracle_variance_candidate("c11", 1e-3, 2, 2.0, grad_norm=1.0)
+        value = oracle_variance_candidate(1e-3, 2, 2.0, grad_norm=1.0)
         assert value == pytest.approx(12.001024, rel=1e-12)
 
-    def test_c00_hand_value(self):
-        assert oracle_variance_candidate("c00", 0.1, 4, 1.0) == pytest.approx(64.0)
-
     def test_c11_vanishes_at_stationary_point(self):
-        value = oracle_variance_candidate("c11", 1e-12, 3, 2.0, grad_norm=0.0)
+        value = oracle_variance_candidate(1e-12, 3, 2.0, grad_norm=0.0)
         assert value < 1e-18
 
     def test_c11_requires_grad_norm(self):
-        with pytest.raises(ValueError, match="grad_norm"):
-            oracle_variance_candidate("c11", 0.1, 3, 2.0)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="grad_norm"):
+                oracle_variance_candidate(0.1, 3, 2.0, grad_norm=bad)
+        with pytest.raises(TypeError, match="grad_norm"):
+            oracle_variance_candidate(0.1, 3, 2.0)
 
 
 class TestProxQuantity:
@@ -247,7 +246,6 @@ class TestDeviationChecks:
         )
         # unbiasedness: mean deviation cannot be large relative to its spread
         assert probe.mean_xi_sq > 0
-        assert probe.mean_g_sq > probe.grad_sq * 0.5
         assert probe.q_value >= 0
 
     def test_report_runs_clean_on_box(self):
@@ -388,25 +386,16 @@ class TestPinnedAnalysisBits:
             "mean_xi_norm": 426.1826224814961,
             "se_xi_norm": 7.178424603890744,
             "mean_xi_sq": 284639.6575128997,
-            "se_xi_sq": 10808.58875195523,
-            "mean_g_sq": 298105.1251515962,
-            "se_g_sq": 11632.953788671537,
             "grad_sq": 13385.139816935596,
             "t_mean": 65469.862560324145,
             "t_se": 1563.8472001734283,
             "q_value": 6769.747517980855,
         }
+        # the probe holds exactly the numbers verify_oracle_inequalities reads
+        assert set(vars(probe)) == set(scalars)
         for name, value in scalars.items():
             assert type(getattr(probe, name)) is float, name
             assert getattr(probe, name) == value, name
-        digests = {
-            "grad": "f45cd803a27ff5332051155ed25acd13bb8f8adc5d456a75c130928b616e4cf1",
-            "s_example": "05440a76123d809bea8ddf7dbb5a4893188b74434088de9079fc0f290e8ee627",
-            "v": "b64ab3f36e91cb8b212ee9f9ac14e58a86c284df1ddbfda5a3d63a6777f8a868",
-        }
-        for name, digest in digests.items():
-            data = np.ascontiguousarray(getattr(probe, name)).tobytes()
-            assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def _einsum_rows(a, b):
@@ -423,14 +412,9 @@ def _whole_batch_probe(problem, feasible_set, cfg, x, num_samples, counter):
     dz = feasible_set.project(x[None, :] - g / a) - x[None, :]
     t_values = -2.0 * a * (0.5 * a * _einsum_rows(dz, dz) + _einsum_rows(g, dz))
     stats = {}
-    for name, samples in (
-        ("xi_norm", xi_norms),
-        ("xi_sq", xi_norms**2),
-        ("g_sq", _einsum_rows(g, g)),
-        ("t", t_values),
-    ):
+    for name, samples in (("xi_norm", xi_norms), ("xi_sq", xi_norms**2), ("t", t_values)):
         stats[name] = tuple(map(float, _mean_and_stderr(samples)))
-    return stats, g[0]
+    return stats
 
 
 def _per_probe_inner_product(problem, feasible_set, cfg, num_probes, seed):
@@ -504,13 +488,10 @@ class TestBlockBoundaries:
         cfg = OracleConfig(mu=1e-3, seed=4)
         x = feasible_set.sample(np.random.default_rng(6))
         probe = probe_deviation(problem, feasible_set, cfg, x, num_samples, counter=7)
-        stats, g_first = _whole_batch_probe(problem, feasible_set, cfg, x, num_samples, 7)
+        stats = _whole_batch_probe(problem, feasible_set, cfg, x, num_samples, 7)
         assert (probe.mean_xi_norm, probe.se_xi_norm) == stats["xi_norm"]
-        assert (probe.mean_xi_sq, probe.se_xi_sq) == stats["xi_sq"]
-        assert (probe.mean_g_sq, probe.se_g_sq) == stats["g_sq"]
+        assert probe.mean_xi_sq == stats["xi_sq"][0]
         assert (probe.t_mean, probe.t_se) == stats["t"]
-        h = 1.0 / problem.lip_const
-        assert np.array_equal(probe.s_example, gradient_map(feasible_set, x, g_first, h))
 
     # Small sets keep most projections active: a probe whose two steps both
     # stay feasible has a slack of exactly 0, which would mask the others.

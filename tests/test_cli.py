@@ -84,6 +84,10 @@ class TestSuggest:
             pytest.param("unc", "--n", str(10**400), id="unc---n-10**400"),
             ("con", "--lip", "1e200"),
             ("con", "--dx", "1e-320"),
+            # a divisor that underflows to 0: pl * eps, then d_x * lip**2
+            ("unc", "--pl", "5e-324"),
+            ("con", "--pl", "5e-324"),
+            ("con", "--lip", "1e-200"),
         ],
     )
     def test_non_finite_inputs_or_results_exit_2(self, capsys, mode, flag, value):

@@ -1,6 +1,7 @@
 import configparser
 import hashlib
 import importlib.util
+import json
 import math
 import os
 import pickle
@@ -38,6 +39,7 @@ from zopt.sets import SET_KEYS
 from zopt.solvers import DivergenceError, SolverConfig, random_search
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 GOOD_CONFIG = """\
 [experiment]
@@ -104,6 +106,16 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def same_csv(a, b, tmp_path) -> bool:
+    """Whether two series write the same CSV bytes.  The file holds every
+    field a series is compared by: ks, the value columns, f_star, num_runs
+    and the metadata."""
+    paths = tmp_path / "same_csv_a.csv", tmp_path / "same_csv_b.csv"
+    for series, path in zip((a, b), paths):
+        write_series_csv(series, path)
+    return paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def tiny_records(num_runs=2, num_iters=80, seed_base=40):
@@ -229,7 +241,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "series.csv"
         write_series_csv(series, path)
         loaded = read_series_csv(path)
-        assert loaded.same_as(series)
+        assert same_csv(loaded, series, tmp_path)
 
     def test_optional_columns_omitted(self, tmp_path):
         _, records = tiny_records()
@@ -242,7 +254,7 @@ class TestCsvRoundTrip:
         assert "bound_rhs" not in header
         assert "running_avg_gap" not in header
         loaded = read_series_csv(path)
-        assert loaded.same_as(series)
+        assert same_csv(loaded, series, tmp_path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "foreign.csv"
@@ -533,6 +545,28 @@ class TestConfigParsing:
         assert load_config(path).scenario == "constrained"
 
 
+class TestBenchmarkDigests:
+    # The benchmark checks each workload's output against perfbench/digests.json;
+    # at the tiny scale that check also runs here, in-process: the 25-run
+    # sigma^2 sum of con_box_n40 and the verify margins of verify_n100 among it.
+    @pytest.mark.parametrize("name", [w["name"] for w in BENCHMARK["workloads"]])
+    def test_tiny_scale_output_matches_the_recorded_digest(self, tmp_path, monkeypatch, name):
+        workloads = load_perfbench("workloads", monkeypatch)
+        recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+        spec = workloads.WORKLOADS[name]
+        out = tmp_path / "out"
+        if spec.kind == "experiment":
+            full, _ = spec.write_configs(tmp_path, workloads.DEFAULT_SEED, "tiny")
+            assert workloads.run_experiment(full, out, jobs=1) == 0
+            output = out / "run.csv"
+        else:
+            out.mkdir()
+            assert workloads.run_verify(workloads.DEFAULT_SEED, "tiny", out)["rc"] == 0
+            output = out / "checks.csv"
+        digest = hashlib.sha256(output.read_bytes()).hexdigest()
+        assert digest == recorded["tiny"][name]
+
+
 # A valid constrained config; the property test below overrides, deletes or
 # splices into it so that most examples get past the syntax check.
 FUZZ_BASE = {
@@ -645,13 +679,13 @@ class TestRunExperiment:
         assert svg.startswith("<svg")
         assert np.all(np.diff(series.mean_best_f) <= 0)
         loaded = read_series_csv(tmp_path / "out.csv")
-        assert loaded.same_as(series)
+        assert same_csv(loaded, series, tmp_path)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, tmp_path):
         cfg = small_config(num_iters=150, num_runs=4)
         a = run_experiment(cfg, jobs=1)
         b = run_experiment(cfg, jobs=3)
-        assert a.same_as(b)
+        assert same_csv(a, b, tmp_path)
 
     def test_constrained_end_to_end(self):
         cfg = small_config(
@@ -679,7 +713,7 @@ class TestRunExperiment:
 
         x0 = substream(9, 0).standard_normal(8)
         assert series.mean_f[0] == problem.objective(x0)
-        assert read_series_csv(tmp_path / "d.csv").same_as(series)
+        assert same_csv(read_series_csv(tmp_path / "d.csv"), series, tmp_path)
 
     def test_zero_iters_with_svg_rejected_before_any_run(self, tmp_path, monkeypatch):
         def no_run(task):
@@ -744,18 +778,18 @@ class TestRunExperiment:
             task = harness._RunTask(problem, x0, block, box, collect_sigma=True, f_star=f_star)
             return harness._execute_run(task)
 
-        together, sigma_sq = execute(solvers)
-        assert sigma_sq.shape == (len(solvers), 201)
+        together = execute(solvers)
         num_checkpoints = len(checkpoint_grid(200))
-        for solver, summary, row in zip(solvers, together, sigma_sq):
-            (alone,), alone_sigma_sq = execute((solver,))
+        for solver, summary in zip(solvers, together, strict=True):
+            (alone,) = execute((solver,))
             for name in ("f", "best_f", "gap"):
                 assert getattr(summary, name).shape == (num_checkpoints,)
                 assert getattr(summary, name).tobytes() == getattr(alone, name).tobytes()
             assert summary.num_iters == alone.num_iters == 200
             assert summary.f_star == alone.f_star == f_star
             assert summary.feasibility_violations == alone.feasibility_violations
-            assert row.tobytes() == alone_sigma_sq[0].tobytes()
+            assert summary.sigma_sq.shape == (201,)
+            assert summary.sigma_sq.tobytes() == alone.sigma_sq.tobytes()
 
     def test_hand_off_holds_checkpoint_rows_only(self):
         # a worker hands back its runs' rows at the ~80 checkpoints, not their
@@ -779,20 +813,27 @@ class TestRunExperiment:
         assert len(pickle.dumps(result)) < 64 * 1024
 
     def test_partial_divergence_keeps_going(self, monkeypatch):
-        # run 1 of 12 is replaced by a DivergenceError.  On the constrained
-        # path the sigma overlay must then average the other 11 rows stacked
-        # C-contiguously in run order: over that many rows numpy's axis-0
-        # mean gives other bits on another layout.
+        # run 1 of 12 diverges.  On the constrained path the sigma overlay
+        # must then average the other 11 rows, summed in run order: stacked
+        # C-contiguously they are the reference, and over that many rows
+        # numpy's axis-0 mean gives other bits on another layout.
+        def sabotaged(search):
+            def run(*args, **kwargs):
+                block = search(*args, **kwargs)
+                for i, solver in enumerate(args[-1]):
+                    if solver.oracle.seed == 101:  # run 1: run_seed_base is 100
+                        block.outcomes[i] = DivergenceError(7, 1.5, "synthetic failure")
+                return block
+
+            return run
+
         original = harness._execute_run
         executed = []
 
-        def sabotaged(task):
-            outcomes, sigma_sq = original(task)
-            executed.append(sigma_sq)
-            for i, solver in enumerate(task.solvers):
-                if solver.oracle.seed == 101:  # run 1: run_seed_base is 100
-                    outcomes[i] = DivergenceError(7, 1.5, "synthetic failure")
-            return outcomes, sigma_sq
+        def recording_execute_run(task):
+            outcomes = original(task)
+            executed.append(outcomes)
+            return outcomes
 
         sigma_seqs = []
 
@@ -800,7 +841,9 @@ class TestRunExperiment:
             sigma_seqs.append(bound_inputs.sigma_seq)
             return aggregate(records, bound_inputs=bound_inputs, **kwargs)
 
-        monkeypatch.setattr(harness, "_execute_run", sabotaged)
+        for name in ("random_search", "projected_random_search"):
+            monkeypatch.setattr(harness, name, sabotaged(getattr(harness, name)))
+        monkeypatch.setattr(harness, "_execute_run", recording_execute_run)
         monkeypatch.setattr(harness, "aggregate", recording_aggregate)
         for scenario, set_spec in (
             ("unconstrained", None),
@@ -813,8 +856,14 @@ class TestRunExperiment:
             assert series.metadata["diverged_runs"] == "1"
             assert series.metadata["completed_runs"] == "11"
             assert series.diverged_at == {1: 7}
-        (sigma_sq,) = executed
-        finished_rows = [row for i, row in enumerate(sigma_sq) if i != 1]
+            (outcomes,) = executed
+            # the diverged run comes back as its error alone, with no sigma row
+            assert isinstance(outcomes[1], DivergenceError)
+            finished = [o for i, o in enumerate(outcomes) if i != 1]
+            assert all(isinstance(o, harness._RunSummary) for o in finished)
+            if scenario == "unconstrained":
+                assert all(o.sigma_sq is None for o in finished)
+        finished_rows = [o.sigma_sq for o in finished]
         expected = np.sqrt(np.stack(finished_rows).mean(axis=0))
         assert sigma_seqs[-1].tobytes() == expected.tobytes()
 

@@ -471,6 +471,18 @@ class TestParameterSelection:
         with pytest.raises(ValueError, match="d_x"):
             suggest_params("constrained", 0.1, 5, 2.0, 1.0, d_x=math.inf)
 
+    @pytest.mark.parametrize(
+        "mode, eps, lip, pl",
+        [
+            ("unconstrained", 1e-300, 1.0, 1e-300),  # pl * eps underflows
+            ("constrained", 1e-300, 1.0, 1e-300),
+            ("constrained", 0.1, 1e-200, 1.0),  # d_x * lip**2 underflows
+        ],
+    )
+    def test_underflowing_divisor_is_a_value_error(self, mode, eps, lip, pl):
+        with pytest.raises(ValueError, match="no positive finite mu"):
+            suggest_params(mode, eps, 10, lip, pl, d_x=1.0)
+
     def test_theorem_steps(self):
         assert theorem_step_size("unconstrained", 1, 2.0) == pytest.approx(0.025)
         assert theorem_step_size("constrained", 1, 2.0) == pytest.approx(0.5)
