@@ -19,7 +19,7 @@ from scipy.optimize import lsq_linear
 
 from .oracle import OracleConfig, _eval_one, _mean_and_stderr, oracle_eval, sample_directions
 from .problems import TestProblem
-from .rng import SubstreamSampler, substream
+from .rng import SubstreamSampler, _check_count, _check_real, substream
 from .sets import Box, FeasibleSet, WholeSpace, gradient_map
 from .solvers import theorem_step_size
 
@@ -88,10 +88,12 @@ class BoundInputs:
     sigma_seq: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (self.n > 0 and self.lip_const > 0 and self.pl_const > 0 and self.mu > 0):
-            raise ValueError("n, lip_const, pl_const, and mu must be positive")
-        if self.initial_gap < 0:
-            raise ValueError(f"initial_gap must be nonnegative, got {self.initial_gap}")
+        _check_count(self.n, "n", 1)
+        for name in ("lip_const", "pl_const", "mu"):
+            _check_real(getattr(self, name), name)
+        _check_real(self.initial_gap, "initial_gap", positive=False)
+        if self.d_x is not None:
+            _check_real(self.d_x, "d_x")
         if self.sigma_seq is not None:
             object.__setattr__(
                 self, "sigma_seq", np.asarray(self.sigma_seq, dtype=float)
@@ -108,11 +110,10 @@ def unconstrained_gap_bound(
     matching the 1 / (l h eps) iteration scaling, and the smoothing terms
     are kept unchanged; treat that variant as a heuristic overlay.
     """
-    if num_iters < 0:
-        raise ValueError("num_iters must be nonnegative")
+    num_iters = _check_count(num_iters, "num_iters", 0)
     n, lip, pl, mu = inputs.n, inputs.lip_const, inputs.pl_const, inputs.mu
     analyzed = theorem_step_size("unconstrained", n, lip)
-    h = analyzed if step_size is None else float(step_size)
+    h = analyzed if step_size is None else _check_real(step_size, "step_size")
     leading = 2.0 / (pl * h)
     return (
         leading * (inputs.initial_gap / (num_iters + 1) + 3.0 * mu**2 * (n + 4) * lip / 32.0)
@@ -129,10 +130,9 @@ def constrained_gap_bound(
     Exact for the analyzed step 1 / lip_const; for smaller steps only the
     leading term is rescaled (heuristic, as above).
     """
-    if num_iters < 0:
-        raise ValueError("num_iters must be nonnegative")
-    if inputs.d_x is None or not math.isfinite(inputs.d_x) or inputs.d_x <= 0:
-        raise ValueError("constrained bound requires a finite positive d_x")
+    num_iters = _check_count(num_iters, "num_iters", 0)
+    if inputs.d_x is None:
+        raise ValueError("constrained bound requires a d_x")
     if inputs.sigma_seq is None or inputs.sigma_seq.size < num_iters + 1:
         raise ValueError(
             f"sigma_seq must cover indices 0..{num_iters} "
@@ -145,7 +145,9 @@ def constrained_gap_bound(
         inputs.mu,
         inputs.d_x,
     )
-    h = theorem_step_size("constrained", n, lip) if step_size is None else float(step_size)
+    h = theorem_step_size("constrained", n, lip)
+    if step_size is not None:
+        h = _check_real(step_size, "step_size")
     sigma = inputs.sigma_seq[: num_iters + 1]
     sum_sigma = float(np.sum(sigma))
     sum_sigma_sq = float(np.sum(sigma**2))
@@ -163,10 +165,9 @@ def oracle_variance_candidate(mu: float, n: int, lip_const: float, grad_norm: fl
     It uses the gradient Lipschitz constant and the gradient norm at the
     probed point: mu^2 L1^2 (n + 6)^3 / 2 + 2 (n + 4) ||grad||^2.
     """
-    if not (mu > 0 and n > 0 and lip_const > 0):
-        raise ValueError("mu, n, and lip_const must be positive")
-    if not grad_norm >= 0:
-        raise ValueError(f"grad_norm must be nonnegative, got {grad_norm}")
+    mu, lip_const = _check_real(mu, "mu"), _check_real(lip_const, "lip_const")
+    n = _check_count(n, "n", 1)
+    grad_norm = _check_real(grad_norm, "grad_norm", positive=False)
     return float(_c11_sigma_sq(mu, n, lip_const, grad_norm**2))
 
 
@@ -188,8 +189,7 @@ def prox_quantity(
     vec may be (k, n) stacks: the k values are then bit for bit the calls
     on each row, and one infeasible row raises.
     """
-    if not a > 0:
-        raise ValueError(f"a must be positive, got {a}")
+    a = _check_real(a, "a")
     x = np.asarray(x, dtype=float)
     vec = np.asarray(vec, dtype=float)
     if not np.all(feasible_set.contains(x)):
@@ -274,8 +274,7 @@ def check_proximal_pl(
     pl_const absorbs rounding.  Points are drawn and evaluated in blocks of
     PROBE_BLOCK, each ratio bit for bit as one point at a time.
     """
-    if num_points <= 0:
-        raise ValueError("num_points must be positive")
+    num_points = _check_count(num_points, "num_points", 1)
     f_star = constrained_opt_value(problem, feasible_set)
     gen = substream(seed, 0)
     min_ratio = math.inf
@@ -341,8 +340,7 @@ def probe_deviation(
     row is bit for bit as in one draw and one batched oracle_eval call over
     all of them.
     """
-    if num_samples < 2:
-        raise ValueError("num_samples must be at least 2")
+    num_samples = _check_count(num_samples, "num_samples", 2)
     x = np.asarray(x, dtype=float)
     n = x.size
     grad = problem.grad(x)
@@ -450,12 +448,10 @@ def verify_oracle_inequalities(
     substream i of cfg.seed; probes are handled in blocks of PROBE_BLOCK,
     each one bit for bit as on its own.
     """
-    if num_probes < 1:
-        raise ValueError(f"num_probes must be positive, got {num_probes}")
-    if num_mc_points < 0:
-        raise ValueError(f"num_mc_points must be nonnegative, got {num_mc_points}")
-    if num_mc_points > 0 and num_samples < 2:
-        raise ValueError("num_samples must be at least 2")
+    num_probes = _check_count(num_probes, "num_probes", 1)
+    num_mc_points = _check_count(num_mc_points, "num_mc_points", 0)
+    if num_mc_points > 0:
+        num_samples = _check_count(num_samples, "num_samples", 2)
     n = problem.dim
     lip = problem.lip_const
     h = theorem_step_size("constrained", n, lip)

@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .oracle import OracleConfig
 from .problems import TestProblem, make_least_squares
-from .rng import substream
+from .rng import _check_count, substream
 from .sets import SET_KEYS, FeasibleSet, set_from_spec, spec_diameter
 from .solvers import (
     DivergenceError,
@@ -324,8 +324,7 @@ def apply_seed_override(config: ExperimentConfig, seed: int) -> ExperimentConfig
 
 def checkpoint_grid(num_iters: int) -> np.ndarray:
     """Geometric grid of iteration indices (ratio about 1.15) plus endpoints."""
-    if num_iters < 0:
-        raise ValueError("num_iters must be nonnegative")
+    num_iters = _check_count(num_iters, "num_iters", 0)
     ks = {0, num_iters}
     k = 1
     while k <= num_iters:
@@ -590,11 +589,11 @@ def _execute_run(task: _RunTask) -> list[_RunSummary | DivergenceError]:
     grad_sq = None
     on_iterate = None
     if task.collect_sigma:
-        grad_sq = np.empty((task.solvers[0].num_iters + 1, len(task.solvers)))
+        grad_sq = np.empty((len(task.solvers), task.solvers[0].num_iters + 1))
 
         def on_iterate(k, x):
             g = problem.grad(x)
-            grad_sq[k] = np.vecdot(g, g)
+            grad_sq[:, k] = np.vecdot(g, g)
 
     if task.feasible_set is None:
         block = random_search(problem.objective, task.x0, task.solvers, on_iterate=on_iterate)
@@ -605,9 +604,8 @@ def _execute_run(task: _RunTask) -> list[_RunSummary | DivergenceError]:
     sigma_rows = [None] * len(task.solvers)
     if grad_sq is not None:
         mu = task.solvers[0].oracle.mu  # the runs of a block share it
-        # in place: the (runs, N + 1) rows are a transposed view of grad_sq
-        sigma_rows = grad_sq.T
-        _c11_sigma_sq(mu, problem.dim, problem.lip_const, sigma_rows, out=sigma_rows)
+        # in place, so each run's row is a contiguous row of grad_sq
+        sigma_rows = _c11_sigma_sq(mu, problem.dim, problem.lip_const, grad_sq, out=grad_sq)
     return [
         o if isinstance(o, DivergenceError) else _summarize_run(o, task.f_star, row)
         for o, row in zip(block.outcomes, sigma_rows)
@@ -639,25 +637,23 @@ def run_experiment(
     the returned series' diverged_at, and skipped by the aggregation; if
     every run diverges a RuntimeError is raised.
     """
+    jobs = _check_count(jobs, "jobs", 1)
+    num_runs = _check_count(config.num_runs, "num_runs", 1)
     if config.num_iters == 0 and config.svg_path is not None:
         message = "[outputs] svg_path needs [solver] num_iters >= 1 (a log-log chart needs k > 0)"
         raise ConfigError(message, path=config.source_path)
-    cost = config.num_iters * config.num_runs * config.n
+    cost = config.num_iters * num_runs * config.n
     if cost > FULL_GATE_COST and not full:
         raise FullRunRequired(
             f"experiment cost {cost:.2g} (iterations * runs * dimension) exceeds "
             f"{FULL_GATE_COST:.0e}; pass --full to run it"
         )
-    stored = config.num_runs * (config.num_iters + 1)
+    stored = num_runs * (config.num_iters + 1)
     if stored > FULL_GATE_VALUES and not full:
         raise FullRunRequired(
             f"experiment size {stored:.2g} (runs * (iterations + 1) stored values) exceeds "
             f"{FULL_GATE_VALUES:.0e}; pass --full to run it"
         )
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if config.num_runs < 1:
-        raise ValueError(f"num_runs must be >= 1, got {config.num_runs}")
     csv_path = resolve_output_path(config.csv_path, out_dir)
     svg_path = resolve_output_path(config.svg_path, out_dir)
     if csv_path and svg_path and Path(csv_path).resolve() == Path(svg_path).resolve():
@@ -707,7 +703,7 @@ def run_experiment(
         "record_stride": str(config.record_stride),
         "lip_const": repr(lip),
         "pl_const": repr(pl),
-        "requested_runs": str(config.num_runs),
+        "requested_runs": str(num_runs),
     }
 
     x0 = substream(config.x0_seed, 0).standard_normal(n)
@@ -745,10 +741,10 @@ def run_experiment(
             num_iters=config.num_iters,
             record_stride=config.record_stride,
         )
-        for i in range(config.num_runs)
+        for i in range(num_runs)
     ]
-    num_blocks = min(jobs, config.num_runs)
-    edges = [config.num_runs * b // num_blocks for b in range(num_blocks + 1)]
+    num_blocks = min(jobs, num_runs)
+    edges = [num_runs * b // num_blocks for b in range(num_blocks + 1)]
     tasks = [
         _RunTask(
             problem=problem,

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import SubstreamSampler, _check_u64
+from .rng import SubstreamSampler, _check_count, _check_real, _check_u64
 
 __all__ = [
     "EvaluationError",
@@ -59,8 +59,7 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.mu < math.inf:
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        object.__setattr__(self, "mu", _check_real(self.mu, "mu"))
         object.__setattr__(self, "seed", _check_u64(self.seed, "seed"))
 
 
@@ -87,14 +86,10 @@ def sample_directions(
     when None); a reused sampler continues where its previous call stopped
     when that call had the same counter.
     """
-    dim = int(dim)
-    if dim <= 0:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    if num <= 0:
-        raise ValueError(f"num must be positive, got {num}")
+    shape = (_check_count(num, "num", 1), _check_count(dim, "dim", 1))
     if sampler is None:
         sampler = SubstreamSampler(cfg.seed)
-    return sampler.standard_normal(counter, (num, dim))
+    return sampler.standard_normal(counter, shape)
 
 
 def _nonfinite(value: float, point: np.ndarray, row: int | None = None) -> EvaluationError:
@@ -222,8 +217,7 @@ def estimate_smoothed_gradient(
     Converges to the gradient of f_mu at x; for quadratics that gradient
     equals the exact gradient of f.
     """
-    if num_samples < 2:
-        raise ValueError("num_samples must be at least 2 for a standard error")
+    num_samples = _check_count(num_samples, "num_samples", 2)  # for a standard error
     x = np.asarray(x, dtype=float)
     g = oracle_eval(f, x, sample_directions(cfg, x.size, counter, num_samples), cfg)
     return MonteCarloEstimate(*_mean_and_stderr(g), num_samples)

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import substream
+from .rng import _check_count, _check_real, substream
 
 __all__ = [
     "Objective",
@@ -118,8 +118,6 @@ class TestProblem:
     __test__ = False  # benchmark fixture, not a pytest case
 
     objective: LeastSquaresObjective
-    seed: int | None = None
-    noise_std: float | None = None
     lip_const: float = field(init=False)
     pl_const: float = field(init=False)
     opt_value: float = field(init=False)
@@ -164,15 +162,13 @@ def make_least_squares(
     xbar is entrywise standard normal and w is entrywise N(0, noise_std^2).
     Deterministic given seed. Requires n >= m.
     """
-    if m <= 0 or n <= 0:
-        raise ValueError(f"m and n must be positive, got m={m}, n={n}")
+    m, n = _check_count(m, "m", 1), _check_count(n, "n", 1)
     if n < m:
         raise ValueError(f"n must be at least m, got m={m}, n={n}")
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
+    noise_std = _check_real(noise_std, "noise_std", positive=False)
     gen = substream(seed, 0)
     a = gen.standard_normal((m, n))
     x_bar = gen.standard_normal(n)
     b = a @ x_bar + noise_std * gen.standard_normal(m)
-    return TestProblem(LeastSquaresObjective(a, b), seed, noise_std)
+    return TestProblem(LeastSquaresObjective(a, b))
 

@@ -12,6 +12,8 @@ substream.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -30,6 +32,29 @@ def _check_u64(value, name: str) -> int:
     if not 0 <= value < 2**64:
         raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value}")
     return value
+
+
+def _check_count(value, name: str, low: int) -> int:
+    """value as a Python int >= low; a float or other non-integer raises."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = low - 1  # refused below, as an integer out of range is
+    if count < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return count
+
+
+def _check_real(value, name: str, positive: bool = True) -> float:
+    """value as a finite float, > 0 when positive else >= 0; a str or None raises."""
+    try:
+        real = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int past the largest float
+        real = math.inf
+    if not (math.isfinite(real) and (real > 0 if positive else real >= 0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be {kind} and finite, got {value!r}")
+    return real
 
 
 def substream(seed: int, counter: int = 0) -> np.random.Generator:

@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .rng import _check_count, _check_real
+
 __all__ = [
     "MEMBERSHIP_TOL",
     "SET_KEYS",
@@ -50,9 +52,7 @@ class FeasibleSet:
     kind = "abstract"
 
     def __init__(self, dim: int):
-        if dim <= 0:
-            raise ValueError(f"dim must be positive, got {dim}")
-        self.dim = int(dim)
+        self.dim = _check_count(dim, "dim", 1)
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -111,6 +111,8 @@ class Box(FeasibleSet):
     def __init__(self, lower, upper, dim: int | None = None):
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
+        if dim is not None:
+            dim = _check_count(dim, "dim", 1)
         if lower.ndim == 0 or upper.ndim == 0:
             if dim is None:
                 raise ValueError("dim is required when bounds are scalars")
@@ -235,8 +237,7 @@ def gradient_map(
     then bit for bit the call on x[i] and g[i], and one infeasible row
     raises.
     """
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h}")
+    h = _check_real(h, "h")
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
     if x.shape != g.shape:

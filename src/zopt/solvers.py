@@ -13,14 +13,13 @@ bit as it would alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .oracle import EvaluationError, OracleConfig, _eval_rows, oracle_eval, sample_directions
-from .rng import SubstreamSampler
+from .rng import SubstreamSampler, _check_count, _check_real
 from .sets import FeasibleSet
 
 __all__ = [
@@ -70,12 +69,9 @@ class SolverConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not 0 < self.step_size < math.inf:
-            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
+        object.__setattr__(self, "step_size", _check_real(self.step_size, "step_size"))
         for name, low in (("num_iters", 0), ("record_stride", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, low))
 
 
 @dataclass(eq=False)
@@ -180,9 +176,9 @@ def _run(
     draws = [(c.oracle, SubstreamSampler(c.oracle.seed)) for c in cfgs]
 
     # per-run state is indexed by run; X, fx and the like by row, and
-    # live[j] is the run of row j (rows is live as an index).  No state
-    # array is written in place, so a run's best point is kept as the state
-    # it is a row of, and copied out at the end.
+    # live[j] is the run of row j.  No state array is written in place, so
+    # a run's best point is kept as the state it is a row of, and copied
+    # out at the end.
     values = np.empty((num_runs, num_iters + 1))
     iterates = np.empty((num_runs, num_iters // stride + 1 + (num_iters % stride > 0), n))
     best_value = [math.inf] * num_runs
@@ -192,18 +188,21 @@ def _run(
     violations = [0] * num_runs
     outcomes: list = [None] * num_runs
     live = list(range(num_runs))
-    rows = slice(None)
     stored = 0
 
-    def drop(failed: dict, *stacks):
-        """Retire the failed rows' runs; the stacks without those rows."""
-        nonlocal live, rows
-        for j, error in failed.items():
+    def retire(k: int, failed: dict, X, *stacks):
+        """End the failed rows' runs at iteration k, each with a DivergenceError
+        from its row's detail text or EvaluationError (kept as the cause);
+        X and the stacks without those rows."""
+        nonlocal live
+        for j, detail in failed.items():
+            error = DivergenceError(k, float(np.linalg.norm(X[j])), str(detail))
+            if isinstance(detail, EvaluationError):
+                error.__cause__ = detail
             outcomes[live[j]] = error
         keep = [j for j in range(len(live)) if j not in failed]
         live = [live[j] for j in keep]
-        rows = np.array(live, dtype=np.intp)
-        return [a[keep] for a in stacks]
+        return [a[keep] for a in (X, *stacks)]
 
     X = np.repeat(x[None, :], num_runs, axis=0)
     for k in range(num_iters + 1):
@@ -211,16 +210,12 @@ def _run(
         failed = {}
         for j, (i, value) in enumerate(zip(live, fx.tolist())):
             if not math.isfinite(value):
-                failed[j] = DivergenceError(k, float(np.linalg.norm(X[j])), f"f(x) = {value}")
+                failed[j] = f"f(x) = {value}"
                 continue
             if k == 0:
                 guard[i] = DIVERGENCE_FACTOR * max(1.0, abs(value))
             elif value > guard[i]:
-                failed[j] = DivergenceError(
-                    k,
-                    float(np.linalg.norm(X[j])),
-                    f"f(x) = {value:.6g} exceeds guard {guard[i]:.6g}",
-                )
+                failed[j] = f"f(x) = {value:.6g} exceeds guard {guard[i]:.6g}"
                 continue
             values[i, k] = value
             if value < best_value[i]:
@@ -228,11 +223,11 @@ def _run(
                 best_k[i] = k
                 best_at[i] = (X, j)
         if failed:
-            X, fx = drop(failed, X, fx)
+            X, fx = retire(k, failed, X, fx)
             if not live:
                 break
         if k % stride == 0 or k == num_iters:
-            iterates[rows, stored] = X
+            iterates[live, stored] = X
             stored += 1
         if feasible_set is not None:
             for j, inside in enumerate(feasible_set.contains(X).tolist()):
@@ -241,7 +236,7 @@ def _run(
         if on_iterate is not None:
             if len(live) < num_runs:
                 block = np.full((num_runs, n), math.nan)
-                block[rows] = X
+                block[live] = X
                 on_iterate(k, block)
             else:
                 on_iterate(k, X)
@@ -252,17 +247,14 @@ def _run(
             oracle, sampler = draws[i]
             U.append(sample_directions(oracle, n, k, 1, sampler=sampler))
         U = np.concatenate(U) if len(U) > 1 else U[0]
-        G = None
-        while G is None and live:
+        while live:
             try:
-                G = oracle_eval(f, X, U, oracle_cfg, fx=fx)
+                X = X - h * oracle_eval(f, X, U, oracle_cfg, fx=fx)
+                break
             except EvaluationError as exc:
-                error = DivergenceError(k, float(np.linalg.norm(X[exc.row])), str(exc))
-                error.__cause__ = exc
-                X, U, fx = drop({exc.row: error}, X, U, fx)
+                X, U, fx = retire(k, {exc.row: exc}, X, U, fx)
         if not live:
             break
-        X = X - h * G
         if feasible_set is not None:
             X = feasible_set.project(X)
 
@@ -335,11 +327,9 @@ def theorem_step_size(mode: str, n: int, lip_const: float) -> float:
 
     unconstrained: 1 / (4 (n + 4) lip_const); constrained: 1 / lip_const.
     """
-    if not lip_const > 0:
-        raise ValueError(f"lip_const must be positive, got {lip_const}")
+    n = _check_count(n, "n", 1)
+    lip_const = _check_real(lip_const, "lip_const")
     if mode == "unconstrained":
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
         return 1.0 / (4.0 * (n + 4) * lip_const)
     if mode == "constrained":
         return 1.0 / lip_const
@@ -364,15 +354,16 @@ def suggest_params(
     calibrated starting point rather than a certificate.  Raises ValueError
     unless the inputs, mu and N are all positive and finite.
     """
-    if not all(0 < v < math.inf for v in (eps, n, lip_const, pl_const)):
-        raise ValueError("eps, n, lip_const, and pl_const must all be positive and finite")
+    eps = _check_real(eps, "eps")
+    n = _check_count(n, "n", 1)
+    lip_const = _check_real(lip_const, "lip_const")
+    pl_const = _check_real(pl_const, "pl_const")
     try:
         if mode == "unconstrained":
             mu = math.sqrt(pl_const * eps) / (n**1.5 * lip_const)
             num_iters = n * lip_const / (pl_const * eps)
         elif mode == "constrained":
-            if d_x is None or not math.isfinite(d_x) or d_x <= 0:
-                raise ValueError("constrained mode requires a finite positive d_x")
+            d_x = _check_real(d_x, "d_x")
             mu = pl_const * eps / (d_x * lip_const**2 * (n + 3) ** 1.5)
             num_iters = lip_const / (pl_const * eps)
         else:

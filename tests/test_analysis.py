@@ -297,10 +297,10 @@ class TestDeviationChecks:
     @pytest.mark.parametrize(
         "counts, message",
         [
-            ({"num_probes": 0}, "num_probes must be positive, got 0"),
-            ({"num_probes": -3}, "num_probes must be positive, got -3"),
-            ({"num_mc_points": -1}, "num_mc_points must be nonnegative, got -1"),
-            ({"num_samples": 1}, "num_samples must be at least 2"),
+            ({"num_probes": 0}, "num_probes must be an integer >= 1, got 0"),
+            ({"num_probes": -3}, "num_probes must be an integer >= 1, got -3"),
+            ({"num_mc_points": -1}, "num_mc_points must be an integer >= 0, got -1"),
+            ({"num_samples": 1}, "num_samples must be an integer >= 2, got 1"),
         ],
     )
     def test_rejects_bad_counts_before_any_work(self, counts, message, monkeypatch):

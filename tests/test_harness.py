@@ -873,7 +873,7 @@ class TestRunExperiment:
             run_experiment(cfg, jobs=1)
 
     def test_no_runs_rejected(self):
-        with pytest.raises(ValueError, match="num_runs must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="num_runs must be an integer >= 1, got 0"):
             run_experiment(small_config(num_runs=0), jobs=1)
 
     def test_programmatic_config_rejects_infinite_diameter(self):

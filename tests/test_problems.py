@@ -116,7 +116,7 @@ class TestConstants:
     def test_problem_derives_its_constants_from_its_objective(self):
         a = np.random.default_rng(3).standard_normal((3, 5))
         b = np.arange(3.0)
-        problem = TestProblem(LeastSquaresObjective(a, b), seed=4, noise_std=0.5)
+        problem = TestProblem(LeastSquaresObjective(a, b))
         assert problem.a_matrix is problem.objective.a_matrix
         assert problem.b_vector is problem.objective.b_vector
         with pytest.raises(TypeError):

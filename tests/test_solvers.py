@@ -332,6 +332,13 @@ class TestBlocks:
                 alone.value.iteration, alone.value.point_norm, str(alone.value)
             )
             assert where in str(outcome)
+            # an objective that failed at a shifted point is the error's cause
+            causes = (outcome.__cause__, alone.value.__cause__)
+            if where == "objective returned inf":
+                assert all(isinstance(cause, EvaluationError) for cause in causes)
+                assert str(causes[0]) == str(causes[1]) == outcome.detail
+            else:
+                assert causes == (None, None)
 
     def test_every_run_of_a_block_may_diverge(self):
         problem = scalar_problem()
