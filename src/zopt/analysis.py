@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .oracle import OracleConfig, _eval_one, _mean_and_stderr, oracle_eval, sample_directions
+from .oracle import OracleConfig, _mean_and_stderr, _values, oracle_eval, sample_directions
 from .problems import TestProblem
 from .rng import SubstreamSampler, _check_count, _check_real, substream
 from .sets import Box, FeasibleSet, WholeSpace, gradient_map
@@ -345,7 +345,7 @@ def probe_deviation(
     n = x.size
     grad = problem.grad(x)
     sampler = SubstreamSampler(cfg.seed)
-    fx = _eval_one(problem.objective, x)
+    fx = _values(problem.objective, x)
 
     xi_norms, t_values = np.empty(num_samples), np.empty(num_samples)
     # two (block, n) buffers serve every block: the estimates, and the

@@ -107,10 +107,10 @@ def _cmd_suggest(args) -> int:
         mu, num_iters = solvers.suggest_params(
             mode, args.eps, args.n, args.lip, args.pl, d_x=args.dx
         )
+        step = solvers.theorem_step_size(mode, args.n, args.lip)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    step = solvers.theorem_step_size(mode, args.n, args.lip)
     print(f"mode: {mode}")
     print(f"mu: {mu:.6g}")
     print(f"num_iters: {num_iters}")

@@ -98,13 +98,6 @@ def _nonfinite(value: float, point: np.ndarray, row: int | None = None) -> Evalu
     )
 
 
-def _eval_one(f: Callable, x: np.ndarray) -> float:
-    value = float(f(x))
-    if not math.isfinite(value):
-        raise _nonfinite(value, x)
-    return value
-
-
 def _eval_rows(f: Callable, points: np.ndarray) -> np.ndarray:
     """f at each row of a (k, n) stack, each value bit-equal to f(row).
 
@@ -116,23 +109,27 @@ def _eval_rows(f: Callable, points: np.ndarray) -> np.ndarray:
     return np.array([float(f(p)) for p in points], dtype=float)
 
 
-def _check_rows(values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The values at a stack of points, each checked on Python floats
-    (cheaper than array reductions for the few rows of a solver block)."""
-    for row, value in enumerate(values.tolist()):
+def _values(f: Callable, points: np.ndarray, batch: bool = False) -> float | np.ndarray:
+    """f at one point (n,) as a float, or at each row of a (k, n) stack.
+
+    A stack goes to f.batch when batch is true and f has one; otherwise each
+    value is bit-equal to f(row).  A non-finite value raises an
+    EvaluationError whose row is its row in the stack (None for a point).
+    """
+    if points.ndim == 1:
+        value = float(f(points))
         if not math.isfinite(value):
-            raise _nonfinite(value, points[row], row)
-    return values
-
-
-def _eval_many(f: Callable, points: np.ndarray) -> np.ndarray:
-    batch = getattr(f, "batch", None)
-    values = _eval_rows(f, points) if batch is None else np.asarray(batch(points), dtype=float)
-    # an array check: _check_rows' per-row loop made this call 20-50 % slower
-    # on probe_deviation's 4096-row blocks
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise _nonfinite(values[bad], points[bad], bad)
+            raise _nonfinite(value, points)
+        return value
+    f_batch = getattr(f, "batch", None) if batch else None
+    values = _eval_rows(f, points) if f_batch is None else np.asarray(f_batch(points), dtype=float)
+    # a per-row test on Python floats is cheaper than array reductions for a
+    # solver block's few rows, but made probe_deviation's 4096-row blocks
+    # 20-50 % slower than one array test
+    finite = np.isfinite(values).all() if batch else all(map(math.isfinite, values.tolist()))
+    if not finite:
+        row = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise _nonfinite(values[row], points[row], row)
     return values
 
 
@@ -181,22 +178,18 @@ def oracle_eval(
         raise ValueError("dimension must be positive, got 0")
     if out is not None:
         _check_out(out, x, u)
-    if paired:
-        if fx is None:
-            fx = _check_rows(_eval_rows(f, x), x)
-        shifted = x + cfg.mu * u
-        fxp = _check_rows(_eval_rows(f, shifted), shifted)
-        return ((fxp - fx) / cfg.mu)[:, None] * u
     if fx is None:
-        fx = _eval_one(f, x)
-    if u.ndim == 1:
-        fxp = _eval_one(f, x + cfg.mu * u)
-        return ((fxp - fx) / cfg.mu) * u
-    # x + mu u and the estimate are each written into out when it is given;
-    # its shifted points are spent before the estimate overwrites them
-    shifted = np.add(x, np.multiply(cfg.mu, u, out=out), out=out)
-    coef = ((_eval_many(f, shifted) - fx) / cfg.mu)[:, None]
-    return np.multiply(coef, u, out=out)
+        fx = _values(f, x)
+    # x + mu u and the estimate are each written into out when it is given
+    # (its shifted points are spent before the estimate overwrites them);
+    # without out, operators cost less than ufuncs given out=None
+    if out is None:
+        shifted = x + cfg.mu * u
+    else:
+        shifted = np.add(x, np.multiply(cfg.mu, u, out=out), out=out)
+    coef = (_values(f, shifted, batch=x.ndim < u.ndim) - fx) / cfg.mu
+    coef = coef if u.ndim == 1 else coef[:, None]
+    return coef * u if out is None else np.multiply(coef, u, out=out)
 
 
 def _mean_and_stderr(samples: np.ndarray) -> tuple:

@@ -24,31 +24,34 @@ _COUNTER_STRIDE_BITS = 64
 
 
 def _check_u64(value, name: str) -> int:
-    """value as a Python int in [0, 2**64); a float or other non-integer raises."""
+    """value as a Python int in [0, 2**64); a bool, float or other non-integer raises."""
     try:
-        value = operator.index(value)
+        index = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}") from None
-    if not 0 <= value < 2**64:
-        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value}")
-    return value
+        index = -1  # refused below, as an integer out of range is
+    if 0 <= index < 2**64 and type(value) is not bool:
+        return index
+    raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
 
 
 def _check_count(value, name: str, low: int) -> int:
-    """value as a Python int >= low; a float or other non-integer raises."""
+    """value as a Python int in [low, 2**53] (each exact as a float, so no
+    formula overflows converting it); a bool, float or other non-integer raises."""
     try:
         count = operator.index(value)
     except TypeError:
         count = low - 1  # refused below, as an integer out of range is
-    if count < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return count
+    if low <= count <= 2**53 and type(value) is not bool:
+        return count
+    limit = "<= 2**53" if count > 2**53 else f">= {low}"
+    raise ValueError(f"{name} must be an integer {limit}, got {value!r}")
 
 
 def _check_real(value, name: str, positive: bool = True) -> float:
-    """value as a finite float, > 0 when positive else >= 0; a str or None raises."""
+    """value as a finite float, > 0 when positive else >= 0; a bool, str or None raises."""
+    is_real = isinstance(value, numbers.Real) and type(value) is not bool
     try:
-        real = float(value) if isinstance(value, numbers.Real) else math.nan
+        real = float(value) if is_real else math.nan
     except OverflowError:  # an int past the largest float
         real = math.inf
     if not (math.isfinite(real) and (real > 0 if positive else real >= 0)):

@@ -147,9 +147,8 @@ class Box(FeasibleSet):
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         x = self._check(x)
         _, _, lower, upper = self._bounds[x.ndim > 1]
-        if x.ndim == 1:
-            return bool((x >= lower).all() and (x <= upper).all())
-        return ((x >= lower) & (x <= upper)).all(axis=-1)
+        inside = ((x >= lower) & (x <= upper)).all(axis=-1)
+        return bool(inside) if x.ndim == 1 else inside
 
     def diameter(self) -> float:
         # the squares overflow before the root does: rescale by the largest

@@ -326,14 +326,19 @@ def theorem_step_size(mode: str, n: int, lip_const: float) -> float:
     """Step size assumed by the gap bounds in zopt.analysis.
 
     unconstrained: 1 / (4 (n + 4) lip_const); constrained: 1 / lip_const.
+    A lip_const whose step would be 0 or inf raises ValueError.
     """
+    if mode not in ("unconstrained", "constrained"):
+        raise ValueError(f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
     n = _check_count(n, "n", 1)
     lip_const = _check_real(lip_const, "lip_const")
-    if mode == "unconstrained":
-        return 1.0 / (4.0 * (n + 4) * lip_const)
-    if mode == "constrained":
-        return 1.0 / lip_const
-    raise ValueError(f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
+    step = 1.0 / (4.0 * (n + 4) * lip_const if mode == "unconstrained" else lip_const)
+    if not 0.0 < step < math.inf:  # with n <= 2**53 only lip_const can be to blame
+        raise ValueError(
+            f"lip_const must be such that the step size is positive and finite (n={n}), "
+            f"got {lip_const!r}"
+        )
+    return step
 
 
 def suggest_params(
@@ -369,9 +374,8 @@ def suggest_params(
         else:
             raise ValueError(f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
     except (OverflowError, ZeroDivisionError):
-        # float ** and int-to-float conversions raise where other float
-        # arithmetic gives inf, and so does a divisor such as pl_const * eps
-        # that underflows to 0
+        # float ** raises where other float arithmetic gives inf, and so
+        # does a divisor such as pl_const * eps that underflows to 0
         mu = num_iters = math.inf
     if not (0 < mu < math.inf and num_iters < math.inf):
         raise ValueError(

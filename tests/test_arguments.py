@@ -2,8 +2,8 @@
 
 Every count argument goes through rng._check_count and every real argument
 through rng._check_real, so a bad value ends in one ValueError that names the
-argument and the value, before any work: a float is never truncated to a
-count, and a real is never infinite or NaN.
+argument and the value, before any work: a float or a bool is never a
+count, a count is at most 2**53, and a real is never a bool, infinite or NaN.
 """
 
 import dataclasses
@@ -144,18 +144,36 @@ OPTIONAL = {("Box", "dim"), ("BoundInputs", "d_x")} | {
 }
 
 
+# values refused by one entry point only: a count past the largest float
+# once overflowed converting to float in the closed-form formulas, and a
+# lip_const at either end of the float range gave a step size of 0 or inf
+EXTREMES = [
+    *[(entry, "n", 10**400) for entry in (
+        "theorem_step_size-unconstrained", "theorem_step_size-constrained",
+        "oracle_variance_candidate", "BoundInputs",
+    )],
+    ("theorem_step_size-unconstrained", "lip_const", 1e308),
+    ("theorem_step_size-constrained", "lip_const", 5e-324),
+]
+
+
 def _bad_values(entry, name, rule):
     if rule == POSITIVE:
-        bad = [0.0, -1.0, math.nan, math.inf, "1.5", None]
+        bad = [0.0, -1.0, math.nan, math.inf, True, "1.5", None]
     elif rule == NONNEGATIVE:
-        bad = [-1.0, math.nan, math.inf, "1.5", None]
+        bad = [-1.0, math.nan, math.inf, True, "1.5", None]
     else:
-        bad = [2.5, rule - 1, "3", None]
+        bad = [2.5, rule - 1, 2**53 + 1, True, "3", None]
+    bad += [value for e, n, value in EXTREMES if (e, n) == (entry, name)]
     return [value for value in bad if value is not None or (entry, name) not in OPTIONAL]
 
 
+def _label(value):
+    return "10**400" if value == 10**400 else repr(value)
+
+
 ROWS = [
-    pytest.param(entry, name, value, id=f"{entry}-{name}-{value!r}")
+    pytest.param(entry, name, value, id=f"{entry}-{name}-{_label(value)}")
     for entry, (_, _, checked) in ENTRIES.items()
     for name, rule in checked.items()
     for value in _bad_values(entry, name, rule)

@@ -97,8 +97,17 @@ class TestSuggest:
         captured = capsys.readouterr()
         assert rc == 2
         assert len(captured.err.splitlines()) == 1
-        assert "finite" in captured.err
+        # a count past 2**53 is refused by the count rule before any formula
+        assert ("n must be an integer <= 2**53" if flag == "--n" else "finite") in captured.err
         assert captured.out == ""
+
+    def test_step_size_past_the_float_range_exits_2(self, capsys):
+        # suggest_params accepts these, but 1 / (4 (n + 4) lip) underflows to 0
+        argv = ["--eps", "100", "--n", "1", "--lip", "1e307", "--pl", "1"]
+        assert main(["suggest", "--mode", "unc", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("lip_const must be such that the step size is positive")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 # the one stderr line of a verify run that ends normally

@@ -68,6 +68,53 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert imported_but_unused(path.read_text(encoding="utf-8")) == []
 
 
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants of the sources
+    (module name -> text) that no other top-level statement in them reads,
+    by name, attribute or import."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            defined += [(module, name, stmt) for name in private]
+            read = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read |= {alias.name for alias in node.names}
+            reads.append((stmt, read))
+    return [
+        f"{module}.{name}"
+        for module, name, stmt in defined
+        if not any(name in read for other, read in reads if other is not stmt)
+    ]
+
+
+def test_unreferenced_private_name_detector():
+    a = "_A = 1\n_B = 2\ndef _f():\n    return _f()\nclass _C:\n    pass\nprint(_A)\n"
+    b = "from a import _C\n__all__ = []\n"
+    assert unreferenced_private_names({"a": a, "b": b}) == ["a._B", "a._f"]
+
+
+def test_no_private_name_is_left_without_a_reader():
+    # a private helper that nothing in the package reads is code with no caller
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(Path(zopt.__file__).parent.glob("*.py"))
+    }
+    assert unreferenced_private_names(sources) == []
+
+
 def test_readme_quick_start_runs(capsys):
     # the README's Python must keep running against the current API
     readme = (ROOT / "README.md").read_text(encoding="utf-8")

@@ -31,10 +31,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="mu must be positive and finite"):
             OracleConfig(mu=np.inf)
 
-    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), "3"])
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), "3", True])
     def test_rejects_non_integer_seed(self, seed):
         # int() used to truncate 1.5 to 1 for the draws while the config
-        # kept 1.5, so a run reported a seed it did not use
+        # kept 1.5, so a run reported a seed it did not use; a bool is no
+        # seed either, as a numpy bool is not
         with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
             OracleConfig(mu=0.1, seed=seed)
 
@@ -211,20 +212,28 @@ class TestOracleEvalBlock:
 
     @staticmethod
     def f(p):
-        return float(np.sum(np.arange(1.0, 7.0) * p**2) + p[0])
+        return float(np.sum(np.arange(1.0, p.size + 1.0) * p**2) + p[0])
 
     # the "-None" in each id is the (identity) direction covariance, kept
-    # from when a diagonal one was a second case
-    @pytest.mark.parametrize("fx", [None, 1.25], ids=lambda fx: f"{fx}-None")
-    def test_block_equals_single_calls(self, fx):
+    # from when a diagonal one was a second case; a one-row block and a
+    # one-dimensional point are the edge shapes of the block form
+    @pytest.mark.parametrize(
+        "fx, k, n",
+        [
+            pytest.param(fx, k, n, id=f"{fx}-None{suffix}")
+            for k, n, suffix in [(9, N, ""), (1, N, "-k1"), (9, 1, "-n1")]
+            for fx in (None, 1.25)
+        ],
+    )
+    def test_block_equals_single_calls(self, fx, k, n):
         gen = np.random.default_rng(4)
-        x = gen.standard_normal(self.N)
-        u = gen.standard_normal((9, self.N))
+        x = gen.standard_normal(n)
+        u = gen.standard_normal((k, n))
         cfg = OracleConfig(mu=1e-2, seed=0)
         block = oracle_eval(self.f, x, u, cfg, fx=fx)
         singles = np.array([oracle_eval(self.f, x, row, cfg, fx=fx) for row in u])
-        assert block.shape == (9, self.N)
-        assert np.array_equal(block, singles)
+        assert block.shape == (k, n)
+        assert block.tobytes() == singles.tobytes()
 
     def test_block_shares_one_evaluation_at_x(self):
         calls = []
@@ -328,17 +337,25 @@ class TestOracleEvalOut:
 class TestOracleEvalPaired:
     # k points paired with k directions: row i is the single call at x[i]
     # along u[i], bit for bit, for a row-exact objective and any other
-    # callable.  The last "-False" in each id says no dense covariance, kept
-    # from when one was a second case.
-    @pytest.mark.parametrize("generic", [False, True], ids=lambda g: f"{g}-False")
-    @pytest.mark.parametrize("given_fx", [False, True])
-    def test_rows_equal_single_calls(self, generic, given_fx):
-        problem = make_least_squares(10, 40, 0.1, 6)
-        f = Objective(40, problem.objective) if generic else problem.objective
+    # callable, also for one pair (k = 1) and one-dimensional points.  The
+    # third "-False" in each id says no dense covariance, kept from when one
+    # was a second case.
+    @pytest.mark.parametrize(
+        "given_fx, generic, k, n",
+        [
+            pytest.param(given_fx, generic, k, n, id=f"{given_fx}-{generic}-False{suffix}")
+            for k, n, suffix in [(5, 40, ""), (1, 40, "-k1"), (5, 1, "-n1")]
+            for given_fx in (False, True)
+            for generic in (False, True)
+        ],
+    )
+    def test_rows_equal_single_calls(self, given_fx, generic, k, n):
+        problem = make_least_squares(min(10, n), n, 0.1, 6)
+        f = Objective(n, problem.objective) if generic else problem.objective
         gen = np.random.default_rng(9)
         cfg = OracleConfig(mu=1e-3, seed=0)
-        x = gen.standard_normal((5, 40))
-        u = gen.standard_normal((5, 40))
+        x = gen.standard_normal((k, n))
+        u = gen.standard_normal((k, n))
         fx = problem.objective(x) if given_fx else None
         paired = oracle_eval(f, x, u, cfg, fx=fx)
         singles = [
