@@ -112,8 +112,11 @@ def unconstrained_gap_bound(
     """
     num_iters = _check_count(num_iters, "num_iters", 0)
     n, lip, pl, mu = inputs.n, inputs.lip_const, inputs.pl_const, inputs.mu
-    analyzed = theorem_step_size("unconstrained", n, lip)
-    h = analyzed if step_size is None else _check_real(step_size, "step_size")
+    h = (
+        theorem_step_size("unconstrained", n, lip)
+        if step_size is None
+        else _check_real(step_size, "step_size")
+    )
     leading = 2.0 / (pl * h)
     return (
         leading * (inputs.initial_gap / (num_iters + 1) + 3.0 * mu**2 * (n + 4) * lip / 32.0)
@@ -145,9 +148,11 @@ def constrained_gap_bound(
         inputs.mu,
         inputs.d_x,
     )
-    h = theorem_step_size("constrained", n, lip)
-    if step_size is not None:
-        h = _check_real(step_size, "step_size")
+    h = (
+        theorem_step_size("constrained", n, lip)
+        if step_size is None
+        else _check_real(step_size, "step_size")
+    )
     sigma = inputs.sigma_seq[: num_iters + 1]
     sum_sigma = float(np.sum(sigma))
     sum_sigma_sq = float(np.sum(sigma**2))

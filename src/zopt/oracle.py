@@ -181,15 +181,10 @@ def oracle_eval(
     if fx is None:
         fx = _values(f, x)
     # x + mu u and the estimate are each written into out when it is given
-    # (its shifted points are spent before the estimate overwrites them);
-    # without out, operators cost less than ufuncs given out=None
-    if out is None:
-        shifted = x + cfg.mu * u
-    else:
-        shifted = np.add(x, np.multiply(cfg.mu, u, out=out), out=out)
+    # (its shifted points are spent before the estimate overwrites them)
+    shifted = np.add(x, np.multiply(cfg.mu, u, out=out), out=out)
     coef = (_values(f, shifted, batch=x.ndim < u.ndim) - fx) / cfg.mu
-    coef = coef if u.ndim == 1 else coef[:, None]
-    return coef * u if out is None else np.multiply(coef, u, out=out)
+    return np.multiply(coef if u.ndim == 1 else coef[:, None], u, out=out)
 
 
 def _mean_and_stderr(samples: np.ndarray) -> tuple:

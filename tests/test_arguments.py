@@ -197,3 +197,13 @@ def test_numpy_scalars_in_range_are_accepted(entry):
         for name, rule in checked.items()
     }
     call(**{**valid, **numpy_valid})
+
+
+@pytest.mark.parametrize("bound", [unconstrained_gap_bound, constrained_gap_bound])
+def test_explicit_step_size_needs_no_analyzed_step(bound):
+    # at lip_const=5e-324 the analyzed step is inf and refused, but a bound
+    # given its own step never uses it
+    inputs = dataclasses.replace(INPUTS, lip_const=5e-324)
+    with pytest.raises(ValueError, match="^lip_const must be "):
+        bound(inputs, 10)
+    assert math.isfinite(bound(inputs, 10, step_size=0.1))
