@@ -45,10 +45,15 @@ MC_SIGMAS = 5.0
 
 # Rows per block of the verification loops: the samples of one Monte Carlo
 # point, and the probes of the inequality check and of the dominance
-# sampler.  A block's temporaries then stay a few MB at n = 100, whatever
-# the number of samples or probes.
-SAMPLE_BLOCK = 4096
-PROBE_BLOCK = 1024
+# sampler.  Sized so that a block's arrays fit a 2 MB L2 cache at n = 100,
+# whatever the number of samples or probes: about 1.3 MB for a block of
+# samples (directions, estimates, scratch) and 1.1 MB for a block of probes
+# (about eleven (block, n) temporaries).  Blocks of 4096 and 1024 held
+# 21 MB more peak resident memory on the verify_n100 benchmark workload and
+# were slower in an in-process scan.  SAMPLE_BLOCK // 2 must stay above
+# the gemm kernel switch described at _blocks.
+SAMPLE_BLOCK = 512
+PROBE_BLOCK = 128
 
 
 def _blocks(num: int, size: int):
@@ -67,6 +72,20 @@ def _blocks(num: int, size: int):
 def _einsum_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (k, n) arrays by einsum, not BLAS."""
     return np.einsum("ij,ij->i", a, b)
+
+
+def _finite(what: str, formula, **inputs) -> float:
+    """formula() as a float; a result that is not finite raises one
+    ValueError naming the inputs.  Float ** and / by an underflowed 0 raise
+    where the other float operators give inf, so each overflow ends here."""
+    try:
+        value = float(formula())
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        named = ", ".join(f"{name}={arg!r}" for name, arg in inputs.items())
+        raise ValueError(f"{named} give no finite {what}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +136,13 @@ def unconstrained_gap_bound(
         if step_size is None
         else _check_real(step_size, "step_size")
     )
-    leading = 2.0 / (pl * h)
-    return (
-        leading * (inputs.initial_gap / (num_iters + 1) + 3.0 * mu**2 * (n + 4) * lip / 32.0)
-        + mu**2 / (4.0 * pl) * lip**2 * (n + 6) ** 3
+    gap = inputs.initial_gap
+    return _finite(
+        "bound",
+        lambda: 2.0 / (pl * h) * (gap / (num_iters + 1) + 3.0 * mu**2 * (n + 4) * lip / 32.0)
+        + mu**2 / (4.0 * pl) * lip**2 * (n + 6) ** 3,
+        n=n, lip_const=lip, pl_const=pl, mu=mu, initial_gap=gap, step_size=h,
+        num_iters=num_iters,
     )
 
 
@@ -156,11 +178,15 @@ def constrained_gap_bound(
     sigma = inputs.sigma_seq[: num_iters + 1]
     sum_sigma = float(np.sum(sigma))
     sum_sigma_sq = float(np.sum(sigma**2))
-    return (
-        inputs.initial_gap / (pl * h * (num_iters + 1))
+    gap = inputs.initial_gap
+    return _finite(
+        "bound",
+        lambda: gap / (pl * h * (num_iters + 1))
         + mu * d_x * lip**2 * (n + 3) ** 1.5 / (2.0 * pl)
         + lip * d_x * sum_sigma / (pl * (num_iters + 1))
-        + sum_sigma_sq / (pl * (num_iters + 1))
+        + sum_sigma_sq / (pl * (num_iters + 1)),
+        n=n, lip_const=lip, pl_const=pl, mu=mu, d_x=d_x, initial_gap=gap, step_size=h,
+        num_iters=num_iters, sigma_sum=sum_sigma, sigma_sq_sum=sum_sigma_sq,
     )
 
 
@@ -173,7 +199,11 @@ def oracle_variance_candidate(mu: float, n: int, lip_const: float, grad_norm: fl
     mu, lip_const = _check_real(mu, "mu"), _check_real(lip_const, "lip_const")
     n = _check_count(n, "n", 1)
     grad_norm = _check_real(grad_norm, "grad_norm", positive=False)
-    return float(_c11_sigma_sq(mu, n, lip_const, grad_norm**2))
+    return _finite(
+        "sigma^2",
+        lambda: _c11_sigma_sq(mu, n, lip_const, grad_norm**2),
+        mu=mu, n=n, lip_const=lip_const, grad_norm=grad_norm,
+    )
 
 
 def _c11_sigma_sq(mu: float, n: int, lip_const: float, grad_sq, out=None):
@@ -354,12 +384,15 @@ def probe_deviation(
 
     xi_norms, t_values = np.empty(num_samples), np.empty(num_samples)
     # two (block, n) buffers serve every block: the estimates, and the
-    # scratch for g - grad and the prox terms
+    # scratch for g - grad and the prox terms; a block's directions are
+    # freed once its estimates are in, before the next block is drawn
     rows = max(hi - lo for lo, hi in _blocks(num_samples, SAMPLE_BLOCK))
     g_buf, scratch_buf = np.empty((rows, n)), np.empty((rows, n))
     for lo, hi in _blocks(num_samples, SAMPLE_BLOCK):
-        u = sample_directions(cfg, n, counter, hi - lo, sampler=sampler)
-        g = oracle_eval(problem.objective, x, u, cfg, fx=fx, out=g_buf[: hi - lo])
+        g = oracle_eval(
+            problem.objective, x, sample_directions(cfg, n, counter, hi - lo, sampler=sampler),
+            cfg, fx=fx, out=g_buf[: hi - lo],
+        )
         scratch = scratch_buf[: hi - lo]
         # np.linalg.norm(g - grad, axis=1), operation for operation
         xi = xi_norms[lo:hi]
@@ -465,12 +498,14 @@ def verify_oracle_inequalities(
 
     worst_ip = math.inf
     ip_violations = 0
+    # one (block, n) buffer takes every block's directions, a row per probe
+    u_buf = np.empty((max(hi - lo for lo, hi in _blocks(num_probes, PROBE_BLOCK)), n))
     for lo, hi in _blocks(num_probes, PROBE_BLOCK):
         x = feasible_set.sample(gen, hi - lo)
         grad = problem.grad(x)
-        u = np.concatenate(
-            [sample_directions(cfg, n, i, 1, sampler=sampler) for i in range(lo, hi)]
-        )
+        u = u_buf[: hi - lo]
+        for i, row in enumerate(u, lo):
+            sampler.standard_normal(i, out=row)
         g = oracle_eval(problem.objective, x, u, cfg)
         xi = g - grad
         s = gradient_map(feasible_set, x, g, h)

@@ -124,8 +124,8 @@ def _values(f: Callable, points: np.ndarray, batch: bool = False) -> float | np.
     f_batch = getattr(f, "batch", None) if batch else None
     values = _eval_rows(f, points) if f_batch is None else np.asarray(f_batch(points), dtype=float)
     # a per-row test on Python floats is cheaper than array reductions for a
-    # solver block's few rows, but made probe_deviation's 4096-row blocks
-    # 20-50 % slower than one array test
+    # solver block's few rows, but slower than one array test for
+    # probe_deviation's blocks of hundreds of samples
     finite = np.isfinite(values).all() if batch else all(map(math.isfinite, values.tolist()))
     if not finite:
         row = int(np.flatnonzero(~np.isfinite(values))[0])

@@ -92,10 +92,22 @@ class SubstreamSampler:
         self._counter = self._state["state"]["counter"]
         self._previous = None
 
-    def standard_normal(self, counter: int, size) -> np.ndarray:
+    def standard_normal(self, counter: int, size=None, out=None) -> np.ndarray:
+        """Normals of shape size, or written into out and returned in it.
+
+        out, a writable C-contiguous float64 array, gets the bits a new
+        array of its shape would; size, when also given, must be its shape.
+        """
         counter = _check_u64(counter, "counter")
+        if out is not None and not (
+            isinstance(out, np.ndarray)
+            and out.dtype == np.float64
+            and out.flags.c_contiguous
+            and out.flags.writeable
+        ):
+            raise ValueError("out must be a writable C-contiguous float64 array")
         if counter != self._previous:
             self._counter[1] = counter
             self._bitgen.state = self._state
             self._previous = counter
-        return self._gen.standard_normal(size)
+        return self._gen.standard_normal(size, out=out)

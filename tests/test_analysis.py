@@ -549,6 +549,45 @@ class TestBlockBoundaries:
         got = (report.min_ratio, report.below_unconstrained, report.evaluated, report.skipped)
         assert got == expected
 
+    # The block sizes were chosen by measurement for the cache; the bits
+    # must not depend on them.  128 samples split 1000 into blocks of 125,
+    # above the 61 rows below which OpenBLAS switches gemm kernels.
+    @pytest.mark.parametrize("m, n", [(5, 20), (20, 100)])
+    def test_checks_do_not_depend_on_the_block_sizes(self, m, n, monkeypatch):
+        problem = make_least_squares(m, n, 0.1, 15)
+        box = Box(-0.5, 0.5, dim=n)
+        cfg = OracleConfig(mu=1e-3, seed=16)
+        results = []
+        for size in (128, 4096):
+            monkeypatch.setattr(analysis, "SAMPLE_BLOCK", size)
+            monkeypatch.setattr(analysis, "PROBE_BLOCK", size)
+            report = verify_oracle_inequalities(
+                problem, box, cfg, num_probes=300, num_samples=1000, seed=17, num_mc_points=2
+            )
+            results.append((report.csv_rows(), check_proximal_pl(problem, box, 300, seed=17)))
+        assert results[0] == results[1]
+
+    def test_working_set_stays_cache_sized(self):
+        # What the checks hold at n = 100 beyond the per-sample value vectors
+        # (40 bytes a sample, as above) is their blocks: 1.8 MB when this was
+        # written, four (512, 100) arrays of samples.  The bound leaves room
+        # for allocator and numpy-version drift; blocks of 4096 samples and
+        # 1024 probes held 11 MB here.
+        problem = make_least_squares(20, 100, 0.1, 3)
+        box = Box(-0.5, 0.5, dim=100)
+        cfg = OracleConfig(mu=1e-3, seed=4)
+        num_samples = 5000
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            verify_oracle_inequalities(
+                problem, box, cfg, num_probes=1000, num_samples=num_samples, num_mc_points=1
+            )
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak - 40 * num_samples < 2.5e6
+
     def test_stacked_prox_quantity_is_row_by_row(self):
         box = Box(-0.5, 0.5, dim=6)
         gen = np.random.default_rng(14)

@@ -4,6 +4,8 @@ Every count argument goes through rng._check_count and every real argument
 through rng._check_real, so a bad value ends in one ValueError that names the
 argument and the value, before any work: a float or a bool is never a
 count, a count is at most 2**53, and a real is never a bool, infinite or NaN.
+Two smaller tables follow: valid arguments whose closed form overflows, and
+out= buffers of the wrong kind; each also ends in one ValueError.
 """
 
 import dataclasses
@@ -24,8 +26,9 @@ from zopt.analysis import (
     verify_oracle_inequalities,
 )
 from zopt.harness import ExperimentConfig, checkpoint_grid, run_experiment
-from zopt.oracle import OracleConfig, estimate_smoothed_gradient, sample_directions
+from zopt.oracle import OracleConfig, estimate_smoothed_gradient, oracle_eval, sample_directions
 from zopt.problems import make_least_squares
+from zopt.rng import SubstreamSampler
 from zopt.sets import Box, WholeSpace, gradient_map
 from zopt.solvers import SolverConfig, suggest_params, theorem_step_size
 
@@ -207,3 +210,63 @@ def test_explicit_step_size_needs_no_analyzed_step(bound):
     with pytest.raises(ValueError, match="^lip_const must be "):
         bound(inputs, 10)
     assert math.isfinite(bound(inputs, 10, step_size=0.1))
+
+
+# closed forms whose float ** overflows (or whose result is not finite):
+# one ValueError naming the inputs, as suggest_params gives
+OVERFLOWS = {
+    "oracle_variance_candidate-mu": partial(oracle_variance_candidate, 1e200, 3, 2.0, 1.0),
+    "oracle_variance_candidate-grad_norm": partial(
+        oracle_variance_candidate, 1e-3, 3, 2.0, 1e200
+    ),
+    "unconstrained_gap_bound-mu": partial(
+        unconstrained_gap_bound,
+        BoundInputs(n=3, lip_const=2.0, pl_const=1.0, mu=1e200, initial_gap=1.0), 5,
+    ),
+    "constrained_gap_bound-lip_const": partial(
+        constrained_gap_bound, dataclasses.replace(INPUTS, lip_const=1e200), 5
+    ),
+    "unconstrained_gap_bound-pl_const_times_step": partial(
+        unconstrained_gap_bound, dataclasses.replace(INPUTS, pl_const=1e-200), 5, 1e-200
+    ),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_overflowing_closed_form_is_one_value_error(call):
+    with pytest.raises(ValueError, match=" give no finite ") as err:
+        call()
+    assert "\n" not in str(err.value)
+
+
+READ_ONLY = np.zeros((2, 3))
+READ_ONLY.flags.writeable = False
+ROWS_9 = np.ones((9, 6))  # rows 0-3 are the directions u below, row 8 a point x
+DRAW_OUT = partial(SubstreamSampler(1).standard_normal, 0)
+
+# out= buffers each refused with one ValueError before anything is written
+OUTS = {
+    "standard_normal-shape": partial(DRAW_OUT, (2, 3), out=np.empty((3, 2))),
+    "standard_normal-dtype": partial(DRAW_OUT, out=np.empty((2, 3), dtype=np.float32)),
+    "standard_normal-fortran_order": partial(DRAW_OUT, out=np.empty((3, 2)).T),
+    "standard_normal-strided": partial(DRAW_OUT, out=np.empty((2, 6))[:, ::2]),
+    "standard_normal-read_only": partial(DRAW_OUT, out=READ_ONLY),
+    "standard_normal-list": partial(DRAW_OUT, out=[[0.0] * 3] * 2),
+    # oracle_eval's shape, dtype and order rows are in test_oracle.py
+    "oracle_eval-aliases_u": partial(
+        oracle_eval, PROBLEM.objective, X, ROWS_9[:4], CFG, out=ROWS_9[2:6]
+    ),
+    "oracle_eval-aliases_x": partial(
+        oracle_eval, PROBLEM.objective, ROWS_9[8], ROWS_9[:4], CFG, out=ROWS_9[5:9]
+    ),
+}
+
+
+@pytest.mark.parametrize("call", OUTS.values(), ids=OUTS.keys())
+def test_bad_out_is_one_value_error(call):
+    out = call.keywords["out"]
+    before = np.asarray(out).tobytes()
+    with pytest.raises(ValueError, match="out") as err:
+        call()
+    assert "\n" not in str(err.value)
+    assert np.asarray(out).tobytes() == before

@@ -168,7 +168,7 @@ class TestVerify:
         assert PHASE_TIMES.fullmatch(capsys.readouterr().err)
 
     def test_pinned_stdout_and_csv(self, capsys, tmp_path):
-        # one run with a Monte Carlo point of three sample blocks, pinned to
+        # one run with a Monte Carlo point of twenty sample blocks, pinned to
         # the bit: its check lines on stdout and its CSV bytes
         csv_path = tmp_path / "checks.csv"
         args = ["verify", "--probes", "2500", "--samples", "10000", "--seed", "7"]

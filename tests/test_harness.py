@@ -1014,9 +1014,9 @@ class TestBlasThreadCount:
         )
 
     # The verify checks stream their samples and probes in blocks; at
-    # (m, n) = (20, 100), 10240 samples and 2600 probes end in partial
-    # blocks.  The expected text is what one gemm over all the samples of
-    # a point and one probe at a time give.
+    # (m, n) = (20, 100), 10240 samples fill 20 blocks of 512 and 2600
+    # probes make 21 blocks of 123 or 124.  The expected text is what one
+    # gemm over all the samples of a point and one probe at a time give.
     VERIFY_CHILD = (
         "from zopt import analysis, problems, sets; from zopt.oracle import OracleConfig; "
         "p = problems.make_least_squares(20, 100, 0.1, 0); "

@@ -138,6 +138,18 @@ class TestSubstreamReader:
         whole = sample_directions(cfg, 6, 2**63 + 5, sum(sizes))
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
+    def test_out_takes_the_bits_of_a_new_array(self):
+        # a block drawn into a buffer, and rows drawn one substream each
+        # into the rows of one buffer, as the probe check draws them
+        out = np.full((5, 6), np.nan)
+        assert SubstreamSampler(23).standard_normal(9, out=out) is out
+        assert out.tobytes() == substream(23, 9).standard_normal((5, 6)).tobytes()
+        sampler = SubstreamSampler(23)
+        for counter, row in enumerate(out, 40):
+            sampler.standard_normal(counter, out=row)
+        expected = [substream(23, counter).standard_normal(6) for counter in range(40, 45)]
+        assert out.tobytes() == np.concatenate(expected).tobytes()
+
     def test_repeated_counter_reads_on(self):
         sampler = SubstreamSampler(23)
         draws = [sampler.standard_normal(5, 3) for _ in range(3)]
