@@ -259,22 +259,35 @@ def constrained_opt_value(problem: TestProblem, feasible_set: FeasibleSet) -> fl
     Boxes are solved with scipy's bounded least squares; the whole space
     falls back to the unconstrained optimum.  Other set kinds have no
     reference solver here.
+
+    The solver's scaled steps lose their meaning on a box far wider than
+    the problem: on boxes of width 1e32 it returned values above the
+    minimum, and on wider ones its line search could halve a step forever.
+    So it runs on the box cut to 1e6 times the problem's scale around the
+    box point nearest the unconstrained solution.  f is convex, so a
+    solution well inside every cut face is a minimum over the whole box;
+    one near a cut face, or a step that overflows, raises ValueError.
     """
     if isinstance(feasible_set, WholeSpace):
         return problem.opt_value
-    if isinstance(feasible_set, Box):
-        res = lsq_linear(
-            problem.a_matrix,
-            problem.b_vector,
-            bounds=(feasible_set.lower, feasible_set.upper),
-            method="trf",
-            tol=1e-14,
-            max_iter=500,
-        )
-        return float(res.fun @ res.fun)
-    raise ValueError(
-        f"no reference optimum available for set kind {feasible_set.kind!r}"
-    )
+    if not isinstance(feasible_set, Box):
+        raise ValueError(f"no reference optimum available for set kind {feasible_set.kind!r}")
+    a, b = problem.a_matrix, problem.b_vector
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            x_ls = np.linalg.lstsq(a, b)[0]
+            center = feasible_set.project(x_ls)
+            reach = 1e6 * (1.0 + max(np.abs(x_ls).max(), np.abs(center - x_ls).max()))
+            lower = np.maximum(feasible_set.lower, center - reach)
+            upper = np.minimum(feasible_set.upper, center + reach)
+            res = lsq_linear(a, b, bounds=(lower, upper), method="trf", tol=1e-14, max_iter=500)
+        except FloatingPointError as exc:
+            message = f"no reference optimum on this box: the solver overflows ({exc})"
+            raise ValueError(message) from None
+    cut = (lower > feasible_set.lower) | (upper < feasible_set.upper)
+    if np.any(cut & (np.abs(res.x - center) > 0.5 * reach)):
+        raise ValueError("no reference optimum on this box: its minimum is past the solver's reach")
+    return float(res.fun @ res.fun)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .analysis import (
     _c11_sigma_sq,
     constrained_gap_bound,
     constrained_opt_value,
+    oracle_variance_candidate,
     unconstrained_gap_bound,
 )
 from .oracle import OracleConfig
@@ -235,11 +236,13 @@ def load_config(path) -> ExperimentConfig:
     def fail(section: str, key: str | None, message: str):
         raise ConfigError(message, path=path, line=_find_line(text, section, key))
 
+    if parser.has_section("set"):
+        kind = parser["set"].get("kind")
+        if kind is None or kind.lower() != "box":
+            fail("set", "kind" if kind else None, f"unknown set kind {kind!r}")
     for section in parser.sections():
-        allowed = {k for s, k in CONFIG_SCHEMA if s == section}
-        if section == "set":  # an unknown kind is reported by set_from_spec
-            allowed = SET_KEYS.get(parser["set"].get("kind", "").lower(), parser["set"])
-        elif not allowed:
+        allowed = SET_KEYS if section == "set" else {k for s, k in CONFIG_SCHEMA if s == section}
+        if not allowed:
             fail(section, None, f"unknown section [{section}]")
         for key in parser[section]:
             if key not in allowed:
@@ -578,7 +581,7 @@ class _RunTask:
     solvers: tuple[SolverConfig, ...]
     feasible_set: FeasibleSet | None
     collect_sigma: bool
-    f_star: float | None
+    f_star: float
 
 
 def _execute_run(task: _RunTask) -> list[_RunSummary | DivergenceError]:
@@ -667,9 +670,9 @@ def run_experiment(
         except OSError as exc:
             raise ConfigError(f"cannot create the directory of {path}: {exc.strerror}") from exc
 
-    problem = make_least_squares(
-        config.m, config.n, config.noise_std, config.problem_seed
-    )
+    # an instance that overflows is reported once, at f(x0) below
+    with np.errstate(over="ignore", invalid="ignore"):
+        problem = make_least_squares(config.m, config.n, config.noise_std, config.problem_seed)
     lip = problem.lip_const
     pl = problem.pl_const
     n = config.n
@@ -711,20 +714,19 @@ def run_experiment(
         x0 = feasible.project(x0)
         metadata["x0_note"] = "standard normal sample projected onto the feasible set"
         metadata["set"] = ";".join(f"{k}={v}" for k, v in sorted(feasible.spec().items()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0 = problem.objective(x0)
+    if not math.isfinite(f0):
+        where = " and x0 in the [set] box" if feasible is not None else ""
+        raise ConfigError(
+            f"f(x0) = {f0!r} is not finite with [problem] noise_std = {config.noise_std!r}{where}",
+            path=config.source_path,
+        )
 
-    f_star = None
-    if mode == "unconstrained":
-        f_star = problem.opt_value
-    else:
-        try:
-            f_star = constrained_opt_value(problem, feasible)
-        except ValueError:
-            if config.bound_overlay:
-                raise ConfigError(
-                    f"bound overlay needs a reference optimum, which set kind "
-                    f"{feasible.kind!r} does not provide",
-                    path=config.source_path,
-                )
+    try:
+        f_star = problem.opt_value if feasible is None else constrained_opt_value(problem, feasible)
+    except ValueError as exc:
+        raise ConfigError(f"[set] {exc}", path=config.source_path) from exc
 
     if mode == "constrained" and step > analyzed:
         # once, before any block starts: the blocks may run in other processes
@@ -734,6 +736,13 @@ def run_experiment(
             stacklevel=2,
         )
     collect_sigma = config.bound_overlay and mode == "constrained"
+    if collect_sigma:
+        # the c11 floor, which the sigma hook adds at every iterate
+        try:
+            oracle_variance_candidate(mu, n, lip, 0.0)
+        except ValueError as exc:
+            message = f"[solver] mu is too large for the bound overlay: {exc}"
+            raise ConfigError(message, path=config.source_path) from exc
     solvers = [
         SolverConfig(
             oracle=OracleConfig(mu=float(mu), seed=config.run_seed_base + i),
@@ -773,7 +782,7 @@ def run_experiment(
     metadata["diverged_runs"] = ",".join(map(str, diverged_at))
 
     bound_inputs = None
-    if config.bound_overlay and f_star is not None:
+    if config.bound_overlay:
         sigma_seq = None
         if collect_sigma:
             # rms across runs upper-bounds both the mean of sigma and the
@@ -802,7 +811,11 @@ def run_experiment(
                 "rescaled heuristically"
             )
 
-    series = aggregate(summaries, bound_inputs=bound_inputs, f_star=f_star, step_size=step)
+    try:
+        series = aggregate(summaries, bound_inputs=bound_inputs, f_star=f_star, step_size=step)
+    except ValueError as exc:  # the runs' only ValueError: a bound that overflows
+        message = f"[outputs] bound_overlay has no finite bound for this config: {exc}"
+        raise ConfigError(message, path=config.source_path) from exc
     series.metadata.update(metadata)
     series.diverged_at = diverged_at
     if feasible is not None:

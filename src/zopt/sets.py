@@ -3,7 +3,8 @@
 Three set kinds are shipped: the whole space, axis-aligned boxes, and
 Euclidean balls.  The contract is open: any object with dim, project,
 contains, diameter, and sample can be used wherever a FeasibleSet is
-expected, as long as project is the exact Euclidean projection.
+expected, as long as project is the exact Euclidean projection.  A config's
+[set] spec describes a box, the one kind whose run can be certified.
 
 project accepts arrays of shape (..., dim) and maps points along the last
 axis, so Monte Carlo code can project whole batches at once.  contains
@@ -37,13 +38,11 @@ __all__ = [
 
 # Projections land exactly on boundaries; strict membership tests would flap.
 MEMBERSHIP_TOL = 1e-12
+# below this norm the squares summed under the root are subnormal or 0
+_TINY_NORM = math.sqrt(np.finfo(float).tiny)
 
-# the keys a spec of each kind may hold (a ball's center defaults to 0)
-SET_KEYS = {
-    "whole_space": ("kind",),
-    "box": ("kind", "lower", "upper"),
-    "ball": ("kind", "center", "radius"),
-}
+# the keys a set spec holds: it describes a box
+SET_KEYS = ("kind", "lower", "upper")
 
 
 class FeasibleSet:
@@ -77,10 +76,6 @@ class FeasibleSet:
         """
         raise NotImplementedError
 
-    def spec(self) -> dict:
-        """Flat kind + parameters description, embeddable in config files."""
-        raise NotImplementedError
-
 
 class WholeSpace(FeasibleSet):
     kind = "whole_space"
@@ -98,9 +93,6 @@ class WholeSpace(FeasibleSet):
     def sample(self, gen: np.random.Generator, num: int | None = None) -> np.ndarray:
         # one call fills the rows in order, as num calls would
         return gen.standard_normal(self.dim if num is None else (num, self.dim))
-
-    def spec(self) -> dict:
-        return {"kind": self.kind}
 
 
 class Box(FeasibleSet):
@@ -151,13 +143,14 @@ class Box(FeasibleSet):
         return bool(inside) if x.ndim == 1 else inside
 
     def diameter(self) -> float:
-        # the squares overflow before the root does: rescale by the largest
-        # width then, and only then, so every finite norm keeps its bits; a
-        # diameter past the largest float is inf, as in plain arithmetic
+        # the squares overflow before the root does, or underflow: rescale by
+        # the largest width then, and only then, so every other norm keeps
+        # its bits; a diameter past the largest float is inf, as in plain
+        # arithmetic
         with np.errstate(over="ignore"):
             width = self.upper - self.lower
             norm = float(np.linalg.norm(width))
-            if math.isinf(norm) and np.isfinite(width).all():
+            if not _TINY_NORM <= norm < math.inf and np.isfinite(width).all():
                 scale = float(width.max())
                 norm = scale * float(np.linalg.norm(width / scale))
         return norm
@@ -218,13 +211,6 @@ class Ball(FeasibleSet):
         r = self.radius * gen.uniform() ** (1.0 / self.dim)
         return self.center + r * z
 
-    def spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "center": ",".join(repr(float(v)) for v in self.center),
-            "radius": repr(self.radius),
-        }
-
 
 def gradient_map(
     feasible_set: FeasibleSet, x: np.ndarray, g: np.ndarray, h: float
@@ -263,63 +249,42 @@ def _parse_values(text: str, dim: int, name: str) -> float | np.ndarray:
     return np.array(values)
 
 
-def _spec_values(spec: dict, dim: int) -> tuple[str, dict]:
-    """A spec's kind and its parsed values; a value of one number stays a float."""
-    kind = str(spec.get("kind", "")).strip().lower()
-    if kind not in SET_KEYS:
+def _box_bounds(spec: dict, dim: int) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """A box spec's (lower, upper); a bound of one number stays a float."""
+    if str(spec.get("kind", "")).strip().lower() != "box":
         raise ValueError(f"unknown set kind {spec.get('kind')!r}")
-    extra = [key for key in spec if key not in SET_KEYS[kind]]
+    extra = [key for key in spec if key not in SET_KEYS]
     if extra:
-        raise ValueError(f"{kind} set does not take {', '.join(map(repr, extra))}")
-    if kind == "whole_space":
-        return kind, {}
-    if kind == "box":
-        if "lower" not in spec or "upper" not in spec:
-            raise ValueError("box set requires 'lower' and 'upper'")
-        return kind, {key: _parse_values(spec[key], dim, key) for key in ("lower", "upper")}
-    if "radius" not in spec:
-        raise ValueError("ball set requires 'radius'")
-    center = _parse_values(spec.get("center", "0"), dim, "center")
-    try:
-        radius = float(spec["radius"])
-    except ValueError:
-        raise ValueError(f"radius must be a number, got {spec['radius']!r}") from None
-    return kind, {"center": center, "radius": radius}
+        raise ValueError(f"box set does not take {', '.join(map(repr, extra))}")
+    if "lower" not in spec or "upper" not in spec:
+        raise ValueError("box set requires 'lower' and 'upper'")
+    return _parse_values(spec["lower"], dim, "lower"), _parse_values(spec["upper"], dim, "upper")
 
 
-def _build(kind: str, values: dict, dim: int) -> FeasibleSet:
-    if kind == "whole_space":
-        return WholeSpace(dim)
-    if kind == "box":
-        return Box(values["lower"], values["upper"], dim=dim)
-    return Ball(np.broadcast_to(values["center"], (dim,)), values["radius"])
-
-
-def set_from_spec(spec: dict, dim: int) -> FeasibleSet:
-    """Build a set from a flat kind + parameters description.
+def set_from_spec(spec: dict, dim: int) -> Box:
+    """Build the box of a flat kind + bounds description.
 
     A ValueError about one key's value starts with that key's name.
     """
-    return _build(*_spec_values(spec, dim), dim)
+    return Box(*_box_bounds(spec, dim), dim=dim)
 
 
 def spec_diameter(spec: dict, dim: int) -> float:
     """The diameter of set_from_spec(spec, dim), after the same checks.
 
-    When every value is one number, the checks run on the same set in one
+    When both bounds are one number, the checks run on the same box in one
     dimension, so no dim-vector is built and a spec of any dimension costs
-    the same.  A box's diameter is then sqrt(dim * width**2), or
-    width * sqrt(dim) when the squares overflow, as the built box computes
-    it; both are inf at the same widths, up to rounding in the last bits.
+    the same.  The diameter is then sqrt(dim * width**2), or
+    width * sqrt(dim) when the squares overflow or underflow, as the built
+    box computes it; both are inf at the same widths, up to rounding in the
+    last bits.
     """
-    kind, values = _spec_values(spec, dim)
-    if any(np.ndim(v) for v in values.values()):
-        return _build(kind, values, dim).diameter()
-    one = _build(kind, values, 1)
-    if kind != "box":
-        return one.diameter()
-    width = values["upper"] - values["lower"]  # Python floats: inf, no warning
+    lower, upper = _box_bounds(spec, dim)
+    if np.ndim(lower) or np.ndim(upper):
+        return Box(lower, upper, dim=dim).diameter()
+    Box(lower, upper, dim=1)  # the box's checks, in one dimension
+    width = upper - lower  # Python floats: inf, no warning
     diameter = math.sqrt(dim * (width * width))
-    if math.isinf(diameter) and math.isfinite(width):
+    if not _TINY_NORM <= diameter < math.inf and math.isfinite(width):
         diameter = width * math.sqrt(dim)
     return diameter

@@ -191,6 +191,39 @@ class TestReferenceOptimum:
         for _ in range(500):
             assert problem.objective(box.sample(gen)) >= f_star - 1e-9
 
+    @pytest.mark.parametrize(
+        "seed, lower, upper", [(2, -1.0, 1e200), (1, -1e200, 1e-300), (2, 1.0, 1e32)]
+    )
+    def test_wide_box_optimum_matches_an_active_set_solve(self, seed, lower, upper):
+        # on the whole box the interior-point solver returned 0.189 for the
+        # first (the minimum is about 1e-31), never returned on the second,
+        # and returned 23.9 for the third (the minimum is 21.1)
+        from scipy.optimize import lsq_linear
+
+        problem = make_least_squares(2, 4, 0.1, seed)
+        box = Box(lower, upper, dim=4)
+        active_set = lsq_linear(
+            problem.a_matrix, problem.b_vector, bounds=(box.lower, box.upper), method="bvls"
+        )
+        expected = float(active_set.fun @ active_set.fun)
+        assert constrained_opt_value(problem, box) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    def test_box_whose_minimum_lies_beyond_the_reach_is_refused(self):
+        # f = (x1 + 1e-7 x2 - 1)^2 reaches 0 only at x2 near 1e8, past the cut
+        # at about 1e7 around the box point nearest the unconstrained solution
+        problem = TestProblem(LeastSquaresObjective(np.array([[1.0, 1e-7]]), np.array([1.0])))
+        lower = np.array([-10.0, 0.0])
+        with pytest.raises(ValueError, match="its minimum is past the solver's reach"):
+            constrained_opt_value(problem, Box(lower, np.array([-9.0, 1e20])))
+        # within the reach the minimum sits on the box's own face x2 = 1e6
+        box = Box(lower, np.array([-9.0, 1e6]))
+        assert constrained_opt_value(problem, box) == pytest.approx(9.9**2, rel=1e-12)
+
+    def test_box_whose_solve_overflows_is_refused(self):
+        problem = make_least_squares(2, 3, 0.1, 0)
+        with pytest.raises(ValueError, match="the solver overflows"):
+            constrained_opt_value(problem, Box(1e200, 1e300, dim=3))
+
     def test_unsupported_kind_rejected(self):
         from zopt.sets import Ball
 
@@ -247,6 +280,26 @@ class TestDeviationChecks:
         # unbiasedness: mean deviation cannot be large relative to its spread
         assert probe.mean_xi_sq > 0
         assert probe.q_value >= 0
+
+    @pytest.mark.parametrize("mu", [1e-4, 0.3, 3.0])
+    def test_second_moment_matches_its_closed_form_on_a_quadratic(self, mu):
+        # For f = ||A x - b||^2 the estimate is g = (grad.u + (mu/2) u'Hu) u
+        # with H = 2 A'A, and Gaussian moments give exactly
+        # E||g - grad||^2 = (n + 1)||grad||^2 + (mu^2/4)(n + 4)((tr H)^2 + 2 tr H^2).
+        # A standard error near 1% of it tells (n + 1) from (n + 2).
+        problem = make_least_squares(5, 20, 0.1, 3)
+        n = problem.dim
+        x = np.random.default_rng(4).standard_normal(n)
+        cfg = OracleConfig(mu=mu, seed=21)
+        grad = problem.grad(x)
+        h = 2.0 * problem.a_matrix.T @ problem.a_matrix
+        smoothing = np.trace(h) ** 2 + 2.0 * np.trace(h @ h)
+        exact = (n + 1) * (grad @ grad) + mu**2 / 4.0 * (n + 4) * smoothing
+        num = 50_000
+        probe = probe_deviation(problem, WholeSpace(n), cfg, x, num, counter=0)
+        _, se = _whole_batch_probe(problem, WholeSpace(n), cfg, x, num, counter=0)["xi_sq"]
+        assert se < 0.02 * exact
+        assert abs(probe.mean_xi_sq - exact) <= analysis.MC_SIGMAS * se
 
     def test_report_runs_clean_on_box(self):
         problem = make_least_squares(5, 20, 0.1, 12)

@@ -451,15 +451,50 @@ class TestRun:
         assert captured.err == f"cannot write {out_dir / 'cli_out.csv'}: it is a directory\n"
         assert captured.out == ""
 
-    def test_ball_with_bound_overlay_exits_2_with_config_path(self, tmp_path, capsys):
-        cfg = tmp_path / "ball.cfg"
-        cfg.write_text(
-            RUN_CONFIG.replace("scenario = unconstrained", "scenario = constrained")
-            + "\n[set]\nkind = ball\nradius = 0.5\n"
-        )
+    @pytest.mark.parametrize(
+        "solver, message",
+        [
+            ("mu = 1e160", "mu=1e+160, n=3, "),
+            ("mu = auto\neps = 1e300", "mu=5.228939685074413e+296, n=3, "),
+        ],
+    )
+    def test_overlay_mu_whose_sigma_floor_overflows_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, solver, message
+    ):
+        # the c11 floor mu^2 L^2 (n + 6)^3 / 2 used to overflow in the sigma
+        # hook, inside a block, with an OverflowError traceback
+        def no_runs(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "_execute_run", no_runs)
+        text = BOX_RUN_CONFIG.replace("m = 3", "m = 2").replace("n = 8", "n = 3")
+        cfg = tmp_path / "huge_mu.cfg"
+        cfg.write_text(text.replace("mu = 1e-5", solver))
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err == (
-            f"{cfg}: bound overlay needs a reference optimum, which set kind 'ball' "
-            "does not provide\n"
-        )
+        captured = capsys.readouterr()
+        prefix = f"{cfg}: [solver] mu is too large for the bound overlay: {message}"
+        assert captured.err.startswith(prefix)
+        assert captured.err.endswith(" give no finite sigma^2\n")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "config, where", [(RUN_CONFIG, ""), (BOX_RUN_CONFIG, " and x0 in the [set] box")]
+    )
+    def test_non_finite_initial_value_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, config, where
+    ):
+        # f(x0) overflows: a fault of the config, which used to end as
+        # "every run diverged" with exit 1, after three numpy overflow warnings
+        def no_runs(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "_execute_run", no_runs)
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text(config.replace("noise_std = 0.1", "noise_std = 1e200"))
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        message = f"{cfg}: f(x0) = inf is not finite with [problem] noise_std = 1e+200{where}\n"
+        assert captured.err == message
+        assert captured.out == ""

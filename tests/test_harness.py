@@ -66,13 +66,14 @@ bound_overlay = true
 """
 
 
-# [set] sections holding a key their kind does not take, on its last line
+# [set] sections of a kind other than box, refused at their kind line
 BALL_WITH_CENTRE = "[set]\nkind = ball\nradius = 1\ncentre = 0.3"
+WHOLE_SPACE = "[set]\nkind = whole_space"
+# a box holding a key it does not take, on its last line
 BOX_WITH_RADIUS = "[set]\nkind = box\nlower = -1\nupper = 1\nradius = 1"
 # [set] sections with one malformed value
 BOX_BAD_LOWER = "[set]\nkind = box\nlower = -0.5x\nupper = 0.5"
 BOX_SHORT_UPPER = "[set]\nkind = box\nlower = -0.5\nupper = 0.5, 1"
-BALL_BAD_RADIUS = "[set]\nkind = ball\nradius = abc"
 
 
 def load_perfbench(name: str, monkeypatch):
@@ -375,8 +376,13 @@ class TestConfigParsing:
             ({"mu = 1e-5": "MU : nan  # comment"}, 14, "[solver] mu must be positive"),
             (
                 {"= unconstrained": "= constrained", "true": f"true\n{BALL_WITH_CENTRE}"},
-                25,
-                "unknown key [set] centre",
+                23,
+                "unknown set kind 'ball'",
+            ),
+            (
+                {"= unconstrained": "= constrained", "true": f"true\n{WHOLE_SPACE}"},
+                23,
+                "unknown set kind 'whole_space'",
             ),
             (
                 {"= unconstrained": "= constrained", "true": f"true\n{BOX_WITH_RADIUS}"},
@@ -392,11 +398,6 @@ class TestConfigParsing:
                 {"= unconstrained": "= constrained", "true": f"true\n{BOX_SHORT_UPPER}"},
                 25,
                 "[set] upper has 2 entries, expected 1 or 8",
-            ),
-            (
-                {"= unconstrained": "= constrained", "true": f"true\n{BALL_BAD_RADIUS}"},
-                24,
-                "[set] radius must be a number, got 'abc'",
             ),
         ],
     )
@@ -435,22 +436,19 @@ class TestConfigParsing:
 
     def test_constrained_rejects_infinite_diameter(self, tmp_path):
         text = GOOD_CONFIG.replace("scenario = unconstrained", "scenario = constrained")
-        text += "\n[set]\nkind = whole_space\n"
+        text += "\n[set]\nkind = box\nlower = -0.5e308\nupper = 0.5e308\n"
         path = tmp_path / "exp.cfg"
         path.write_text(text)
         with pytest.raises(ConfigError, match="finite-diameter"):
             load_config(path)
 
-    @pytest.mark.parametrize(
-        "set_section",
-        ["[set]\nkind = box\nlower = -0.5\nupper = 0.5", "[set]\nkind = ball\nradius = 2"],
-    )
-    def test_set_of_any_dimension_loads_without_allocating(self, tmp_path, set_section):
+    def test_set_of_any_dimension_loads_without_allocating(self, tmp_path):
         # one n-vector at n = 10**12 would need 8 TB: scalar values are
         # checked as scalars, so loading takes the same memory at any n
         text = GOOD_CONFIG.replace("scenario = unconstrained", "scenario = constrained")
         path = tmp_path / "exp.cfg"
-        path.write_text(text.replace("n = 8", f"n = {10**12}") + "\n" + set_section + "\n")
+        set_section = "[set]\nkind = box\nlower = -0.5\nupper = 0.5\n"
+        path.write_text(text.replace("n = 8", f"n = {10**12}") + "\n" + set_section)
         tracemalloc.start()
         try:
             cfg = load_config(path)
@@ -538,7 +536,7 @@ class TestConfigParsing:
         parsed = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
         parsed.read_string(block)
         keys = {(section, key) for section in parsed.sections() for key in parsed[section]}
-        set_keys = {("set", key) for key in SET_KEYS[parsed["set"]["kind"]]}
+        set_keys = {("set", key) for key in SET_KEYS}
         assert keys == set(harness.CONFIG_SCHEMA) | set_keys
         path = tmp_path / "readme.cfg"
         path.write_text(block)
@@ -576,8 +574,8 @@ FUZZ_BASE = {
     "set": {"kind": "box", "lower": "-0.5", "upper": "0.5"},
     "outputs": {"csv_path": "out.csv", "bound_overlay": "true"},
 }
-# every key the loader reads: the schema table and the [set] keys of all kinds
-SET_FIELDS = sorted({("set", key) for keys in SET_KEYS.values() for key in keys})
+# every key the loader reads: the schema table and the box's [set] keys
+SET_FIELDS = [("set", key) for key in SET_KEYS]
 FUZZ_FIELDS = [*harness.CONFIG_SCHEMA, *SET_FIELDS]
 # keys the loader must reject: misspellings, keys in the wrong section, and
 # sections it does not know (configparser treats [DEFAULT] specially)
@@ -662,10 +660,80 @@ class TestConfigProperty:
         parsed = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
         parsed.read_string(data.decode("utf-8"))
         assert not parsed.defaults()
-        kind = (cfg.set_spec or {}).get("kind", "").lower()
-        allowed = {*harness.CONFIG_SCHEMA, *(("set", key) for key in SET_KEYS.get(kind, ()))}
+        allowed = {*harness.CONFIG_SCHEMA, *SET_FIELDS}
         fields = {(section, key) for section in parsed.sections() for key in parsed[section]}
         assert fields <= allowed
+
+
+# Values for a run-level property test: every key of the schema, with reals
+# from a fixed list of extremes; tiny sizes keep each run a few milliseconds.
+EXTREME_REALS = ["1e-300", "1e-8", "1", "1e8", "1e200", "1e300"]
+extreme_reals = st.sampled_from(EXTREME_REALS)
+seeds = st.integers(min_value=0, max_value=2**64 - 3)
+RUN_VALUES = {
+    ("experiment", "scenario"): st.sampled_from(["unconstrained", "constrained"]),
+    ("experiment", "num_runs"): st.integers(min_value=1, max_value=3),
+    ("experiment", "run_seed_base"): seeds,
+    ("experiment", "x0_seed"): st.none() | seeds,
+    ("problem", "m"): st.integers(min_value=1, max_value=4),
+    ("problem", "n"): st.integers(min_value=1, max_value=4),
+    ("problem", "noise_std"): extreme_reals,
+    ("problem", "problem_seed"): seeds,
+    ("solver", "mu"): st.just("auto") | extreme_reals,
+    ("solver", "eps"): extreme_reals,  # written only with mu = auto
+    ("solver", "step_size"): st.just("theorem") | extreme_reals,
+    ("solver", "num_iters"): st.integers(min_value=0, max_value=5),
+    ("solver", "record_stride"): st.none() | st.integers(min_value=1, max_value=5),
+    ("outputs", "csv_path"): st.none() | st.just("out.csv"),
+    ("outputs", "svg_path"): st.none() | st.just("out.svg"),
+    ("outputs", "bound_overlay"): st.sampled_from(["true", "false"]),
+}
+
+
+@st.composite
+def run_config_text(draw):
+    """A config of every schema key (an optional key may be left out), plus
+    a box [set] with bounds up to +-1e300 when the scenario is constrained."""
+    values = {field: draw(RUN_VALUES[field]) for field in harness.CONFIG_SCHEMA}
+    values["problem", "m"], values["problem", "n"] = sorted(
+        (values["problem", "m"], values["problem", "n"])
+    )
+    if values["solver", "mu"] != "auto":
+        values["solver", "eps"] = None
+    sections = {}
+    for (section, key), value in values.items():
+        if value is not None:
+            sections.setdefault(section, {})[key] = value
+    if values["experiment", "scenario"] == "constrained":
+        lower = draw(st.sampled_from([f"-{v}" for v in EXTREME_REALS] + EXTREME_REALS))
+        sections["set"] = {"kind": "box", "lower": lower, "upper": draw(extreme_reals)}
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+class TestRunProperty:
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=150,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=run_config_text())
+    def test_every_config_ends_in_a_result_or_one_line(self, tmp_path, capsys, text):
+        capsys.readouterr()
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        # an exception escaping main would be a traceback on the command line
+        rc = main(["run", "--config", str(path), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err
+        if rc == 2:
+            *before, error = err.splitlines()
+            assert all(line.startswith("  warning: ") for line in before), err
+            assert not error.startswith("  warning: "), err
 
 
 class TestRunExperiment:
@@ -703,6 +771,18 @@ class TestRunExperiment:
         assert np.all(
             series.running_avg_gap <= series.bound_rhs + 3 * series.running_avg_gap_se
         )
+
+    def test_constrained_overlay_stays_above_its_floor(self):
+        # the c11 candidate has sigma^2 >= 2 (n + 4) ||grad||^2, and the
+        # unconstrained PL inequality gives ||grad||^2 >= 2 pl (f - f_star),
+        # since the unconstrained minimum is at most f_star: the term
+        # sum sigma^2 / (pl (N + 1)) alone is at least 4 (n + 4) gap
+        n = 8
+        box = {"kind": "box", "lower": "-0.5", "upper": "0.5"}
+        cfg = small_config(scenario="constrained", set_spec=box, num_iters=500, num_runs=4)
+        series = run_experiment(cfg, jobs=1)
+        assert series.metadata["n"] == str(n)
+        assert np.all(series.bound_rhs >= 4 * (n + 4) * series.running_avg_gap)
 
     def test_degenerate_single_run_zero_iters(self, tmp_path):
         cfg = small_config(num_runs=1, num_iters=0, record_stride=1, csv_path="d.csv")
@@ -877,8 +957,11 @@ class TestRunExperiment:
             run_experiment(small_config(num_runs=0), jobs=1)
 
     def test_programmatic_config_rejects_infinite_diameter(self):
-        cfg = small_config(scenario="constrained", set_spec={"kind": "whole_space"})
-        with pytest.raises(ConfigError, match="finite-diameter"):
+        box = {"kind": "box", "lower": "-1e308", "upper": "1e308"}
+        cfg = small_config(scenario="constrained", set_spec=box)
+        # a config built in code has no path to name
+        message = "^constrained scenario requires a finite-diameter set$"
+        with pytest.raises(ConfigError, match=message):
             run_experiment(cfg, jobs=1)
 
     def test_run_time_diameter_error_names_the_config(self):

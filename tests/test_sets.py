@@ -197,6 +197,16 @@ class TestDiameter:
         assert uneven.diameter() == pytest.approx(2 * bound, rel=1e-15)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bound, dim", [(1e-300, 4), (1e-160, 3), (2.0**-1074, 2)])
+    def test_box_whose_squared_widths_underflow(self, bound, dim):
+        # the squares underflow to 0 or to subnormals: the norm of a box of
+        # positive widths used to be 0, or to keep only a few digits
+        expected = 2 * bound * math.sqrt(dim)
+        spec = {"kind": "box", "lower": repr(-bound), "upper": repr(bound)}
+        assert Box(-bound, bound, dim=dim).diameter() == pytest.approx(expected, rel=1e-15)
+        assert spec_diameter(spec, dim) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bound, dim", [(1e308, 1), (0.5e308, 40), (math.inf, 2)])
     def test_box_diameter_past_the_largest_float_is_inf(self, bound, dim):
         spec = {"kind": "box", "lower": repr(-bound), "upper": repr(bound)}
@@ -204,9 +214,10 @@ class TestDiameter:
         assert math.isinf(spec_diameter(spec, dim))
 
     def test_finite_norm_keeps_the_plain_norms_bits(self):
-        # the rescaled norm rounds differently: it is taken only on overflow
+        # the rescaled norm rounds differently: it is taken only when the
+        # squares overflow or underflow
         gen = np.random.default_rng(5)
-        for dim, width in ((40, 1.0), (7, 1e-300), (1000, 1e150), (3, 1e153)):
+        for dim, width in ((40, 1.0), (7, 1e-150), (1000, 1e150), (3, 1e153)):
             lower = -gen.uniform(0.1, 1.0, dim) * width
             upper = gen.uniform(0.1, 1.0, dim) * width
             box = Box(lower, upper)
@@ -327,27 +338,18 @@ class TestSpecRoundTrip:
         fs = set_from_spec({"kind": "box", "lower": "-1,-2", "upper": "1,0"}, dim=2)
         np.testing.assert_array_equal(fs.lower, [-1.0, -2.0])
 
-    def test_ball_spec(self):
-        fs = set_from_spec({"kind": "ball", "center": "0", "radius": "2.5"}, dim=4)
-        assert isinstance(fs, Ball)
-        assert fs.radius == 2.5
-        rebuilt = set_from_spec(fs.spec(), dim=4)
-        assert rebuilt.radius == fs.radius
-
-    def test_whole_space_spec(self):
-        assert isinstance(set_from_spec({"kind": "whole_space"}, dim=2), WholeSpace)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown set kind"):
-            set_from_spec({"kind": "simplex"}, dim=2)
+    @pytest.mark.parametrize("kind", ["simplex", "ball", "whole_space"])
+    def test_unknown_kind(self, kind):
+        # a spec describes a box: the library's other sets have no reference
+        # optimum, so no run of theirs could be certified
+        with pytest.raises(ValueError, match=f"unknown set kind '{kind}'"):
+            set_from_spec({"kind": kind, "radius": "1"}, dim=2)
 
     @pytest.mark.parametrize(
         "spec, key",
         [
-            ({"kind": "ball", "radius": "1", "centre": "0.3"}, "centre"),
             ({"kind": "box", "lower": "-1", "upper": "1", "radius": "1"}, "radius"),
             ({"kind": "box", "lower": "-1", "upper": "1", "center": "0"}, "center"),
-            ({"kind": "whole_space", "radius": "1"}, "radius"),
         ],
     )
     def test_key_the_kind_does_not_take(self, spec, key):
@@ -361,9 +363,6 @@ class TestSpecDiameter:
         [
             {"kind": "box", "lower": "-0.5", "upper": "0.5"},
             {"kind": "box", "lower": "-1,-2,0", "upper": "1"},
-            {"kind": "ball", "radius": "2.5"},
-            {"kind": "ball", "center": "1,2,3", "radius": "0.5"},
-            {"kind": "whole_space"},
         ],
     )
     def test_matches_the_built_set(self, spec):
@@ -377,8 +376,6 @@ class TestSpecDiameter:
             ({"kind": "box", "lower": "0,2,0", "upper": "1"}, "lower < upper"),
             ({"kind": "box", "lower": "0,0", "upper": "1"}, "lower has 2 entries"),
             ({"kind": "box", "lower": "x", "upper": "1"}, "lower must be a number"),
-            ({"kind": "ball", "radius": "-1"}, "radius must be positive"),
-            ({"kind": "ball", "radius": "1", "center": "a"}, "center must be a number"),
             ({"kind": "simplex"}, "unknown set kind"),
         ],
     )
@@ -391,5 +388,4 @@ class TestSpecDiameter:
         # 10**12 entries would need 8 TB: only scalars can pass
         spec = {"kind": "box", "lower": "-0.5", "upper": "0.5"}
         assert spec_diameter(spec, 10**12) == pytest.approx(10**6, rel=1e-15)
-        assert spec_diameter({"kind": "ball", "radius": "2"}, 10**12) == 4.0
         assert math.isinf(spec_diameter({"kind": "box", "lower": "-inf", "upper": "0"}, 10**12))
