@@ -40,12 +40,7 @@ from .oracle import (
     oracle_eval,
     sample_directions,
 )
-from .problems import (
-    LeastSquaresObjective,
-    Objective,
-    TestProblem,
-    make_least_squares,
-)
+from .problems import LeastSquaresObjective, TestProblem, make_least_squares
 from .sets import Ball, Box, FeasibleSet, WholeSpace, gradient_map, set_from_spec
 from .solvers import (
     DivergenceError,

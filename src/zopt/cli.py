@@ -24,12 +24,25 @@ from .oracle import OracleConfig
 __all__ = ["main"]
 
 
-def _count_below(flag: str, value: int, minimum: int) -> bool:
-    """Print a one-line error when a count option is below its minimum."""
-    if value < minimum:
-        print(f"{flag} must be >= {minimum}, got {value}", file=sys.stderr)
-        return True
-    return False
+def _bad_count(flag: str, value: int, minimum: int) -> bool:
+    """Print a one-line error when a count option is outside [minimum, 2**53],
+    the library's count rule."""
+    if minimum <= value <= 2**53:
+        return False
+    limit = f">= {minimum}" if value < minimum else "<= 2**53"
+    print(f"{flag} must be {limit}, got {value}", file=sys.stderr)
+    return True
+
+
+def _write_csv(path: str, text: str) -> bool:
+    """Write verify's CSV; an OSError is one stderr line and False."""
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"--csv {path}: cannot write: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
@@ -38,7 +51,7 @@ def _warning_line(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def _cmd_run(args) -> int:
-    if _count_below("--jobs", args.jobs, 1):
+    if _bad_count("--jobs", args.jobs, 1):
         return 2
     env_seed = os.environ.get(harness.SEED_ENV_VAR)
     try:
@@ -76,8 +89,7 @@ def _cmd_run(args) -> int:
     )
     print(f"  lip_const={meta['lip_const']}, pl_const={meta['pl_const']}")
     print(f"  mu={meta['mu']}, step_size={meta['step_size']}")
-    if series.f_star is not None:
-        print(f"  f_star={series.f_star!r}")
+    print(f"  f_star={series.f_star!r}")
     if series.diverged_at:
         runs = ", ".join(f"{i} (iteration {k})" for i, k in series.diverged_at.items())
         print(f"  warning: diverged runs: {runs}", file=sys.stderr)
@@ -88,7 +100,7 @@ def _cmd_run(args) -> int:
         f"  final checkpoint k={int(series.ks[last])}: "
         f"mean_f={series.mean_f[last]:.6g}, mean_best_f={series.mean_best_f[last]:.6g}"
     )
-    if series.bound_rhs is not None and series.running_avg_gap is not None:
+    if series.bound_rhs is not None:
         print(
             f"  running-avg gap={series.running_avg_gap[last]:.6g} vs "
             f"bound={series.bound_rhs[last]:.6g}"
@@ -119,40 +131,42 @@ def _cmd_suggest(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if _count_below("--probes", args.probes, 1) or _count_below("--samples", args.samples, 2):
+    if _bad_count("--probes", args.probes, 1) or _bad_count("--samples", args.samples, 2):
         return 2
     if not 0 <= args.seed < 2**64:
         print(f"--seed must be in [0, 2**64), got {args.seed}", file=sys.stderr)
         return 2
-    if args.csv:
-        try:  # fail before the checks, not after them
-            open(args.csv, "w", encoding="ascii").close()
-        except OSError as exc:
-            print(f"--csv {args.csv}: cannot write: {exc.strerror}", file=sys.stderr)
-            return 2
+    if args.csv and not _write_csv(args.csv, ""):  # fail before the checks, not after them
+        return 2
     # Fixed desk-scale quadratic instance on a box; the checks are exact
     # inequalities, so any instance should report zero violations.
     problem = problems.make_least_squares(m=5, n=20, noise_std=0.1, seed=args.seed)
     box = sets.Box(-0.5, 0.5, dim=problem.dim)
     cfg = OracleConfig(mu=1e-3, seed=args.seed)
-    start = time.perf_counter()
-    report = analysis.verify_oracle_inequalities(
-        problem,
-        box,
-        cfg,
-        num_probes=args.probes,
-        num_samples=args.samples,
-        seed=args.seed,
-    )
-    checks_s = time.perf_counter() - start
+    try:
+        start = time.perf_counter()
+        report = analysis.verify_oracle_inequalities(
+            problem,
+            box,
+            cfg,
+            num_probes=args.probes,
+            num_samples=args.samples,
+            seed=args.seed,
+        )
+        checks_s = time.perf_counter() - start
+        start = time.perf_counter()
+        prox = analysis.check_proximal_pl(problem, box, num_points=args.probes, seed=args.seed)
+        prox_s = time.perf_counter() - start
+    except MemoryError as exc:
+        print(f"verify: the checks do not fit in memory: {exc}", file=sys.stderr)
+        return 2
+    if args.csv and not _write_csv(args.csv, "\n".join(report.csv_rows()) + "\n"):
+        return 2
     print(report.as_text())
-
-    start = time.perf_counter()
-    prox = analysis.check_proximal_pl(problem, box, num_points=args.probes, seed=args.seed)
     # phase times go to stderr: stdout and the CSV stay byte-reproducible
     print(
         f"verify: inequality checks {checks_s:.3f} s, "
-        f"dominance sampler {time.perf_counter() - start:.3f} s",
+        f"dominance sampler {prox_s:.3f} s",
         file=sys.stderr,
     )
     print(
@@ -161,8 +175,6 @@ def _cmd_verify(args) -> int:
         f"unconstrained constant {prox.pl_const_unconstrained:.6g})"
     )
     if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write("\n".join(report.csv_rows()) + "\n")
         print(f"  wrote csv: {args.csv}")
     return 0 if report.all_passed else 1
 

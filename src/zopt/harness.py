@@ -18,6 +18,7 @@ import math
 import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -127,7 +128,9 @@ class ExperimentConfig:
     source_path: str | None = None
 
 
-def _integer(minimum: int):
+def _integer(minimum: int, count: bool = True):
+    """An integer >= minimum; a count is also <= 2**53, the library's count rule."""
+
     def parse(raw: str) -> int:
         try:
             value = int(raw)
@@ -135,9 +138,17 @@ def _integer(minimum: int):
             raise ValueError(f"must be an integer, got {raw!r}") from None
         if value < minimum:
             raise ValueError(f"must be >= {minimum}, got {value}")
+        if count and value > 2**53:
+            raise ValueError(f"must be <= 2**53, got {value}")
         return value
 
     return parse
+
+
+def _path(raw: str) -> str:
+    if not raw:
+        raise ValueError("must be a non-empty path")
+    return raw
 
 
 def _number(positive: bool, words: tuple[str, ...] = ()):
@@ -173,19 +184,19 @@ def _word(mapping: dict):
 CONFIG_SCHEMA = {
     ("experiment", "scenario"): (_word({w: w for w in ("unconstrained", "constrained")}), ...),
     ("experiment", "num_runs"): (_integer(1), ...),
-    ("experiment", "run_seed_base"): (_integer(0), ...),
-    ("experiment", "x0_seed"): (_integer(0), None),
+    ("experiment", "run_seed_base"): (_integer(0, count=False), ...),
+    ("experiment", "x0_seed"): (_integer(0, count=False), None),
     ("problem", "m"): (_integer(1), ...),
     ("problem", "n"): (_integer(1), ...),
     ("problem", "noise_std"): (_number(positive=False), ...),
-    ("problem", "problem_seed"): (_integer(0), ...),
+    ("problem", "problem_seed"): (_integer(0, count=False), ...),
     ("solver", "mu"): (_number(positive=True, words=("auto", "suggest")), ...),
     ("solver", "eps"): (_number(positive=True), None),
     ("solver", "step_size"): (_number(positive=True, words=("theorem", "auto")), ...),
     ("solver", "num_iters"): (_integer(0), ...),
     ("solver", "record_stride"): (_integer(1), None),
-    ("outputs", "csv_path"): (str, None),
-    ("outputs", "svg_path"): (str, None),
+    ("outputs", "csv_path"): (_path, None),
+    ("outputs", "svg_path"): (_path, None),
     ("outputs", "bound_overlay"): (
         _word(dict.fromkeys(("true", "yes", "on", "1"), True)
               | dict.fromkeys(("false", "no", "off", "0"), False)),
@@ -624,6 +635,15 @@ def resolve_output_path(path: str | None, out_dir: str | None) -> str | None:
     return str(Path(out_dir) / path)
 
 
+@contextmanager
+def _writing(path: str):
+    """An OSError while writing the output path ends in one ConfigError line."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def run_experiment(
     config: ExperimentConfig,
     jobs: int = 1,
@@ -638,7 +658,8 @@ def run_experiment(
     not depend on the worker count.  Diverged runs are
     recorded in the metadata, with the iteration each one diverged at in
     the returned series' diverged_at, and skipped by the aggregation; if
-    every run diverges a RuntimeError is raised.
+    every run diverges a RuntimeError is raised.  An output that cannot be
+    written raises a ConfigError that names its path.
     """
     jobs = _check_count(jobs, "jobs", 1)
     num_runs = _check_count(config.num_runs, "num_runs", 1)
@@ -824,20 +845,22 @@ def run_experiment(
         )
 
     if csv_path is not None:
-        write_series_csv(series, csv_path)
+        with _writing(csv_path):
+            write_series_csv(series, csv_path)
     if svg_path is not None:
         curves = [
             ("mean f(x_k)", series.ks.tolist(), series.mean_f.tolist()),
             ("mean best-so-far", series.ks.tolist(), series.mean_best_f.tolist()),
         ]
-        if series.bound_rhs is not None and series.running_avg_gap is not None:
+        if series.bound_rhs is not None:
             curves.append(
                 ("running-avg gap", series.ks.tolist(), series.running_avg_gap.tolist())
             )
             curves.append(("gap bound", series.ks.tolist(), series.bound_rhs.tolist()))
-        write_log_log_chart(
-            svg_path,
-            curves,
-            title=f"{mode} run: m={config.m}, n={n}, {len(summaries)} runs",
-        )
+        with _writing(svg_path):
+            write_log_log_chart(
+                svg_path,
+                curves,
+                title=f"{mode} run: m={config.m}, n={n}, {len(summaries)} runs",
+            )
     return series

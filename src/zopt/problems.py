@@ -1,7 +1,10 @@
 """Black-box objectives and the random least-squares test family.
 
-Solvers only ever see a value oracle: a callable from a point to its value,
-and from a (k, n) stack to k values when its rows_exact attribute is true.
+Solvers only ever see a value oracle: an objective is a callable from a
+point (n,) to a float.  A true rows_exact attribute says it also takes a
+(k, n) stack and returns k values, each bit for bit its own call's; an
+optional batch method maps a (k, n) stack to k values, for oracle_eval's
+block of directions at one point.  LeastSquaresObjective has both.
 TestProblem additionally carries the analytic gradient and certified
 constants, which exist for analysis and verification and are never handed
 to a solver.
@@ -21,42 +24,14 @@ with it; analysis.check_proximal_pl over WholeSpace samples the inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .rng import _check_count, _check_real, substream
 
-__all__ = [
-    "Objective",
-    "LeastSquaresObjective",
-    "TestProblem",
-    "make_least_squares",
-]
+__all__ = ["LeastSquaresObjective", "TestProblem", "make_least_squares"]
 
 RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class Objective:
-    """Deterministic black-box map from R^dim to R.
-
-    batch_fn, when provided, evaluates a (k, dim) array of points at once and
-    returns k values; estimators use it to avoid Python-level loops.
-    """
-
-    dim: int
-    fn: Callable[[np.ndarray], float]
-    batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __call__(self, x: np.ndarray) -> float:
-        return float(self.fn(np.asarray(x, dtype=float)))
-
-    def batch(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(points), dtype=float)
-        return np.array([float(self.fn(p)) for p in points], dtype=float)
 
 
 class LeastSquaresObjective:

@@ -17,7 +17,7 @@ from zopt.analysis import check_proximal_pl, prox_quantity
 from zopt.cli import main
 from zopt.harness import ExperimentConfig, run_experiment
 from zopt.oracle import OracleConfig, estimate_smoothed_gradient, sample_directions
-from zopt.problems import Objective, make_least_squares
+from zopt.problems import make_least_squares
 from zopt.sets import WholeSpace
 from zopt.solvers import suggest_params
 
@@ -87,7 +87,11 @@ def test_criterion_1_oracle_unbiasedness():
     start = time.perf_counter()
     gen = np.random.default_rng(2024)
     a = gen.standard_normal(10)
-    f = Objective(10, lambda p: float(a @ p), batch_fn=lambda P: P @ a)
+
+    def f(p):
+        return float(a @ p)
+
+    f.batch = lambda points: points @ a
     est = estimate_smoothed_gradient(
         f, gen.standard_normal(10), OracleConfig(mu=0.05, seed=7), num_samples=100_000
     )

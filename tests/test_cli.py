@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import subprocess
@@ -41,6 +42,12 @@ csv_path = cli_out.csv
 BOX_RUN_CONFIG = RUN_CONFIG.replace("scenario = unconstrained", "scenario = constrained") + (
     "\n[set]\nkind = box\nlower = -0.5\nupper = 0.5\n"
 )
+# a count just past 2**53, the largest the library's count rule takes
+BIG = 2**53 + 1
+# a device on which every write fails with ENOSPC, although opening it works
+DEV_FULL = "/dev/full"
+needs_dev_full = pytest.mark.skipif(not os.path.exists(DEV_FULL), reason="needs /dev/full")
+NO_SPACE = os.strerror(errno.ENOSPC)
 
 
 class TestSuggest:
@@ -134,6 +141,9 @@ class TestVerify:
             ("--probes", "0", "--probes must be >= 1, got 0"),
             ("--probes", "-3", "--probes must be >= 1, got -3"),
             ("--samples", "1", "--samples must be >= 2, got 1"),
+            # past 2**53, the library's count rule: each used to end in a traceback
+            ("--probes", str(BIG), f"--probes must be <= 2**53, got {BIG}"),
+            ("--samples", str(BIG), f"--samples must be <= 2**53, got {BIG}"),
         ],
     )
     def test_bad_counts_exit_2(self, capsys, flag, value, message):
@@ -161,6 +171,24 @@ class TestVerify:
             assert captured.err.startswith(f"--csv {csv_path}: cannot write: ")
             assert len(captured.err.splitlines()) == 1
             assert captured.out == ""
+
+    def test_samples_that_do_not_fit_in_memory_exit_2(self, capsys):
+        # a count the rule takes, whose per-sample vectors cannot be
+        # allocated: one line, as for a run that does not fit in memory
+        assert main(["verify", "--probes", "5", "--samples", str(10**15)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("verify: the checks do not fit in memory: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+    @needs_dev_full
+    def test_csv_that_cannot_be_written_after_the_checks_exits_2(self, capsys):
+        # opening /dev/full works, so the up-front check passes; the write
+        # fails once the checks are done, and used to end in a traceback
+        assert main(["verify", "--probes", "5", "--samples", "50", "--csv", DEV_FULL]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"--csv {DEV_FULL}: cannot write: {NO_SPACE}\n"
+        assert captured.out == ""
 
     def test_top_seed_is_accepted(self, capsys):
         rc = main(["verify", "--probes", "2", "--samples", "20", "--seed", str(2**64 - 1)])
@@ -366,6 +394,14 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--jobs", "0"]) == 2
         assert capsys.readouterr().err == "--jobs must be >= 1, got 0\n"
 
+    def test_jobs_past_the_count_rule_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(RUN_CONFIG)
+        assert main(["run", "--config", str(cfg), "--jobs", str(BIG)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"--jobs must be <= 2**53, got {BIG}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("scenario", ["constrained", "unconstrained"])
     def test_dimension_too_large_to_allocate_exits_2(self, tmp_path, capsys, scenario):
         # 10**15 float64 entries exceed a 47-bit address space, so the m x n
@@ -383,6 +419,21 @@ class TestRun:
         assert captured.err.startswith(f"{cfg}: the experiment does not fit in memory: ")
         assert len(captured.err.splitlines()) == 1
         assert not (tmp_path / "cli_out.csv").exists()
+
+    @needs_dev_full
+    @pytest.mark.parametrize("key", ["csv_path", "svg_path"])
+    def test_output_that_cannot_be_written_exits_2(self, tmp_path, capsys, key):
+        # the write fails after every run, and used to end in a traceback
+        if key == "csv_path":
+            text = RUN_CONFIG.replace("csv_path = cli_out.csv", f"csv_path = {DEV_FULL}")
+        else:
+            text = RUN_CONFIG + f"svg_path = {DEV_FULL}\n"
+        cfg = tmp_path / "full.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"cannot write {DEV_FULL}: {NO_SPACE}\n"
+        assert captured.out == ""
 
     def test_zero_iters_with_svg_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

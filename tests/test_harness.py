@@ -69,6 +69,9 @@ bound_overlay = true
 # [set] sections of a kind other than box, refused at their kind line
 BALL_WITH_CENTRE = "[set]\nkind = ball\nradius = 1\ncentre = 0.3"
 WHOLE_SPACE = "[set]\nkind = whole_space"
+# a count just past 2**53, the largest the library's count rule takes
+BIG = 2**53 + 1
+PAST_53 = f"must be <= 2**53, got {BIG}"
 # a box holding a key it does not take, on its last line
 BOX_WITH_RADIUS = "[set]\nkind = box\nlower = -1\nupper = 1\nradius = 1"
 # [set] sections with one malformed value
@@ -399,6 +402,22 @@ class TestConfigParsing:
                 25,
                 "[set] upper has 2 entries, expected 1 or 8",
             ),
+            # a count past 2**53, the library's count rule, and an empty output
+            # path: each used to load, and the run ended in a traceback
+            ({"num_runs = 3": f"num_runs = {BIG}"}, 3, f"[experiment] num_runs {PAST_53}"),
+            ({"n = 8": f"n = {BIG}"}, 9, f"[problem] n {PAST_53}"),
+            ({"num_iters = 200": f"num_iters = {BIG}"}, 16, f"[solver] num_iters {PAST_53}"),
+            (
+                {"record_stride = 50": f"record_stride = {BIG}"},
+                17,
+                f"[solver] record_stride {PAST_53}",
+            ),
+            (
+                {"csv_path = out.csv": "csv_path ="},
+                20,
+                "[outputs] csv_path must be a non-empty path",
+            ),
+            ({"true": "true\nsvg_path ="}, 22, "[outputs] svg_path must be a non-empty path"),
         ],
     )
     def test_unknown_or_misplaced_entry_is_line_anchored(
@@ -667,25 +686,30 @@ class TestConfigProperty:
 
 # Values for a run-level property test: every key of the schema, with reals
 # from a fixed list of extremes; tiny sizes keep each run a few milliseconds.
+# A count past 2**53, the library's count rule, and an empty output path are
+# refused at their line.
 EXTREME_REALS = ["1e-300", "1e-8", "1", "1e8", "1e200", "1e300"]
 extreme_reals = st.sampled_from(EXTREME_REALS)
 seeds = st.integers(min_value=0, max_value=2**64 - 3)
+past_count_rule = st.just(BIG)
 RUN_VALUES = {
     ("experiment", "scenario"): st.sampled_from(["unconstrained", "constrained"]),
-    ("experiment", "num_runs"): st.integers(min_value=1, max_value=3),
+    ("experiment", "num_runs"): st.integers(min_value=1, max_value=3) | past_count_rule,
     ("experiment", "run_seed_base"): seeds,
     ("experiment", "x0_seed"): st.none() | seeds,
     ("problem", "m"): st.integers(min_value=1, max_value=4),
-    ("problem", "n"): st.integers(min_value=1, max_value=4),
+    ("problem", "n"): st.integers(min_value=1, max_value=4) | past_count_rule,
     ("problem", "noise_std"): extreme_reals,
     ("problem", "problem_seed"): seeds,
     ("solver", "mu"): st.just("auto") | extreme_reals,
     ("solver", "eps"): extreme_reals,  # written only with mu = auto
     ("solver", "step_size"): st.just("theorem") | extreme_reals,
     ("solver", "num_iters"): st.integers(min_value=0, max_value=5),
-    ("solver", "record_stride"): st.none() | st.integers(min_value=1, max_value=5),
-    ("outputs", "csv_path"): st.none() | st.just("out.csv"),
-    ("outputs", "svg_path"): st.none() | st.just("out.svg"),
+    ("solver", "record_stride"): (
+        st.none() | st.integers(min_value=1, max_value=5) | past_count_rule
+    ),
+    ("outputs", "csv_path"): st.sampled_from([None, "out.csv", ""]),
+    ("outputs", "svg_path"): st.sampled_from([None, "out.svg", ""]),
     ("outputs", "bound_overlay"): st.sampled_from(["true", "false"]),
 }
 

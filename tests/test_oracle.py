@@ -8,7 +8,7 @@ from zopt.oracle import (
     oracle_eval,
     sample_directions,
 )
-from zopt.problems import Objective, make_least_squares
+from zopt.problems import make_least_squares
 from zopt.rng import SubstreamSampler, substream
 
 
@@ -363,7 +363,8 @@ class TestOracleEvalPaired:
     )
     def test_rows_equal_single_calls(self, given_fx, generic, k, n):
         problem = make_least_squares(min(10, n), n, 0.1, 6)
-        f = Objective(n, problem.objective) if generic else problem.objective
+        # a plain function hides rows_exact and batch
+        f = (lambda p: problem.objective(p)) if generic else problem.objective
         gen = np.random.default_rng(9)
         cfg = OracleConfig(mu=1e-3, seed=0)
         x = gen.standard_normal((k, n))
@@ -396,7 +397,11 @@ class TestSmoothedEstimates:
     def test_gradient_mode_linear(self):
         gen = np.random.default_rng(12)
         a = gen.standard_normal(10)
-        f = Objective(10, lambda p: float(a @ p), batch_fn=lambda P: P @ a)
+
+        def f(p):
+            return float(a @ p)
+
+        f.batch = lambda points: points @ a
         cfg = OracleConfig(mu=0.05, seed=21)
         est = estimate_smoothed_gradient(f, gen.standard_normal(10), cfg, 100_000)
         assert np.all(np.abs(est.value - a) < 3 * est.stderr)

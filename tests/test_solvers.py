@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zopt.oracle import EvaluationError, OracleConfig, oracle_eval, sample_directions
-from zopt.problems import LeastSquaresObjective, Objective, TestProblem, make_least_squares
+from zopt.problems import LeastSquaresObjective, TestProblem, make_least_squares
 from zopt.sets import Ball, Box, gradient_map
 from zopt.solvers import (
     DivergenceError,
@@ -36,8 +36,8 @@ def config(mu=1e-6, seed=123, step=0.025, iters=2000, stride=100):
 
 class TestUnconstrainedRun:
     def test_constant_objective_never_moves(self):
-        f = Objective(3, lambda x: 7.5)
-        record = random_search(f, np.array([1.0, -2.0, 0.5]), config(iters=50, stride=1))
+        x0 = np.array([1.0, -2.0, 0.5])
+        record = random_search(lambda x: 7.5, x0, config(iters=50, stride=1))
         for x in record.iterates:
             np.testing.assert_array_equal(x, [1.0, -2.0, 0.5])
         assert np.all(record.values == 7.5)
@@ -69,9 +69,8 @@ class TestUnconstrainedRun:
             calls.append(1)
             return problem.objective(x)
 
-        f = Objective(1, counted)
         n_iters = 40
-        record = random_search(f, np.array([1.0]), config(iters=n_iters, stride=10))
+        record = random_search(counted, np.array([1.0]), config(iters=n_iters, stride=10))
         assert record.eval_count == 2 * n_iters + 1
         assert len(calls) == record.eval_count
 
@@ -94,9 +93,8 @@ class TestUnconstrainedRun:
         assert err.value.point_norm > 0
 
     def test_nonfinite_objective_aborts(self):
-        f = Objective(1, lambda x: math.nan)
         with pytest.raises(DivergenceError):
-            random_search(f, np.array([0.0]), config(iters=5))
+            random_search(lambda x: math.nan, np.array([0.0]), config(iters=5))
 
 
 class TestProjectedRun:
@@ -245,7 +243,8 @@ class TestBlocks:
             feasible = Ball(np.zeros(24), 1.0)
             step = 1.0 / problem.lip_const
         elif case == "generic_objective":
-            f = Objective(24, problem.objective)
+            # a plain function hides rows_exact and batch
+            f = lambda p: problem.objective(p)  # noqa: E731
         if feasible is not None:
             x0 = feasible.project(x0)
         return problem, f, x0, feasible, grad, step
@@ -287,7 +286,7 @@ class TestBlocks:
             return problem.objective(x)
 
         block = random_search(
-            Objective(8, counted), np.ones(8), block_configs(3, mu=1e-5, step=1e-3, iters=40)
+            counted, np.ones(8), block_configs(3, mu=1e-5, step=1e-3, iters=40)
         )
         assert len(calls) == 3 * (2 * 40 + 1)
         assert all(record.eval_count == 81 for record in block.outcomes)
@@ -311,7 +310,10 @@ class TestBlocks:
         top, second = sorted(reach)[-1], sorted(reach)[-2]
         assert top - second > 1e-3
         threshold = (top + second) / 2
-        f = Objective(24, lambda x: math.inf if x[0] > threshold else problem.objective(x))
+
+        def f(x):
+            return math.inf if x[0] > threshold else problem.objective(x)
+
         return f, x0, cfgs, reach.index(top)
 
     @pytest.mark.parametrize(
@@ -389,7 +391,9 @@ class TestBestIterate:
     def test_tie_breaks_to_earliest(self):
         # f(x) = max(x^2, 1/4) from x0 = 1: the run descends onto the plateau,
         # where every later value ties at 1/4 and the estimate vanishes
-        f = Objective(1, lambda x: max(float(x[0] ** 2), 0.25))
+        def f(x):
+            return max(float(x[0] ** 2), 0.25)
+
         record = random_search(f, np.array([1.0]), config(iters=400, stride=1))
         k = record.best_k
         assert 0 < k < 400
@@ -404,7 +408,7 @@ class TestBestIterate:
         assert np.array_equal(record.best_point, [2.0])
 
     def test_constant_values(self):
-        record = random_search(Objective(1, lambda x: 2.0), np.array([0.5]), config(iters=20))
+        record = random_search(lambda x: 2.0, np.array([0.5]), config(iters=20))
         assert (record.best_k, record.best_value) == (0, 2.0)
         assert np.array_equal(record.best_point, [0.5])
 
