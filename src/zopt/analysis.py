@@ -19,7 +19,7 @@ from scipy.optimize import lsq_linear
 
 from .oracle import OracleConfig, _mean_and_stderr, _values, oracle_eval, sample_directions
 from .problems import TestProblem
-from .rng import SubstreamSampler, _check_count, _check_real, substream
+from .rng import SubstreamSampler, _check_count, _check_real, _closed_form, substream
 from .sets import Box, FeasibleSet, WholeSpace, gradient_map
 from .solvers import theorem_step_size
 
@@ -74,20 +74,6 @@ def _einsum_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _finite(what: str, formula, **inputs) -> float:
-    """formula() as a float; a result that is not finite raises one
-    ValueError naming the inputs.  Float ** and / by an underflowed 0 raise
-    where the other float operators give inf, so each overflow ends here."""
-    try:
-        value = float(formula())
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
-        named = ", ".join(f"{name}={arg!r}" for name, arg in inputs.items())
-        raise ValueError(f"{named} give no finite {what}")
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class BoundInputs:
     """Problem constants feeding the gap bounds.
@@ -137,7 +123,7 @@ def unconstrained_gap_bound(
         else _check_real(step_size, "step_size")
     )
     gap = inputs.initial_gap
-    return _finite(
+    return _closed_form(
         "bound",
         lambda: 2.0 / (pl * h) * (gap / (num_iters + 1) + 3.0 * mu**2 * (n + 4) * lip / 32.0)
         + mu**2 / (4.0 * pl) * lip**2 * (n + 6) ** 3,
@@ -179,7 +165,7 @@ def constrained_gap_bound(
     sum_sigma = float(np.sum(sigma))
     sum_sigma_sq = float(np.sum(sigma**2))
     gap = inputs.initial_gap
-    return _finite(
+    return _closed_form(
         "bound",
         lambda: gap / (pl * h * (num_iters + 1))
         + mu * d_x * lip**2 * (n + 3) ** 1.5 / (2.0 * pl)
@@ -199,7 +185,7 @@ def oracle_variance_candidate(mu: float, n: int, lip_const: float, grad_norm: fl
     mu, lip_const = _check_real(mu, "mu"), _check_real(lip_const, "lip_const")
     n = _check_count(n, "n", 1)
     grad_norm = _check_real(grad_norm, "grad_norm", positive=False)
-    return _finite(
+    return _closed_form(
         "sigma^2",
         lambda: _c11_sigma_sq(mu, n, lip_const, grad_norm**2),
         mu=mu, n=n, lip_const=lip_const, grad_norm=grad_norm,

@@ -20,18 +20,9 @@ import warnings
 
 from . import analysis, harness, problems, sets, solvers
 from .oracle import OracleConfig
+from .rng import _check_count, _check_real, _check_u64
 
 __all__ = ["main"]
-
-
-def _bad_count(flag: str, value: int, minimum: int) -> bool:
-    """Print a one-line error when a count option is outside [minimum, 2**53],
-    the library's count rule."""
-    if minimum <= value <= 2**53:
-        return False
-    limit = f">= {minimum}" if value < minimum else "<= 2**53"
-    print(f"{flag} must be {limit}, got {value}", file=sys.stderr)
-    return True
 
 
 def _write_csv(path: str, text: str) -> bool:
@@ -51,18 +42,14 @@ def _warning_line(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def _cmd_run(args) -> int:
-    if _bad_count("--jobs", args.jobs, 1):
-        return 2
     env_seed = os.environ.get(harness.SEED_ENV_VAR)
     try:
         config = harness.load_config(args.config)
         if env_seed is not None:
             try:
-                seed = int(env_seed)
-            except ValueError:
-                raise harness.ConfigError(
-                    f"{harness.SEED_ENV_VAR} must be an integer, got {env_seed!r}"
-                ) from None
+                seed = harness._from_text(_check_u64)(env_seed, harness.SEED_ENV_VAR)
+            except ValueError as exc:
+                raise harness.ConfigError(str(exc)) from None
             config = harness.apply_seed_override(config, seed)
             print(f"seeds rebased on {harness.SEED_ENV_VAR}={seed}")
         # the parent warns before any run starts, so the line comes first
@@ -115,6 +102,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_suggest(args) -> int:
     mode = {"unc": "unconstrained", "con": "constrained"}[args.mode]
+    if (args.dx is None) == (mode == "constrained"):
+        need = "is required with" if args.dx is None else "is only valid with"
+        print(f"--dx {need} --mode con", file=sys.stderr)
+        return 2
     try:
         mu, num_iters = solvers.suggest_params(
             mode, args.eps, args.n, args.lip, args.pl, d_x=args.dx
@@ -131,11 +122,6 @@ def _cmd_suggest(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if _bad_count("--probes", args.probes, 1) or _bad_count("--samples", args.samples, 2):
-        return 2
-    if not 0 <= args.seed < 2**64:
-        print(f"--seed must be in [0, 2**64), got {args.seed}", file=sys.stderr)
-        return 2
     if args.csv and not _write_csv(args.csv, ""):  # fail before the checks, not after them
         return 2
     # Fixed desk-scale quadratic instance on a box; the checks are exact
@@ -162,7 +148,7 @@ def _cmd_verify(args) -> int:
         return 2
     if args.csv and not _write_csv(args.csv, "\n".join(report.csv_rows()) + "\n"):
         return 2
-    print(report.as_text())
+    print(report.as_text(), flush=True)  # a closed stdout fails before the stderr line
     # phase times go to stderr: stdout and the CSV stay byte-reproducible
     print(
         f"verify: inequality checks {checks_s:.3f} s, "
@@ -179,8 +165,28 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one stderr line and exit 2, without the usage block."""
+        self.exit(2, message + "\n")
+
+
+def _add_number(parser, flag: str, rule, *bound, **kwargs) -> None:
+    """Add a numeric flag that the library's rule for its kind of value
+    judges; a refusal is the rule's one line, naming the flag."""
+    parse = harness._from_text(rule, *bound)
+
+    def convert(text: str):
+        try:
+            return parse(text, flag)
+        except ValueError as exc:
+            raise argparse.ArgumentError(None, str(exc)) from None
+
+    parser.add_argument(flag, type=convert, **kwargs)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zopt",
         description=(
             "Derivative-free optimization experiments with two-point Gaussian "
@@ -196,28 +202,43 @@ def main(argv=None) -> int:
         action="store_true",
         help="allow experiments above the default cost gate",
     )
-    p_run.add_argument("--jobs", type=int, default=1, help="worker processes")
+    _add_number(p_run, "--jobs", _check_count, 1, default=1, help="worker processes")
     p_run.add_argument("--out-dir", default=None, help="directory for output files")
     p_run.set_defaults(func=_cmd_run)
 
     p_sug = sub.add_parser("suggest", help="print smoothing and iteration choices")
     p_sug.add_argument("--mode", choices=["unc", "con"], required=True)
-    p_sug.add_argument("--eps", type=float, required=True, help="target gap")
-    p_sug.add_argument("--n", type=int, required=True, help="dimension")
-    p_sug.add_argument("--lip", type=float, required=True, help="gradient Lipschitz constant")
-    p_sug.add_argument("--pl", type=float, required=True, help="gradient dominance constant")
-    p_sug.add_argument("--dx", type=float, default=None, help="feasible-set diameter")
+    _add_number(p_sug, "--eps", _check_real, required=True, help="target gap")
+    _add_number(p_sug, "--n", _check_count, 1, required=True, help="dimension")
+    _add_number(p_sug, "--lip", _check_real, required=True, help="gradient Lipschitz constant")
+    _add_number(p_sug, "--pl", _check_real, required=True, help="gradient dominance constant")
+    _add_number(p_sug, "--dx", _check_real, help="feasible-set diameter (--mode con only)")
     p_sug.set_defaults(func=_cmd_suggest)
 
     p_ver = sub.add_parser("verify", help="run the oracle inequality checks")
-    p_ver.add_argument("--probes", type=int, default=1000)
-    p_ver.add_argument("--samples", type=int, default=10000)
-    p_ver.add_argument("--seed", type=int, default=0)
+    _add_number(p_ver, "--probes", _check_count, 1, default=1000)
+    _add_number(p_ver, "--samples", _check_count, 2, default=10000)
+    _add_number(p_ver, "--seed", _check_u64, default=0)
     p_ver.add_argument("--csv", default=None, help="also write check rows as CSV")
     p_ver.set_defaults(func=_cmd_verify)
 
-    args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error on its one line
+        return exc.code
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+    except KeyboardInterrupt:
+        print(f"zopt {args.command}: interrupted", file=sys.stderr)
+        return 130
+    except BrokenPipeError:
+        # stdout's reader is gone: send what is left to the null device, so
+        # that the interpreter's last flush cannot fail again, and exit as a
+        # shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import configparser
 import math
+import multiprocessing
 import re
+import signal
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -34,7 +36,7 @@ from .analysis import (
 )
 from .oracle import OracleConfig
 from .problems import TestProblem, make_least_squares
-from .rng import _check_count, substream
+from .rng import _check_count, _check_real, _check_u64, substream
 from .sets import SET_KEYS, FeasibleSet, set_from_spec, spec_diameter
 from .solvers import (
     DivergenceError,
@@ -128,51 +130,35 @@ class ExperimentConfig:
     source_path: str | None = None
 
 
-def _integer(minimum: int, count: bool = True):
-    """An integer >= minimum; a count is also <= 2**53, the library's count rule."""
+def _from_text(rule, *bound, words: tuple[str, ...] = ()):
+    """A parser of a config value's or a flag's text: int or float, as the
+    rule takes, judged by the rule under the key's or flag's name; text
+    that is no number is judged as itself, so the message quotes it.  Any
+    of the words (case-insensitive) gives None."""
+    convert = float if rule is _check_real else int
 
-    def parse(raw: str) -> int:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"must be an integer, got {raw!r}") from None
-        if value < minimum:
-            raise ValueError(f"must be >= {minimum}, got {value}")
-        if count and value > 2**53:
-            raise ValueError(f"must be <= 2**53, got {value}")
-        return value
-
-    return parse
-
-
-def _path(raw: str) -> str:
-    if not raw:
-        raise ValueError("must be a non-empty path")
-    return raw
-
-
-def _number(positive: bool, words: tuple[str, ...] = ()):
-    """A finite float, or None for any of the words (case-insensitive)."""
-
-    def parse(raw: str) -> float | None:
+    def parse(raw: str, name: str):
         if raw.lower() in words:
             return None
         try:
-            value = float(raw)
+            value = convert(raw)
         except ValueError:
-            raise ValueError(f"must be {' or '.join(['a number', *words])}, got {raw!r}") from None
-        if not math.isfinite(value) or (positive and value <= 0):
-            kind = "positive and finite" if positive else "finite"
-            raise ValueError(f"must be {kind}, got {raw!r}")
-        return value
+            value = raw
+        return rule(value, name, *bound)
 
     return parse
 
 
+def _path(raw: str, name: str) -> str:
+    if not raw:
+        raise ValueError(f"{name} must be a non-empty path")
+    return raw
+
+
 def _word(mapping: dict):
-    def parse(raw: str):
+    def parse(raw: str, name: str):
         if raw.lower() not in mapping:
-            raise ValueError(f"must be one of {' | '.join(mapping)}, got {raw!r}")
+            raise ValueError(f"{name} must be one of {' | '.join(mapping)}, got {raw!r}")
         return mapping[raw.lower()]
 
     return parse
@@ -183,18 +169,18 @@ def _word(mapping: dict):
 # load_config derives the None defaults of x0_seed and record_stride.
 CONFIG_SCHEMA = {
     ("experiment", "scenario"): (_word({w: w for w in ("unconstrained", "constrained")}), ...),
-    ("experiment", "num_runs"): (_integer(1), ...),
-    ("experiment", "run_seed_base"): (_integer(0, count=False), ...),
-    ("experiment", "x0_seed"): (_integer(0, count=False), None),
-    ("problem", "m"): (_integer(1), ...),
-    ("problem", "n"): (_integer(1), ...),
-    ("problem", "noise_std"): (_number(positive=False), ...),
-    ("problem", "problem_seed"): (_integer(0, count=False), ...),
-    ("solver", "mu"): (_number(positive=True, words=("auto", "suggest")), ...),
-    ("solver", "eps"): (_number(positive=True), None),
-    ("solver", "step_size"): (_number(positive=True, words=("theorem", "auto")), ...),
-    ("solver", "num_iters"): (_integer(0), ...),
-    ("solver", "record_stride"): (_integer(1), None),
+    ("experiment", "num_runs"): (_from_text(_check_count, 1), ...),
+    ("experiment", "run_seed_base"): (_from_text(_check_u64), ...),
+    ("experiment", "x0_seed"): (_from_text(_check_u64), None),
+    ("problem", "m"): (_from_text(_check_count, 1), ...),
+    ("problem", "n"): (_from_text(_check_count, 1), ...),
+    ("problem", "noise_std"): (_from_text(_check_real, False), ...),
+    ("problem", "problem_seed"): (_from_text(_check_u64), ...),
+    ("solver", "mu"): (_from_text(_check_real, words=("auto", "suggest")), ...),
+    ("solver", "eps"): (_from_text(_check_real), None),
+    ("solver", "step_size"): (_from_text(_check_real, words=("theorem", "auto")), ...),
+    ("solver", "num_iters"): (_from_text(_check_count, 0), ...),
+    ("solver", "record_stride"): (_from_text(_check_count, 1), None),
     ("outputs", "csv_path"): (_path, None),
     ("outputs", "svg_path"): (_path, None),
     ("outputs", "bound_overlay"): (
@@ -266,14 +252,12 @@ def load_config(path) -> ExperimentConfig:
             where = "section" if parser.has_section(section) else "missing section"
             fail(section, None, f"[{section}] {key} is required ({where} [{section}])")
         try:
-            values[key] = default if raw is None else parse(raw.strip())
+            values[key] = default if raw is None else parse(raw.strip(), f"[{section}] {key}")
         except ValueError as exc:
-            fail(section, key, f"[{section}] {key} {exc}")
+            fail(section, key, str(exc))
 
     if values["n"] < values["m"]:
         fail("problem", "n", f"n must be >= m, got m={values['m']}, n={values['n']}")
-    if values["noise_std"] < 0:
-        fail("problem", "noise_std", "noise_std must be nonnegative")
     if values["mu"] is None and values["eps"] is None:
         fail("solver", "mu", "[solver] eps is required when mu = auto")
     if values["mu"] is not None and values["eps"] is not None:
@@ -313,15 +297,19 @@ def _finite_diameter(d_x: float, path: str | None = None) -> float:
 
 
 def _seed_range_error(config: ExperimentConfig) -> tuple[str, str, str] | None:
-    """(section, key, message) for the first seed outside [0, 2**64), else None."""
+    """(section, key, message) for the first seed the seed rule refuses, else
+    None: a defaulted x0_seed, the last run seed, or a rebased seed, none of
+    which a key line holds."""
     last_run_seed = config.run_seed_base + config.num_runs - 1
     for section, key, label, value in (
         ("problem", "problem_seed", "problem_seed", config.problem_seed),
         ("experiment", "x0_seed", "x0_seed", config.x0_seed),
         ("experiment", "run_seed_base", "run_seed_base + num_runs - 1", last_run_seed),
     ):
-        if not 0 <= value < 2**64:
-            return section, key, f"[{section}] {label} = {value} is outside [0, 2**64)"
+        try:
+            _check_u64(value, f"[{section}] {label}")
+        except ValueError as exc:
+            return section, key, str(exc)
     return None
 
 
@@ -626,6 +614,12 @@ def _execute_run(task: _RunTask) -> list[_RunSummary | DivergenceError]:
     ]
 
 
+def _leave_interrupts() -> None:
+    """A pool worker ignores SIGINT: the parent alone reports an interrupt,
+    and ends the pool."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def resolve_output_path(path: str | None, out_dir: str | None) -> str | None:
     """Join a config-relative output path with --out-dir when given."""
     if path is None:
@@ -659,7 +653,8 @@ def run_experiment(
     recorded in the metadata, with the iteration each one diverged at in
     the returned series' diverged_at, and skipped by the aggregation; if
     every run diverges a RuntimeError is raised.  An output that cannot be
-    written raises a ConfigError that names its path.
+    written raises a ConfigError that names its path.  An interrupt, or a
+    block that raises, ends the other pool workers at once and propagates.
     """
     jobs = _check_count(jobs, "jobs", 1)
     num_runs = _check_count(config.num_runs, "num_runs", 1)
@@ -790,8 +785,18 @@ def run_experiment(
     if num_blocks == 1:
         blocks = [_execute_run(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=num_blocks) as pool:
+        others = set(multiprocessing.active_children())
+        pool = ProcessPoolExecutor(max_workers=num_blocks, initializer=_leave_interrupts)
+        try:
             blocks = list(pool.map(_execute_run, tasks))
+        except BaseException:
+            # an interrupt, or a block that failed: end the other blocks now
+            # rather than wait for them
+            pool.shutdown(wait=False, cancel_futures=True)
+            for worker in set(multiprocessing.active_children()) - others:
+                worker.terminate()
+            raise
+        pool.shutdown()
     outcomes = [outcome for block in blocks for outcome in block]
 
     summaries = [o for o in outcomes if isinstance(o, _RunSummary)]

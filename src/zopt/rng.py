@@ -60,6 +60,21 @@ def _check_real(value, name: str, positive: bool = True) -> float:
     return real
 
 
+def _closed_form(what: str, formula, _positive: bool = False, **inputs) -> float:
+    """formula() as a finite float, > 0 with _positive; else one ValueError
+    naming the inputs.  Float ** and / by an underflowed 0 raise where the
+    other float operators give inf, so each overflow ends here."""
+    try:
+        value = float(formula())
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not (math.isfinite(value) and (value > 0 or not _positive)):
+        named = ", ".join(f"{name}={arg!r}" for name, arg in inputs.items())
+        kind = "positive finite" if _positive else "finite"
+        raise ValueError(f"{named} give no {kind} {what}")
+    return value
+
+
 def substream(seed: int, counter: int = 0) -> np.random.Generator:
     """Generator for substream `counter` of the stream rooted at `seed`."""
     seed = _check_u64(seed, "seed")

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .oracle import EvaluationError, OracleConfig, _eval_rows, oracle_eval, sample_directions
-from .rng import SubstreamSampler, _check_count, _check_real
+from .rng import SubstreamSampler, _check_count, _check_real, _closed_form
 from .sets import FeasibleSet
 
 __all__ = [
@@ -332,13 +332,11 @@ def theorem_step_size(mode: str, n: int, lip_const: float) -> float:
         raise ValueError(f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
     n = _check_count(n, "n", 1)
     lip_const = _check_real(lip_const, "lip_const")
-    step = 1.0 / (4.0 * (n + 4) * lip_const if mode == "unconstrained" else lip_const)
-    if not 0.0 < step < math.inf:  # with n <= 2**53 only lip_const can be to blame
-        raise ValueError(
-            f"lip_const must be such that the step size is positive and finite (n={n}), "
-            f"got {lip_const!r}"
-        )
-    return step
+    return _closed_form(
+        "step size",
+        lambda: 1.0 / (4.0 * (n + 4) * lip_const if mode == "unconstrained" else lip_const),
+        _positive=True, n=n, lip_const=lip_const,
+    )
 
 
 def suggest_params(
@@ -357,29 +355,22 @@ def suggest_params(
     ceil(lip_const / (pl_const * eps)).  The scalings carry unspecified
     leading constants; they are fixed at 1 here, so treat the output as a
     calibrated starting point rather than a certificate.  Raises ValueError
-    unless the inputs, mu and N are all positive and finite.
+    unless the inputs and mu are positive and finite and N is finite.
     """
+    if mode not in ("unconstrained", "constrained"):
+        raise ValueError(f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
     eps = _check_real(eps, "eps")
     n = _check_count(n, "n", 1)
     lip_const = _check_real(lip_const, "lip_const")
     pl_const = _check_real(pl_const, "pl_const")
-    try:
-        if mode == "unconstrained":
-            mu = math.sqrt(pl_const * eps) / (n**1.5 * lip_const)
-            num_iters = n * lip_const / (pl_const * eps)
-        elif mode == "constrained":
-            d_x = _check_real(d_x, "d_x")
-            mu = pl_const * eps / (d_x * lip_const**2 * (n + 3) ** 1.5)
-            num_iters = lip_const / (pl_const * eps)
-        else:
-            raise ValueError(f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
-    except (OverflowError, ZeroDivisionError):
-        # float ** raises where other float arithmetic gives inf, and so
-        # does a divisor such as pl_const * eps that underflows to 0
-        mu = num_iters = math.inf
-    if not (0 < mu < math.inf and num_iters < math.inf):
-        raise ValueError(
-            f"eps={eps!r}, n={n}, lip_const={lip_const!r}, pl_const={pl_const!r} "
-            f"give no positive finite mu and finite iteration count"
-        )
+    inputs = dict(eps=eps, n=n, lip_const=lip_const, pl_const=pl_const)
+    if mode == "unconstrained":
+        mu_formula = lambda: math.sqrt(pl_const * eps) / (n**1.5 * lip_const)
+        iters_formula = lambda: n * lip_const / (pl_const * eps)
+    else:
+        inputs["d_x"] = d_x = _check_real(d_x, "d_x")
+        mu_formula = lambda: pl_const * eps / (d_x * lip_const**2 * (n + 3) ** 1.5)
+        iters_formula = lambda: lip_const / (pl_const * eps)
+    mu = _closed_form("mu", mu_formula, _positive=True, **inputs)
+    num_iters = _closed_form("iteration count", iters_formula, **inputs)
     return mu, math.ceil(num_iters)

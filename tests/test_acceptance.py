@@ -1,13 +1,13 @@
 """End-to-end acceptance checks with stated runtime budgets.
 
 Each test prints one pass/fail line (visible under pytest -s); the heavy
-multi-run experiments are shared through module-scoped fixtures so their
-cost is paid once.
+multi-run experiments, the shipped desk configs in configs/, are shared
+through module-scoped fixtures so their cost is paid once.
 """
 
-import math
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +15,13 @@ import pytest
 
 from zopt.analysis import check_proximal_pl, prox_quantity
 from zopt.cli import main
-from zopt.harness import ExperimentConfig, run_experiment
+from zopt.harness import load_config, run_experiment
 from zopt.oracle import OracleConfig, estimate_smoothed_gradient, sample_directions
 from zopt.problems import make_least_squares
 from zopt.sets import WholeSpace
-from zopt.solvers import suggest_params
 
 DATA_DIR = Path(__file__).parent / "data"
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 JOBS = min(4, os.cpu_count() or 1)
 
 
@@ -31,56 +31,23 @@ def report(criterion: int, elapsed: float, passed: bool, detail: str) -> None:
     assert passed, f"criterion {criterion}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def scenario1_desk():
-    problem = make_least_squares(20, 100, 0.1, 101)
-    mu, _ = suggest_params("unconstrained", 0.1, 100, problem.lip_const, problem.pl_const)
-    config = ExperimentConfig(
-        scenario="unconstrained",
-        m=20,
-        n=100,
-        noise_std=0.1,
-        problem_seed=101,
-        num_iters=20000,
-        record_stride=1000,
-        num_runs=25,
-        run_seed_base=5000,
-        x0_seed=77,
-        mu=mu,
-        step_size=None,
-        bound_overlay=True,
-    )
+def run_shipped(name: str):
+    """A shipped desk config's series, run without its output files, and the
+    wall time it took."""
+    config = replace(load_config(CONFIG_DIR / name), csv_path=None, svg_path=None)
     start = time.perf_counter()
     series = run_experiment(config, jobs=JOBS)
     return series, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def scenario1_desk():
+    return run_shipped("scenario1_desk.cfg")
 
 
 @pytest.fixture(scope="module")
 def scenario2_desk():
-    problem = make_least_squares(10, 40, 0.1, 202)
-    d_x = math.sqrt(40)
-    mu, _ = suggest_params(
-        "constrained", 0.1, 40, problem.lip_const, problem.pl_const, d_x=d_x
-    )
-    config = ExperimentConfig(
-        scenario="constrained",
-        m=10,
-        n=40,
-        noise_std=0.1,
-        problem_seed=202,
-        num_iters=20000,
-        record_stride=1000,
-        num_runs=25,
-        run_seed_base=9000,
-        x0_seed=88,
-        mu=mu,
-        step_size=None,
-        set_spec={"kind": "box", "lower": "-0.5", "upper": "0.5"},
-        bound_overlay=True,
-    )
-    start = time.perf_counter()
-    series = run_experiment(config, jobs=JOBS)
-    return series, time.perf_counter() - start
+    return run_shipped("scenario2_desk.cfg")
 
 
 def test_criterion_1_oracle_unbiasedness():

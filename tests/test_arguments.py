@@ -148,15 +148,12 @@ OPTIONAL = {("Box", "dim"), ("BoundInputs", "d_x")} | {
 
 
 # values refused by one entry point only: a count past the largest float
-# once overflowed converting to float in the closed-form formulas, and a
-# lip_const at either end of the float range gave a step size of 0 or inf
+# once overflowed converting to float in the closed-form formulas
 EXTREMES = [
-    *[(entry, "n", 10**400) for entry in (
+    (entry, "n", 10**400) for entry in (
         "theorem_step_size-unconstrained", "theorem_step_size-constrained",
         "oracle_variance_candidate", "BoundInputs",
-    )],
-    ("theorem_step_size-unconstrained", "lip_const", 1e308),
-    ("theorem_step_size-constrained", "lip_const", 5e-324),
+    )
 ]
 
 
@@ -207,14 +204,23 @@ def test_explicit_step_size_needs_no_analyzed_step(bound):
     # at lip_const=5e-324 the analyzed step is inf and refused, but a bound
     # given its own step never uses it
     inputs = dataclasses.replace(INPUTS, lip_const=5e-324)
-    with pytest.raises(ValueError, match="^lip_const must be "):
+    message = "^n=6, lip_const=5e-324 give no positive finite step size$"
+    with pytest.raises(ValueError, match=message):
         bound(inputs, 10)
     assert math.isfinite(bound(inputs, 10, step_size=0.1))
 
 
-# closed forms whose float ** overflows (or whose result is not finite):
-# one ValueError naming the inputs, as suggest_params gives
+# closed forms whose float ** overflows (or whose result is not finite, or
+# not positive where it must be): one ValueError naming the inputs, as
+# suggest_params gives; a lip_const at either end of the float range gives
+# an analyzed step of 0 or inf
 OVERFLOWS = {
+    "theorem_step_size-unconstrained-lip_const": partial(
+        theorem_step_size, "unconstrained", 3, 1e308
+    ),
+    "theorem_step_size-constrained-lip_const": partial(
+        theorem_step_size, "constrained", 3, 5e-324
+    ),
     "oracle_variance_candidate-mu": partial(oracle_variance_candidate, 1e200, 3, 2.0, 1.0),
     "oracle_variance_candidate-grad_norm": partial(
         oracle_variance_candidate, 1e-3, 3, 2.0, 1e200
@@ -234,7 +240,7 @@ OVERFLOWS = {
 
 @pytest.mark.parametrize("call", OVERFLOWS.values(), ids=OVERFLOWS.keys())
 def test_overflowing_closed_form_is_one_value_error(call):
-    with pytest.raises(ValueError, match=" give no finite ") as err:
+    with pytest.raises(ValueError, match=" give no (positive )?finite ") as err:
         call()
     assert "\n" not in str(err.value)
 

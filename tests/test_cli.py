@@ -1,8 +1,11 @@
+import dataclasses
 import errno
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +53,13 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists(DEV_FULL), reason="needs 
 NO_SPACE = os.strerror(errno.ENOSPC)
 
 
+def _child_env() -> dict:
+    """The environment of a child `python -m zopt.cli`, importing this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 class TestSuggest:
     def test_matches_library_values(self, capsys):
         rc = main(
@@ -79,7 +89,7 @@ class TestSuggest:
             ["suggest", "--mode", "con", "--eps", "0.1", "--n", "5", "--lip", "2", "--pl", "1"]
         )
         assert rc == 2
-        assert "d_x" in capsys.readouterr().err
+        assert capsys.readouterr().err == "--dx is required with --mode con\n"
 
     @pytest.mark.parametrize(
         "mode, flag, value",
@@ -98,7 +108,9 @@ class TestSuggest:
         ],
     )
     def test_non_finite_inputs_or_results_exit_2(self, capsys, mode, flag, value):
-        args = {"--eps": "0.1", "--n": "50", "--lip": "4.0", "--pl": "1.5", "--dx": "1.0"}
+        args = {"--eps": "0.1", "--n": "50", "--lip": "4.0", "--pl": "1.5"}
+        if mode == "con":
+            args["--dx"] = "1.0"
         args[flag] = value
         rc = main(["suggest", "--mode", mode, *(x for item in args.items() for x in item)])
         captured = capsys.readouterr()
@@ -113,8 +125,8 @@ class TestSuggest:
         argv = ["--eps", "100", "--n", "1", "--lip", "1e307", "--pl", "1"]
         assert main(["suggest", "--mode", "unc", *argv]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("lip_const must be such that the step size is positive")
-        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert captured.err == "n=1, lip_const=1e+307 give no positive finite step size\n"
+        assert captured.out == ""
 
 
 # the one stderr line of a verify run that ends normally
@@ -138,12 +150,12 @@ class TestVerify:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--probes", "0", "--probes must be >= 1, got 0"),
-            ("--probes", "-3", "--probes must be >= 1, got -3"),
-            ("--samples", "1", "--samples must be >= 2, got 1"),
+            ("--probes", "0", "--probes must be an integer >= 1, got 0"),
+            ("--probes", "-3", "--probes must be an integer >= 1, got -3"),
+            ("--samples", "1", "--samples must be an integer >= 2, got 1"),
             # past 2**53, the library's count rule: each used to end in a traceback
-            ("--probes", str(BIG), f"--probes must be <= 2**53, got {BIG}"),
-            ("--samples", str(BIG), f"--samples must be <= 2**53, got {BIG}"),
+            ("--probes", str(BIG), f"--probes must be an integer <= 2**53, got {BIG}"),
+            ("--samples", str(BIG), f"--samples must be an integer <= 2**53, got {BIG}"),
         ],
     )
     def test_bad_counts_exit_2(self, capsys, flag, value, message):
@@ -156,7 +168,7 @@ class TestVerify:
     def test_bad_seed_exits_2(self, capsys, seed):
         assert main(["verify", "--seed", str(seed)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"--seed must be in [0, 2**64), got {seed}\n"
+        assert captured.err == f"--seed must be a 64-bit unsigned integer, got {seed}\n"
         assert captured.out == ""
 
     def test_unwritable_csv_exits_2_before_any_check(self, capsys, monkeypatch, tmp_path):
@@ -256,14 +268,10 @@ class TestRun:
         # too; it is one line, not Python's file:line form with a source line
         cfg = tmp_path / "steep_box.cfg"
         cfg.write_text(BOX_RUN_CONFIG.replace("step_size = theorem", "step_size = 1.0"))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "zopt.cli", "run", "--config", str(cfg),
              "--out-dir", str(tmp_path), "--jobs", jobs],
-            env=env, capture_output=True, text=True, timeout=300,
+            env=_child_env(), capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         (line,) = proc.stderr.splitlines()
@@ -392,14 +400,14 @@ class TestRun:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(RUN_CONFIG)
         assert main(["run", "--config", str(cfg), "--jobs", "0"]) == 2
-        assert capsys.readouterr().err == "--jobs must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "--jobs must be an integer >= 1, got 0\n"
 
     def test_jobs_past_the_count_rule_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(RUN_CONFIG)
         assert main(["run", "--config", str(cfg), "--jobs", str(BIG)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"--jobs must be <= 2**53, got {BIG}\n"
+        assert captured.err == f"--jobs must be an integer <= 2**53, got {BIG}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("scenario", ["constrained", "unconstrained"])
@@ -549,3 +557,223 @@ class TestRun:
         message = f"{cfg}: f(x0) = inf is not finite with [problem] noise_std = 1e+200{where}\n"
         assert captured.err == message
         assert captured.out == ""
+
+
+# Every numeric flag, the kind of value its rule takes, and a valid command
+# line it is put into (suggest in --mode con, so that --dx is valid too).
+VALID_ARGS = {
+    "run": ["--config", "missing.cfg"],
+    "suggest": [
+        "--mode", "con", "--eps", "0.1", "--n", "5", "--lip", "2", "--pl", "1", "--dx", "1"
+    ],
+    "verify": [],
+}
+NUMERIC_FLAGS = [
+    ("run", "--jobs", "count"),
+    ("suggest", "--eps", "real"),
+    ("suggest", "--n", "count"),
+    ("suggest", "--lip", "real"),
+    ("suggest", "--pl", "real"),
+    ("suggest", "--dx", "real"),
+    ("verify", "--probes", "count"),
+    ("verify", "--samples", "count"),
+    ("verify", "--seed", "seed"),
+]
+# the values each kind's rule refuses: a count is an integer in [1, 2**53]
+# (--samples takes 2 and up), a seed one in [0, 2**64), a real positive and finite
+REFUSED = {
+    "count": ["0", "-1", str(BIG), str(2**64), "x", "1.5", "inf", "nan"],
+    "seed": ["-1", str(2**64), "x", "1.5", "inf", "nan"],
+    "real": ["0", "-1", "x", "inf", "nan"],
+}
+
+
+def _shown(kind: str, value: str) -> str:
+    """value as a refusal shows it: the number its text reads as, else the text quoted."""
+    try:
+        return repr((float if kind == "real" else int)(value))
+    except ValueError:
+        return repr(value)
+
+
+def _with_flag(command: str, flag: str, value: str) -> list[str]:
+    args = list(VALID_ARGS[command])
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += [flag, value]
+    return [command, *args]
+
+
+def _without_flag(command: str, flag: str) -> list[str]:
+    args = list(VALID_ARGS[command])
+    at = args.index(flag)
+    return [command, *args[:at], *args[at + 2 :]]
+
+
+# (argv, the one stderr line) for refusals that are not a flag's value
+OTHER_REFUSALS = [
+    (_without_flag("run", "--config"), "the following arguments are required: --config"),
+    *[
+        (_without_flag("suggest", flag), f"the following arguments are required: {flag}")
+        for flag in ("--mode", "--eps", "--n", "--lip", "--pl")
+    ],
+    (_without_flag("suggest", "--dx"), "--dx is required with --mode con"),
+    (_with_flag("suggest", "--mode", "unc"), "--dx is only valid with --mode con"),
+]
+
+# a few of the refusals above, from a whole process, which exits 2
+PROCESS_REFUSALS = [
+    (_with_flag("run", "--jobs", "x"), "--jobs must be an integer >= 1, got 'x'"),
+    (_with_flag("run", "--jobs", "0"), "--jobs must be an integer >= 1, got 0"),
+    (_with_flag("verify", "--probes", "1.5"), "--probes must be an integer >= 1, got '1.5'"),
+    OTHER_REFUSALS[0],
+    OTHER_REFUSALS[-1],
+]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "command, flag, kind, value",
+        [
+            pytest.param(command, flag, kind, value, id=f"{command}-{flag}-{value}")
+            for command, flag, kind in NUMERIC_FLAGS
+            for value in REFUSED[kind]
+        ],
+    )
+    def test_refused_flag_value_is_one_line_naming_the_flag(
+        self, capsys, command, flag, kind, value
+    ):
+        assert main(_with_flag(command, flag, value)) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        # the rule's own message, under the flag's name
+        assert line.startswith(f"{flag} must be "), line
+        assert line.endswith(f", got {_shown(kind, value)}"), line
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message", OTHER_REFUSALS, ids=[" ".join(argv) for argv, _ in OTHER_REFUSALS]
+    )
+    def test_missing_or_misplaced_flag_is_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message", PROCESS_REFUSALS, ids=[" ".join(argv) for argv, _ in PROCESS_REFUSALS]
+    )
+    def test_process_exits_2_with_one_line(self, tmp_path, argv, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "zopt.cli", *argv],
+            env=_child_env(), cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == message + "\n"
+        assert proc.stdout == ""
+
+
+# two runs whose blocks take many seconds each, at --jobs 2
+LONG_RUN_CONFIG = RUN_CONFIG.replace("num_iters = 150", "num_iters = 1000000").replace(
+    "record_stride = 50", "record_stride = 1000"
+)
+# zopt's CLI with each pool worker leaving a file in argv[1] once its block starts
+MARKED_CLI = """\
+import sys
+from pathlib import Path
+
+from zopt import cli, harness
+
+execute_run = harness._execute_run
+
+
+def started(task):
+    Path(sys.argv[1], f"block-{task.solvers[0].oracle.seed}").touch()
+    return execute_run(task)
+
+
+harness._execute_run = started
+if __name__ == "__main__":
+    sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _report_sigint_handler(task):
+    """A pool block that fails with the SIGINT handler of its worker."""
+    raise RuntimeError(repr(signal.getsignal(signal.SIGINT)))
+
+
+class TestInterruptions:
+    @pytest.mark.parametrize("target", ["parent", "group"])
+    def test_sigint_ends_a_pool_run_with_its_workers(self, tmp_path, target):
+        # SIGINT to the parent alone, as kill -INT sends it, or to the whole
+        # group, as a terminal's Ctrl-C does: each used to wait for both
+        # blocks to finish and then print a traceback
+        script = tmp_path / "marked_cli.py"
+        script.write_text(MARKED_CLI)
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(LONG_RUN_CONFIG)
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        argv = ["run", "--config", str(cfg), "--jobs", "2", "--out-dir", str(tmp_path)]
+        proc = subprocess.Popen(
+            [sys.executable, str(script), str(marks), *argv],
+            env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(marks.iterdir())) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            start = time.monotonic()
+            if target == "group":
+                os.killpg(proc.pid, signal.SIGINT)
+            else:
+                os.kill(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+            elapsed = time.monotonic() - start
+            # no worker outlives the parent
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        assert proc.returncode == 130
+        assert err == "zopt run: interrupted\n"
+        assert out == ""
+        assert elapsed < 10
+        assert not (tmp_path / "cli_out.csv").exists()
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_closed_stdout_exits_141_quietly(self, buffered):
+        # `zopt verify | head -1` used to end in a BrokenPipeError traceback;
+        # a buffered stdout fails at a flush, an unbuffered one at a print
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "zopt.cli", "verify", "--probes", "5", "--samples", "50"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
+
+    def test_pool_workers_ignore_sigint(self, monkeypatch):
+        # only the parent reports an interrupt; a block that fails ends the
+        # run with its error
+        monkeypatch.setattr(harness, "_execute_run", _report_sigint_handler)
+        config = harness.load_config(DATA_DIR / "pinned_desk.cfg")
+        config = dataclasses.replace(config, csv_path=None)
+        with pytest.raises(RuntimeError, match=f"^{signal.SIG_IGN!r}$"):
+            harness.run_experiment(config, jobs=2)

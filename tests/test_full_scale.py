@@ -1,19 +1,19 @@
 """Opt-in full-scale benchmarks (set ZOPT_FULL=1; tens of minutes of CPU).
 
-These reproduce the large configurations from configs/ in-process and check
+These run the large configurations shipped in configs/ in-process and check
 the qualitative claims that desk-scale runs cannot: the step-size tradeoff
 (a larger step reaches its own plateau sooner but the plateau is higher)
 and bound dominance at scale.
 """
 
-import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zopt.harness import ExperimentConfig, run_experiment
+from zopt.harness import load_config, run_experiment
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("ZOPT_FULL") != "1",
@@ -22,21 +22,12 @@ pytestmark = pytest.mark.skipif(
 
 JOBS = max(1, os.cpu_count() or 1)
 
-SCENARIO1_FULL = ExperimentConfig(
-    scenario="unconstrained",
-    m=100,
-    n=1000,
-    noise_std=0.1,
-    problem_seed=424242,
-    num_iters=200_000,
-    record_stride=10_000,
-    num_runs=25,
-    run_seed_base=50_000,
-    x0_seed=777,
-    mu=1e-7,
-    step_size=None,
-    bound_overlay=True,
-)
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
+
+
+def shipped(name: str):
+    """A shipped config, run without its output files."""
+    return replace(load_config(CONFIG_DIR / name), csv_path=None, svg_path=None)
 
 
 def iterations_to_factor_of_plateau(series, factor=2.0):
@@ -48,10 +39,8 @@ def iterations_to_factor_of_plateau(series, factor=2.0):
 
 @pytest.fixture(scope="module")
 def runs():
-    theorem = run_experiment(SCENARIO1_FULL, jobs=JOBS, full=True)
-    fast = run_experiment(
-        replace(SCENARIO1_FULL, step_size=1e-6), jobs=JOBS, full=True
-    )
+    theorem = run_experiment(shipped("scenario1_full.cfg"), jobs=JOBS, full=True)
+    fast = run_experiment(shipped("scenario1_full_fast_step.cfg"), jobs=JOBS, full=True)
     return theorem, fast
 
 
@@ -82,23 +71,7 @@ class TestScenario1FullScale:
 
 class TestScenario2FullScale:
     def test_constrained_run_stays_feasible_and_settles(self):
-        config = ExperimentConfig(
-            scenario="constrained",
-            m=100,
-            n=1000,
-            noise_std=0.1,
-            problem_seed=424242,
-            num_iters=200_000,
-            record_stride=10_000,
-            num_runs=25,
-            run_seed_base=60_000,
-            x0_seed=888,
-            mu=1e-10,
-            step_size=1e-6,
-            set_spec={"kind": "box", "lower": "-0.5", "upper": "0.5"},
-            bound_overlay=False,
-        )
-        series = run_experiment(config, jobs=JOBS, full=True)
+        series = run_experiment(shipped("scenario2_full.cfg"), jobs=JOBS, full=True)
         assert series.metadata["feasibility_violations"] == "0"
         assert np.all(np.diff(series.mean_best_f) <= 0)
         # settles into a neighbourhood: the tail is flat relative to the drop

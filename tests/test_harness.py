@@ -71,7 +71,7 @@ BALL_WITH_CENTRE = "[set]\nkind = ball\nradius = 1\ncentre = 0.3"
 WHOLE_SPACE = "[set]\nkind = whole_space"
 # a count just past 2**53, the largest the library's count rule takes
 BIG = 2**53 + 1
-PAST_53 = f"must be <= 2**53, got {BIG}"
+PAST_53 = f"must be an integer <= 2**53, got {BIG}"
 # a box holding a key it does not take, on its last line
 BOX_WITH_RADIUS = "[set]\nkind = box\nlower = -1\nupper = 1\nradius = 1"
 # [set] sections with one malformed value
@@ -375,7 +375,7 @@ class TestConfigParsing:
             ({"[experiment]": "[DEFAULT]\nm = 5\n[experiment]"}, 1, "unknown section [DEFAULT]"),
             ({"[experiment]": "[Experiment]"}, 1, "unknown section [Experiment]"),
             ({"mu = 1e-5": "mu = 1e-5\neps = 0.1"}, 15, "[solver] eps is only valid with mu"),
-            ({"mu = 1e-5": "mu: nan"}, 14, "[solver] mu must be positive and finite, got 'nan'"),
+            ({"mu = 1e-5": "mu: nan"}, 14, "[solver] mu must be positive and finite, got nan"),
             ({"mu = 1e-5": "MU : nan  # comment"}, 14, "[solver] mu must be positive"),
             (
                 {"= unconstrained": "= constrained", "true": f"true\n{BALL_WITH_CENTRE}"},
@@ -401,6 +401,33 @@ class TestConfigParsing:
                 {"= unconstrained": "= constrained", "true": f"true\n{BOX_SHORT_UPPER}"},
                 25,
                 "[set] upper has 2 entries, expected 1 or 8",
+            ),
+            # each value is judged by the rule of its kind in zopt.rng, under
+            # its key's name
+            (
+                {"num_runs = 3": "num_runs = 0"},
+                3,
+                "[experiment] num_runs must be an integer >= 1, got 0",
+            ),
+            (
+                {"num_iters = 200": "num_iters = soon"},
+                16,
+                "[solver] num_iters must be an integer >= 0, got 'soon'",
+            ),
+            (
+                {"noise_std = 0.1": "noise_std = -1"},
+                10,
+                "[problem] noise_std must be nonnegative and finite, got -1.0",
+            ),
+            (
+                {"problem_seed = 7": f"problem_seed = {2**64}"},
+                11,
+                f"[problem] problem_seed must be a 64-bit unsigned integer, got {2**64}",
+            ),
+            (
+                {"step_size = theorem": "step_size = fast"},
+                15,
+                "[solver] step_size must be positive and finite, got 'fast'",
             ),
             # a count past 2**53, the library's count rule, and an empty output
             # path: each used to load, and the run ended in a traceback
@@ -498,10 +525,23 @@ class TestConfigParsing:
         assert cfg.x0_seed == 5001
         assert cfg.run_seed_base == 5002
 
-    @pytest.mark.parametrize("seed", [-5, 2**64 - 1, 2**64 - 4])
-    def test_seed_override_out_of_range(self, seed):
-        with pytest.raises(ConfigError, match="outside"):
+    @pytest.mark.parametrize(
+        "seed, refused",
+        [
+            (-5, "[problem] problem_seed must be a 64-bit unsigned integer, got -5"),
+            (2**64 - 1, f"[experiment] x0_seed must be a 64-bit unsigned integer, got {2**64}"),
+            # the 3 runs use seeds v + 2 .. v + 4
+            (
+                2**64 - 4,
+                "[experiment] run_seed_base + num_runs - 1 must be a 64-bit unsigned "
+                f"integer, got {2**64}",
+            ),
+        ],
+    )
+    def test_seed_override_out_of_range(self, seed, refused):
+        with pytest.raises(ConfigError) as err:
             apply_seed_override(small_config(), seed)
+        assert str(err.value) == f"seed override {seed}: {refused}"
 
     def test_shipped_configs_parse(self):
         import pathlib
