@@ -18,9 +18,9 @@ import sys
 import time
 import warnings
 
-from . import analysis, harness, problems, sets, solvers
+from . import harness, problems, sets, solvers
 from .oracle import OracleConfig
-from .rng import _check_count, _check_real, _check_u64
+from .rng import _check_count, _check_real, _check_u64, _ClosedFormError
 
 __all__ = ["main"]
 
@@ -100,6 +100,12 @@ def _cmd_run(args) -> int:
     return 0
 
 
+# suggest's flag for each library argument it sets
+_SUGGEST_FLAGS = {
+    "eps": "--eps", "n": "--n", "lip_const": "--lip", "pl_const": "--pl", "d_x": "--dx"
+}
+
+
 def _cmd_suggest(args) -> int:
     mode = {"unc": "unconstrained", "con": "constrained"}[args.mode]
     if (args.dx is None) == (mode == "constrained"):
@@ -111,8 +117,8 @@ def _cmd_suggest(args) -> int:
             mode, args.eps, args.n, args.lip, args.pl, d_x=args.dx
         )
         step = solvers.theorem_step_size(mode, args.n, args.lip)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    except _ClosedFormError as exc:  # the flags passed their rules; a formula of them failed
+        print(exc.renamed(_SUGGEST_FLAGS), file=sys.stderr)
         return 2
     print(f"mode: {mode}")
     print(f"mu: {mu:.6g}")
@@ -124,6 +130,8 @@ def _cmd_suggest(args) -> int:
 def _cmd_verify(args) -> int:
     if args.csv and not _write_csv(args.csv, ""):  # fail before the checks, not after them
         return 2
+    from . import analysis  # loads scipy, outside the checks' phase times
+
     # Fixed desk-scale quadratic instance on a box; the checks are exact
     # inequalities, so any instance should report zero violations.
     problem = problems.make_least_squares(m=5, n=20, noise_std=0.1, seed=args.seed)

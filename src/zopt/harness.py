@@ -26,11 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
+from .bounds import (
     BoundInputs,
     _c11_sigma_sq,
     constrained_gap_bound,
-    constrained_opt_value,
     oracle_variance_candidate,
     unconstrained_gap_bound,
 )
@@ -507,6 +506,23 @@ def write_series_csv(series: AggregateSeries, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _csv_value(path, number: int, name: str, text: str):
+    """A value of a series CSV: num_runs and k are counts (>= 1 and >= 0),
+    the rest floats; else one ValueError naming the file and the line."""
+    low = {"num_runs": 1, "k": 0}.get(name)
+    try:
+        value = float(text) if low is None else int(text)
+    except ValueError:
+        kind = "a number" if low is None else "an integer"
+        raise ValueError(f"{path}: line {number}: {name} must be {kind}, got {text!r}") from None
+    if low is None:
+        return value
+    try:
+        return _check_count(value, name, low)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {number}: {exc}") from None
+
+
 def read_series_csv(path) -> AggregateSeries:
     """Read a CSV written by write_series_csv, reproducing it exactly."""
     with open(path, "r", encoding="ascii") as fh:
@@ -525,12 +541,7 @@ def read_series_csv(path) -> AggregateSeries:
         if key == "f_star":
             f_star = None if value == "none" else float(value)
         elif key == "num_runs":
-            try:
-                num_runs = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {idx + 1}: num_runs must be an integer, got {value!r}"
-                ) from None
+            num_runs = _csv_value(path, idx + 1, key, value)
         else:
             metadata[key] = value
         idx += 1
@@ -551,13 +562,7 @@ def read_series_csv(path) -> AggregateSeries:
                 f"{path}: line {number}: {len(row)} cells, the header has {len(columns)}"
             )
         for name, cell in zip(columns, row):
-            try:
-                data[name].append(int(cell) if name == "k" else float(cell))
-            except ValueError:
-                kind = "an integer" if name == "k" else "a number"
-                raise ValueError(
-                    f"{path}: line {number}: {name} must be {kind}, got {cell!r}"
-                ) from None
+            data[name].append(_csv_value(path, number, name, cell))
 
     def floats(name):
         return np.array(data[name], dtype=float) if name in data else None
@@ -636,6 +641,13 @@ def _writing(path: str):
         yield
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def constrained_opt_value(problem: TestProblem, feasible_set: FeasibleSet) -> float:
+    """analysis.constrained_opt_value, whose module (and scipy) loads on the first call."""
+    from . import analysis
+
+    return analysis.constrained_opt_value(problem, feasible_set)
 
 
 def run_experiment(

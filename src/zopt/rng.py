@@ -60,18 +60,32 @@ def _check_real(value, name: str, positive: bool = True) -> float:
     return real
 
 
+class _ClosedFormError(ValueError):
+    """A closed form with no value of its kind: args are (what, inputs).
+    Its message names the inputs as the library's arguments; renamed(names)
+    names them as the caller's (a CLI's flags, say)."""
+
+    def __str__(self) -> str:
+        return self.renamed({})
+
+    def renamed(self, names: dict[str, str]) -> str:
+        what, inputs = self.args
+        named = ", ".join(f"{names.get(name, name)}={arg!r}" for name, arg in inputs.items())
+        return f"{named} give no {what}"
+
+
 def _closed_form(what: str, formula, _positive: bool = False, **inputs) -> float:
-    """formula() as a finite float, > 0 with _positive; else one ValueError
-    naming the inputs.  Float ** and / by an underflowed 0 raise where the
-    other float operators give inf, so each overflow ends here."""
+    """formula() as a finite float, > 0 with _positive; else one
+    _ClosedFormError naming the inputs.  Float ** and / by an underflowed 0
+    raise where the other float operators give inf, so each overflow ends
+    here."""
     try:
         value = float(formula())
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not (math.isfinite(value) and (value > 0 or not _positive)):
-        named = ", ".join(f"{name}={arg!r}" for name, arg in inputs.items())
         kind = "positive finite" if _positive else "finite"
-        raise ValueError(f"{named} give no {kind} {what}")
+        raise _ClosedFormError(f"{kind} {what}", inputs)
     return value
 
 

@@ -323,7 +323,7 @@ def projected_random_search(
 
 
 def theorem_step_size(mode: str, n: int, lip_const: float) -> float:
-    """Step size assumed by the gap bounds in zopt.analysis.
+    """Step size assumed by the gap bounds in zopt.bounds.
 
     unconstrained: 1 / (4 (n + 4) lip_const); constrained: 1 / lip_const.
     A lip_const whose step would be 0 or inf raises ValueError.

@@ -8,15 +8,17 @@ from zopt import analysis
 from zopt.analysis import (
     PROBE_BLOCK,
     SAMPLE_BLOCK,
-    BoundInputs,
     check_proximal_pl,
-    constrained_gap_bound,
     constrained_opt_value,
-    oracle_variance_candidate,
     probe_deviation,
     prox_quantity,
-    unconstrained_gap_bound,
     verify_oracle_inequalities,
+)
+from zopt.bounds import (
+    BoundInputs,
+    constrained_gap_bound,
+    oracle_variance_candidate,
+    unconstrained_gap_bound,
 )
 from zopt.oracle import OracleConfig, _mean_and_stderr, oracle_eval, sample_directions
 from zopt.problems import LeastSquaresObjective, TestProblem, make_least_squares

@@ -16,14 +16,16 @@ import numpy as np
 import pytest
 
 from zopt.analysis import (
-    BoundInputs,
     check_proximal_pl,
-    constrained_gap_bound,
-    oracle_variance_candidate,
     probe_deviation,
     prox_quantity,
-    unconstrained_gap_bound,
     verify_oracle_inequalities,
+)
+from zopt.bounds import (
+    BoundInputs,
+    constrained_gap_bound,
+    oracle_variance_candidate,
+    unconstrained_gap_bound,
 )
 from zopt.harness import ExperimentConfig, checkpoint_grid, run_experiment
 from zopt.oracle import OracleConfig, estimate_smoothed_gradient, oracle_eval, sample_directions

@@ -120,12 +120,31 @@ class TestSuggest:
         assert ("n must be an integer <= 2**53" if flag == "--n" else "finite") in captured.err
         assert captured.out == ""
 
-    def test_step_size_past_the_float_range_exits_2(self, capsys):
-        # suggest_params accepts these, but 1 / (4 (n + 4) lip) underflows to 0
-        argv = ["--eps", "100", "--n", "1", "--lip", "1e307", "--pl", "1"]
-        assert main(["suggest", "--mode", "unc", *argv]) == 2
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # n lip / (pl eps) overflows
+            (
+                "--mode unc --eps 1e-320 --n 50 --lip 4 --pl 1.5",
+                "--eps=1e-320, --n=50, --lip=4.0, --pl=1.5 give no finite iteration count",
+            ),
+            # pl eps / (d_x lip**2 (n + 3)**1.5) underflows to 0
+            (
+                "--mode con --eps 0.1 --n 5 --lip 1e200 --pl 1 --dx 1",
+                "--eps=0.1, --n=5, --lip=1e+200, --pl=1.0, --dx=1.0 give no positive finite mu",
+            ),
+            # suggest_params accepts these, but 1 / (4 (n + 4) lip) underflows to 0
+            (
+                "--mode unc --eps 100 --n 1 --lip 1e307 --pl 1",
+                "--n=1, --lip=1e+307 give no positive finite step size",
+            ),
+        ],
+        ids=["iteration count", "mu", "step size"],
+    )
+    def test_closed_form_without_a_value_names_the_flags(self, capsys, argv, message):
+        assert main(["suggest", *argv.split()]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "n=1, lip_const=1e+307 give no positive finite step size\n"
+        assert captured.err == message + "\n"
         assert captured.out == ""
 
 
@@ -229,6 +248,48 @@ class TestVerify:
             runs.append((captured.out.replace(name, "x.csv"), (tmp_path / name).read_bytes()))
         assert runs[0] == runs[1]
         assert "verify:" not in runs[0][0]
+
+
+class TestImportGraph:
+    """Only zopt.analysis imports scipy, and only a box run or its names load
+    it.  Each case runs in a child, since this session has scipy already."""
+
+    CHILD = """\
+import sys
+import zopt
+from zopt import cli
+
+def scipy_loaded():
+    return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+before = scipy_loaded()
+if sys.argv[1] == "name":
+    result = zopt.verify_oracle_inequalities.__module__
+else:
+    result = cli.main(["run", "--config", sys.argv[1], "--out-dir", sys.argv[2]])
+print(before, result, scipy_loaded())
+"""
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            (RUN_CONFIG, "False 0 False"),
+            (BOX_RUN_CONFIG, "False 0 True"),
+            (None, "False zopt.analysis True"),
+        ],
+        ids=["unconstrained run", "box run", "analysis name"],
+    )
+    def test_scipy_loads_only_for_the_box_reference(self, tmp_path, config, expected):
+        cfg = tmp_path / "exp.cfg"
+        if config is not None:
+            cfg.write_text(config)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, "name" if config is None else str(cfg),
+             str(tmp_path)],
+            env=_child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == expected
 
 
 class TestRun:

@@ -26,6 +26,7 @@ def test_star_import_of_the_package():
     namespace = {}
     exec("from zopt import *", namespace)
     assert {"OracleConfig", "random_search", "verify_oracle_inequalities"} <= set(namespace)
+    assert set(zopt.__all__) <= set(namespace)
     for attr, value in namespace.items():
         home = getattr(value, "__module__", "")
         if home.startswith("zopt."):
@@ -66,6 +67,44 @@ def test_unused_import_detector():
 def test_no_module_imports_a_name_it_never_uses(path):
     # the package's __init__ imports only to re-export, so it is exempt
     assert imported_but_unused(path.read_text(encoding="utf-8")) == []
+
+
+def scipy_on_import(source: str) -> list[str]:
+    """The imports in a module's source, outside any function body, that
+    load scipy: of scipy itself, or of zopt.analysis, which imports it."""
+    found = set()
+    nodes = list(ast.parse(source).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # runs when called, not when the module is imported
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["zopt" if node.level else None, node.module]))
+            found |= {base, *(f"{base}.{alias.name}" for alias in node.names)}
+        nodes.extend(ast.iter_child_nodes(node))
+    return sorted(
+        name for name in found
+        if name.split(".")[0] == "scipy" or name.startswith("zopt.analysis")
+    )
+
+
+def test_scipy_import_detector():
+    source = "import os\nfrom scipy.optimize import f\nclass C:\n    from . import analysis\n"
+    source += "def g():\n    import scipy\n    from .analysis import h\n"
+    assert scipy_on_import(source) == ["scipy.optimize", "scipy.optimize.f", "zopt.analysis"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(zopt.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_only_analysis_imports_scipy(path):
+    # scipy costs every process that loads it about half a second and 50 MB;
+    # only the box reference optimum in zopt.analysis needs it, so every other
+    # module imports analysis inside the function that needs it
+    found = scipy_on_import(path.read_text(encoding="utf-8"))
+    assert (found != []) == (path.stem == "analysis"), found
 
 
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zopt import harness
-from zopt.analysis import BoundInputs
+from zopt.bounds import BoundInputs
 from zopt.cli import main
 from zopt.harness import (
     AggregateSeries,
@@ -297,6 +297,30 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         message = rf"{re.escape(str(path))}: line {at}: num_runs must be an integer, got 'two'"
         with pytest.raises(ValueError, match=message):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("num_runs", "-3", "num_runs must be an integer >= 1, got -3"),
+            ("num_runs", "0", "num_runs must be an integer >= 1, got 0"),
+            ("num_runs", "2.5", "num_runs must be an integer, got '2.5'"),
+            ("num_runs", str(BIG), f"num_runs {PAST_53}"),
+            ("k", "-1", "k must be an integer >= 0, got -1"),
+        ],
+        ids=["num_runs=-3", "num_runs=0", "num_runs=2.5", "num_runs=2**53+1", "k=-1"],
+    )
+    def test_counts_out_of_range(self, tmp_path, name, value, message):
+        # num_runs and k take the library's count rule; these used to read back as given
+        path, lines = self.written_lines(tmp_path)
+        if name == "k":
+            at = lines.index(next(row for row in lines if row.startswith("k,"))) + 2
+            lines[at - 1] = value + "," + lines[at - 1].split(",", 1)[1]
+        else:
+            at = lines.index("# num_runs = 2") + 1
+            lines[at - 1] = f"# num_runs = {value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: line {at}: {message}')}$"):
             read_series_csv(path)
 
     @pytest.mark.parametrize(
