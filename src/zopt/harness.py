@@ -379,9 +379,7 @@ class _RunSummary:
     sigma_sq: np.ndarray | None = None
 
 
-def _summarize_run(
-    record: RunRecord, f_star: float | None, sigma_sq: np.ndarray | None = None
-) -> _RunSummary:
+def _summarize_run(record: RunRecord, f_star: float | None) -> _RunSummary:
     """A run's checkpoint rows, with the bits of the dense per-run arrays there."""
     ks = checkpoint_grid(record.num_iters)
     gap = None
@@ -396,8 +394,53 @@ def _summarize_run(
         gap=gap,
         f_star=f_star,
         feasibility_violations=record.feasibility_violations,
-        sigma_sq=sigma_sq,
     )
+
+
+class _Checkpoints:
+    """solvers._run's recorder for a worker's block: each run's _RunSummary,
+    read at checkpoint_grid(num_iters) as the run goes, so that nothing it
+    holds grows with num_iters.
+
+    It has the bits of _summarize_run over the run's RunRecord: a running
+    minimum of f(x_j) taken as np.minimum.accumulate takes it (on a tie the
+    later value), and a running sum of f(x_j) - f_star added in order, as
+    np.cumsum adds, from -0.0, which x + -0.0 leaves as x.
+    """
+
+    def __init__(self, num_runs: int, num_iters: int, f_star: float):
+        self.num_iters = num_iters
+        self.f_star = f_star
+        self.ks = checkpoint_grid(num_iters).tolist()
+        self.column = 0
+        shape = (num_runs, len(self.ks))
+        self.f, self.best_f, self.gap = np.empty(shape), np.empty(shape), np.empty(shape)
+        self.best = [math.inf] * num_runs
+        self.total = [-0.0] * num_runs
+
+    def value(self, i: int, k: int, value: float, X: np.ndarray, j: int) -> None:
+        if value <= self.best[i]:
+            self.best[i] = value
+        self.total[i] += value - self.f_star
+
+    def checkpoint(self, k: int, live: list, X: np.ndarray, fx: np.ndarray) -> int:
+        c = self.column
+        for i, value in zip(live, fx.tolist()):
+            self.f[i, c] = value
+            self.best_f[i, c] = self.best[i]
+            self.gap[i, c] = self.total[i] / (k + 1.0)
+        self.column += 1
+        return self.ks[self.column] if self.column < len(self.ks) else -1
+
+    def outcome(self, i: int, violations: int) -> _RunSummary:
+        return _RunSummary(
+            num_iters=self.num_iters,
+            f=self.f[i],
+            best_f=self.best_f[i],
+            gap=self.gap[i],
+            f_star=self.f_star,
+            feasibility_violations=violations,
+        )
 
 
 def _run_order_mean(rows: list[np.ndarray]) -> np.ndarray:
@@ -593,6 +636,7 @@ def _execute_run(task: _RunTask) -> list[_RunSummary | DivergenceError]:
     collect_sigma, carrying its c11 sigma^2 row) or DivergenceError, in
     block order."""
     problem = task.problem
+    recorder = _Checkpoints(len(task.solvers), task.solvers[0].num_iters, task.f_star)
     grad_sq = None
     on_iterate = None
     if task.collect_sigma:
@@ -603,10 +647,13 @@ def _execute_run(task: _RunTask) -> list[_RunSummary | DivergenceError]:
             grad_sq[:, k] = np.vecdot(g, g)
 
     if task.feasible_set is None:
-        block = random_search(problem.objective, task.x0, task.solvers, on_iterate=on_iterate)
+        block = random_search(
+            problem.objective, task.x0, task.solvers, on_iterate=on_iterate, _recorder=recorder
+        )
     else:
         block = projected_random_search(
-            problem.objective, task.feasible_set, task.x0, task.solvers, on_iterate=on_iterate
+            problem.objective, task.feasible_set, task.x0, task.solvers,
+            on_iterate=on_iterate, _recorder=recorder,
         )
     sigma_rows = [None] * len(task.solvers)
     if grad_sq is not None:
@@ -614,7 +661,7 @@ def _execute_run(task: _RunTask) -> list[_RunSummary | DivergenceError]:
         # in place, so each run's row is a contiguous row of grad_sq
         sigma_rows = _c11_sigma_sq(mu, problem.dim, problem.lip_const, grad_sq, out=grad_sq)
     return [
-        o if isinstance(o, DivergenceError) else _summarize_run(o, task.f_star, row)
+        o if isinstance(o, DivergenceError) else replace(o, sigma_sq=row)
         for o, row in zip(block.outcomes, sigma_rows)
     ]
 

@@ -39,11 +39,19 @@ __all__ = [
 
 
 class EvaluationError(RuntimeError):
-    """The objective returned a non-finite value; row is its row in a stack."""
+    """The objective returned a non-finite value; row is its row in a stack.
+
+    failures holds one error per non-finite value of the call, in row
+    order, this one first.  From oracle_eval's paired form,
+    estimate holds the estimate rows of the pairs that did not fail, in
+    order; else it is None.
+    """
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
+        self.failures = [self]
+        self.estimate: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +117,20 @@ def _eval_rows(f: Callable, points: np.ndarray) -> np.ndarray:
     return np.array([float(f(p)) for p in points], dtype=float)
 
 
+def _stack_error(values: np.ndarray, points: np.ndarray, batch: bool) -> EvaluationError | None:
+    """None when every value of a stack is finite, else the EvaluationError
+    of its first non-finite row, whose failures has one per such row."""
+    # a per-row test on Python floats is cheaper than array reductions for a
+    # solver block's few rows, but slower than one array test for
+    # probe_deviation's blocks of hundreds of samples
+    if np.isfinite(values).all() if batch else all(map(math.isfinite, values.tolist())):
+        return None
+    rows = np.flatnonzero(~np.isfinite(values)).tolist()
+    failures = [_nonfinite(values[row], points[row], row) for row in rows]
+    failures[0].failures = failures
+    return failures[0]
+
+
 def _values(f: Callable, points: np.ndarray, batch: bool = False) -> float | np.ndarray:
     """f at one point (n,) as a float, or at each row of a (k, n) stack.
 
@@ -123,13 +145,9 @@ def _values(f: Callable, points: np.ndarray, batch: bool = False) -> float | np.
         return value
     f_batch = getattr(f, "batch", None) if batch else None
     values = _eval_rows(f, points) if f_batch is None else np.asarray(f_batch(points), dtype=float)
-    # a per-row test on Python floats is cheaper than array reductions for a
-    # solver block's few rows, but slower than one array test for
-    # probe_deviation's blocks of hundreds of samples
-    finite = np.isfinite(values).all() if batch else all(map(math.isfinite, values.tolist()))
-    if not finite:
-        row = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise _nonfinite(values[row], points[row], row)
+    error = _stack_error(values, points, batch)
+    if error is not None:
+        raise error
     return values
 
 
@@ -160,9 +178,11 @@ def oracle_eval(
     (so a row may differ from a single call in the last bits).  With x a
     (k, n) stack of points and u a (k, n) stack of directions, row i is the
     estimate at x[i] along u[i], bit for bit its own single call; fx is then
-    the (k,) values at the points, and a non-finite value raises an
-    EvaluationError whose row is the first failing pair.  Pass fx to reuse
-    an already paid evaluation at x.
+    the (k,) values at the points, and a non-finite value at a shifted
+    point raises an EvaluationError whose row is the first failing pair,
+    with every failing pair in its failures and the other pairs' estimate
+    rows, each as in its own call, in its estimate: no pair is evaluated
+    twice.  Pass fx to reuse an already paid evaluation at x.
 
     out, for one x and a (k, n) block u only, is a C-contiguous float64
     (k, n) buffer that shares no memory with x or u: it holds the shifted
@@ -183,8 +203,22 @@ def oracle_eval(
     # x + mu u and the estimate are each written into out when it is given
     # (its shifted points are spent before the estimate overwrites them)
     shifted = np.add(x, np.multiply(cfg.mu, u, out=out), out=out)
-    coef = (_values(f, shifted, batch=x.ndim < u.ndim) - fx) / cfg.mu
-    return np.multiply(coef if u.ndim == 1 else coef[:, None], u, out=out)
+    error = None
+    if paired:
+        values = _eval_rows(f, shifted)
+        error = _stack_error(values, shifted, batch=False)
+        if error is not None:
+            keep = np.ones(len(values), dtype=bool)
+            keep[[e.row for e in error.failures]] = False
+            values, fx, u = values[keep], np.asarray(fx)[keep], u[keep]
+    else:
+        values = _values(f, shifted, batch=x.ndim < u.ndim)
+    coef = (values - fx) / cfg.mu
+    estimate = np.multiply(coef if u.ndim == 1 else coef[:, None], u, out=out)
+    if error is not None:
+        error.estimate = estimate
+        raise error
+    return estimate
 
 
 def _mean_and_stderr(samples: np.ndarray) -> tuple:

@@ -58,9 +58,11 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """Oracle settings plus a constant step size and iteration budget.
 
-    record_stride thins stored iterate vectors (values f(x_k) are always
-    kept densely; a full iterate trajectory at n = 1000, N = 200000 would
-    be 1.6 GB per run).
+    record_stride thins the iterate vectors a RunRecord stores (its values
+    f(x_k) are always kept densely; a full iterate trajectory at n = 1000,
+    N = 200000 would be 1.6 GB per run).  zopt.harness's workers keep
+    neither, only each run's rows at the checkpoints, so in a `zopt run`
+    record_stride reaches the CSV metadata alone.
     """
 
     oracle: OracleConfig
@@ -124,8 +126,9 @@ class RunRecord:
 
 @dataclass(eq=False)
 class RunBlock:
-    """Runs advanced together: per run, in config order, its RunRecord or
-    the DivergenceError that ended it."""
+    """Runs advanced together: per run, in config order, its RunRecord (or
+    what the harness's recorder made of it) or the DivergenceError that
+    ended it."""
 
     num_iters: int
     outcomes: list[RunRecord | DivergenceError]
@@ -137,13 +140,64 @@ def _same_but_seed(a: SolverConfig, b: SolverConfig) -> bool:
     )
 
 
+class _Records:
+    """What a block keeps by default, for its RunRecords: every f(x_k), the
+    iterates at the stride points and x_N, and each run's best point.
+
+    It is _run's recorder: _run calls value(i, k, value, X, j) for each run
+    i that passes iteration k, X[j] being its state; checkpoint(k, live, X,
+    fx) at k = 0 and then at each k the previous call returned (-1 for no
+    further one), after the rows that failed at k have left X and fx; and
+    outcome(i, violations) for each run that finished.
+    """
+
+    def __init__(self, cfgs: Sequence[SolverConfig], n: int):
+        cfg = cfgs[0]
+        self.cfgs = cfgs
+        self.num_iters = cfg.num_iters
+        self.stride = cfg.record_stride
+        num_stored = cfg.num_iters // self.stride + 1 + (cfg.num_iters % self.stride > 0)
+        self.values = np.empty((len(cfgs), cfg.num_iters + 1))
+        self.iterates = np.empty((len(cfgs), num_stored, n))
+        self.stored = 0
+        self.best_value = [math.inf] * len(cfgs)
+        self.best_k = [0] * len(cfgs)
+        # no state array is written in place, so a run's best point is kept
+        # as the state it is a row of, and copied out at the end
+        self.best_at: list = [None] * len(cfgs)
+
+    def value(self, i: int, k: int, value: float, X: np.ndarray, j: int) -> None:
+        self.values[i, k] = value
+        if value < self.best_value[i]:
+            self.best_value[i] = value
+            self.best_k[i] = k
+            self.best_at[i] = (X, j)
+
+    def checkpoint(self, k: int, live: list, X: np.ndarray, fx: np.ndarray) -> int:
+        self.iterates[live, self.stored] = X
+        self.stored += 1
+        return -1 if k == self.num_iters else min(k + self.stride, self.num_iters)
+
+    def outcome(self, i: int, violations: int) -> RunRecord:
+        X, j = self.best_at[i]
+        return RunRecord(
+            config=self.cfgs[i],
+            values=self.values[i],
+            iterates=self.iterates[i],
+            best_k=self.best_k[i],
+            best_point=X[j].copy(),
+            feasibility_violations=violations,
+        )
+
+
 def _run(
     f: Callable,
     x0: np.ndarray,
     cfgs: Sequence[SolverConfig],
     feasible_set: FeasibleSet | None,
     on_iterate: Callable[[int, np.ndarray], None] | None,
-) -> list[RunRecord | DivergenceError]:
+    recorder=None,
+) -> list:
     """Advance one run per config from x0 in lockstep, as one (R, n) state.
 
     The configs differ only in their oracle seeds.  Each iteration evaluates
@@ -151,7 +205,10 @@ def _run(
     and calls oracle_eval once on the paired rows; every kernel is
     row-exact, so each run is bit for bit the run it would be alone.  A run
     that diverges leaves the stack and the others go on.  on_iterate gets
-    (k, X) as random_search describes.
+    (k, X) as random_search describes.  What each run keeps is up to the
+    recorder (a _Records when None, see there): per run, in config order,
+    the result is the recorder's outcome or the DivergenceError that ended
+    the run.
     """
     x = np.array(x0, dtype=float)
     if x.ndim != 1:
@@ -171,24 +228,19 @@ def _run(
     num_runs = len(cfgs)
     num_iters = cfg.num_iters
     h = cfg.step_size
-    stride = cfg.record_stride
     oracle_cfg = cfg.oracle
     draws = [(c.oracle, SubstreamSampler(c.oracle.seed)) for c in cfgs]
+    if recorder is None:
+        recorder = _Records(cfgs, n)
+    record = recorder.value
+    next_k = 0
 
     # per-run state is indexed by run; X, fx and the like by row, and
-    # live[j] is the run of row j.  No state array is written in place, so
-    # a run's best point is kept as the state it is a row of, and copied
-    # out at the end.
-    values = np.empty((num_runs, num_iters + 1))
-    iterates = np.empty((num_runs, num_iters // stride + 1 + (num_iters % stride > 0), n))
-    best_value = [math.inf] * num_runs
-    best_k = [0] * num_runs
-    best_at: list = [None] * num_runs
+    # live[j] is the run of row j
     guard = [math.inf] * num_runs
     violations = [0] * num_runs
     outcomes: list = [None] * num_runs
     live = list(range(num_runs))
-    stored = 0
 
     def retire(k: int, failed: dict, X, *stacks):
         """End the failed rows' runs at iteration k, each with a DivergenceError
@@ -217,18 +269,13 @@ def _run(
             elif value > guard[i]:
                 failed[j] = f"f(x) = {value:.6g} exceeds guard {guard[i]:.6g}"
                 continue
-            values[i, k] = value
-            if value < best_value[i]:
-                best_value[i] = value
-                best_k[i] = k
-                best_at[i] = (X, j)
+            record(i, k, value, X, j)
         if failed:
             X, fx = retire(k, failed, X, fx)
             if not live:
                 break
-        if k % stride == 0 or k == num_iters:
-            iterates[live, stored] = X
-            stored += 1
+        if k == next_k:
+            next_k = recorder.checkpoint(k, live, X, fx)
         if feasible_set is not None:
             for j, inside in enumerate(feasible_set.contains(X).tolist()):
                 if not inside:
@@ -247,43 +294,37 @@ def _run(
             oracle, sampler = draws[i]
             U.append(sample_directions(oracle, n, k, 1, sampler=sampler))
         U = np.concatenate(U) if len(U) > 1 else U[0]
-        while live:
-            try:
-                X = X - h * oracle_eval(f, X, U, oracle_cfg, fx=fx)
+        try:
+            G = oracle_eval(f, X, U, oracle_cfg, fx=fx)
+        except EvaluationError as exc:
+            # every pair was evaluated once: the failed rows leave, and the
+            # others step along the estimates that came with the error
+            (X,) = retire(k, {e.row: e for e in exc.failures}, X)
+            G = exc.estimate
+            if not live:
                 break
-            except EvaluationError as exc:
-                X, U, fx = retire(k, {exc.row: exc}, X, U, fx)
-        if not live:
-            break
+        X = X - h * G
         if feasible_set is not None:
             X = feasible_set.project(X)
 
-    for i, run_cfg in enumerate(cfgs):
-        if outcomes[i] is None:
-            outcomes[i] = RunRecord(
-                config=run_cfg,
-                values=values[i],
-                iterates=iterates[i],
-                best_k=best_k[i],
-                best_point=best_at[i][0][best_at[i][1]].copy(),
-                feasibility_violations=violations[i],
-            )
+    for i in live:
+        outcomes[i] = recorder.outcome(i, violations[i])
     return outcomes
 
 
-def _solve(f, x0, cfg, feasible_set, on_iterate):
+def _solve(f, x0, cfg, feasible_set, on_iterate, recorder):
     """One run for a SolverConfig (raising DivergenceError), a RunBlock for a
     sequence of them."""
     if isinstance(cfg, SolverConfig):
         hook = None if on_iterate is None else (lambda k, X: on_iterate(k, X[0]))
-        (outcome,) = _run(f, x0, [cfg], feasible_set, hook)
+        (outcome,) = _run(f, x0, [cfg], feasible_set, hook, recorder)
         if isinstance(outcome, DivergenceError):
             raise outcome
         return outcome
     cfgs = list(cfg)
     if not cfgs:
         raise ValueError("a block needs at least one run")
-    return RunBlock(cfgs[0].num_iters, _run(f, x0, cfgs, feasible_set, on_iterate))
+    return RunBlock(cfgs[0].num_iters, _run(f, x0, cfgs, feasible_set, on_iterate, recorder))
 
 
 def random_search(
@@ -291,6 +332,8 @@ def random_search(
     x0: np.ndarray,
     cfg: SolverConfig | Sequence[SolverConfig],
     on_iterate: Callable[[int, np.ndarray], None] | None = None,
+    *,
+    _recorder=None,
 ) -> RunRecord | RunBlock:
     """Run the unconstrained scheme: x_{k+1} = x_k - h * g_k.
 
@@ -301,8 +344,11 @@ def random_search(
     would run alone, and returns a RunBlock; a run that diverges ends only
     itself.  on_iterate then gets (k, X), X holding one row per run in
     config order, and the row of a run that has diverged is NaN.
+
+    _recorder is zopt.harness's: it keeps each run's checkpoint rows in
+    place of its RunRecord (see _run).
     """
-    return _solve(f, x0, cfg, None, on_iterate)
+    return _solve(f, x0, cfg, None, on_iterate, _recorder)
 
 
 def projected_random_search(
@@ -311,15 +357,17 @@ def projected_random_search(
     x0: np.ndarray,
     cfg: SolverConfig | Sequence[SolverConfig],
     on_iterate: Callable[[int, np.ndarray], None] | None = None,
+    *,
+    _recorder=None,
 ) -> RunRecord | RunBlock:
     """Run the projected scheme: x_{k+1} = project(x_k - h * g_k).
 
     Requires a feasible x0; every visited iterate is feasible.  The update
     equals x_k - h * s_k for the projected-step direction s_k given by
     sets.gradient_map with the same g_k.  A sequence of configs gives a
-    RunBlock, as for random_search.
+    RunBlock, as for random_search, and _recorder is as there.
     """
-    return _solve(f, x0, cfg, feasible_set, on_iterate)
+    return _solve(f, x0, cfg, feasible_set, on_iterate, _recorder)
 
 
 def theorem_step_size(mode: str, n: int, lip_const: float) -> float:

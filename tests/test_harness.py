@@ -35,8 +35,14 @@ from zopt.harness import (
 )
 from zopt.oracle import OracleConfig
 from zopt.problems import make_least_squares
-from zopt.sets import SET_KEYS
-from zopt.solvers import DivergenceError, SolverConfig, random_search
+from zopt.sets import SET_KEYS, Box
+from zopt.solvers import (
+    DivergenceError,
+    RunRecord,
+    SolverConfig,
+    projected_random_search,
+    random_search,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -234,6 +240,97 @@ class TestAggregate:
         assert aggregate(summaries).running_avg_gap is None
         with pytest.raises(ValueError, match="another f_star"):
             aggregate(summaries, f_star=problem.opt_value)
+
+
+class NarrowBox(Box):
+    """Projects onto [-0.5, 0.5]^n but contains only [-0.4, 0.4]^n, so an
+    iterate on the boundary counts as a feasibility violation."""
+
+    def contains(self, x):
+        return Box(-0.4, 0.4, dim=self.dim).contains(x)
+
+
+def failing_call(number, objective):
+    """A fresh plain objective whose call `number` (from 0) returns inf."""
+    calls = []
+
+    def f(p):
+        calls.append(1)
+        return math.inf if len(calls) == number + 1 else objective(p)
+
+    return f
+
+
+class TestCheckpointRecorder:
+    # A worker's recorder reads each run at the checkpoints while its block
+    # runs; every row must be byte for byte what _summarize_run reads from
+    # the same runs' RunRecords.
+    PROBLEM = make_least_squares(6, 24, 0.1, 31)
+
+    def compare(self, make_f, cfgs, f_star, feasible=None):
+        """The block's outcomes twice, as RunRecords and through the
+        recorder (make_f gives each its own objective); the RunRecords."""
+        x0 = np.random.default_rng(17).standard_normal(24) * 0.1
+
+        def run(recorder=None):
+            if feasible is None:
+                return random_search(make_f(), x0, cfgs, _recorder=recorder).outcomes
+            return projected_random_search(make_f(), feasible, x0, cfgs, _recorder=recorder).outcomes
+
+        records = run()
+        summaries = run(harness._Checkpoints(len(cfgs), cfgs[0].num_iters, f_star))
+        for record, summary in zip(records, summaries, strict=True):
+            if isinstance(record, DivergenceError):
+                assert str(summary) == str(record)
+                continue
+            expected = harness._summarize_run(record, f_star)
+            for name in ("f", "best_f", "gap"):
+                assert getattr(summary, name).tobytes() == getattr(expected, name).tobytes(), name
+            assert summary.num_iters == expected.num_iters == cfgs[0].num_iters
+            assert summary.f_star == f_star
+            assert summary.feasibility_violations == expected.feasibility_violations
+        return records
+
+    def configs(self, num_iters, step=None, mu=1e-6):
+        step = step or harness.theorem_step_size("unconstrained", 24, self.PROBLEM.lip_const)
+        return [
+            SolverConfig(OracleConfig(mu=mu, seed=700 + i), step, num_iters, record_stride=7)
+            for i in range(3)
+        ]
+
+    @pytest.mark.parametrize("num_iters", [0, 1, 2, 1007])
+    def test_rows_equal_the_dense_reduction(self, num_iters):
+        problem = self.PROBLEM
+        self.compare(lambda: problem.objective, self.configs(num_iters), problem.opt_value)
+
+    def test_box_with_violations(self):
+        problem = self.PROBLEM
+        cfgs = self.configs(1007, step=1.0 / problem.lip_const, mu=1e-4)
+        records = self.compare(
+            lambda: problem.objective, cfgs, problem.opt_value + 0.125, NarrowBox(-0.5, 0.5, dim=24)
+        )
+        assert all(0 < record.feasibility_violations < 1008 for record in records)
+
+    def test_a_run_that_diverges_midway(self):
+        # the block evaluates f(x_k) row by row, then the shifted points: call
+        # 6 * 500 + 1 is run 1's f(x_500)
+        problem = self.PROBLEM
+        records = self.compare(
+            lambda: failing_call(6 * 500 + 1, problem.objective), self.configs(1007), 0.5
+        )
+        assert [type(r) for r in records] == [RunRecord, DivergenceError, RunRecord]
+        assert records[1].iteration == 500
+
+    def test_signed_zeros(self):
+        # each run's f(x_k) alternates -0.0 and 0.0: a tie in the running
+        # minimum takes the later value, and the running sum starts from -0.0
+        def make_f():
+            calls = []
+            return lambda p: calls.append(1) or (-0.0 if len(calls) % 4 < 2 else 0.0)
+
+        records = self.compare(make_f, self.configs(40), 0.0)
+        signs = {math.copysign(1.0, v) for r in records for v in r.values.tolist()}
+        assert signs == {1.0, -1.0}
 
 
 class TestCsvRoundTrip:
@@ -612,6 +709,8 @@ class TestConfigParsing:
         # analysis.sample_directions, block by block
         for name in (*layers, "rng.draw_batch", "analysis.probe_deviation"):
             assert tracer.calls[name] > 0, name
+        # one block at jobs 1: the loop layer counts its iterations once
+        assert tracer.counts["iters"] == load_config(full).num_iters
 
     def test_readme_config_block_names_exactly_the_schema_keys(self, tmp_path):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -979,6 +1078,34 @@ class TestRunExperiment:
         )
         result = harness._execute_run(task)
         assert len(pickle.dumps(result)) < 64 * 1024
+
+    def test_worker_memory_does_not_grow_with_num_iters(self):
+        # a worker that kept each run's dense f values held 144 KB more for
+        # two runs of 10000 iterations than for two of 1000 (tracemalloc
+        # makes each iteration about ten times slower, so the runs are short)
+        problem = make_least_squares(6, 24, 0.1, 31)
+        x0 = np.random.default_rng(17).standard_normal(24)
+        peaks = []
+        for num_iters in (1000, 10_000):
+            solvers = tuple(
+                SolverConfig(
+                    oracle=OracleConfig(mu=1e-6, seed=900 + i),
+                    step_size=harness.theorem_step_size("unconstrained", 24, problem.lip_const),
+                    num_iters=num_iters,
+                    record_stride=num_iters // 10,
+                )
+                for i in range(2)
+            )
+            task = harness._RunTask(
+                problem, x0, solvers, None, collect_sigma=False, f_star=problem.opt_value
+            )
+            tracemalloc.start()
+            try:
+                harness._execute_run(task)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 16 * 1024, peaks
 
     def test_partial_divergence_keeps_going(self, monkeypatch):
         # run 1 of 12 diverges.  On the constrained path the sigma overlay

@@ -384,9 +384,16 @@ class TestOracleEvalPaired:
         x = np.zeros((4, 2))
         u = np.zeros((4, 2))
         u[2, 0] = u[3, 0] = 100.0
+        cfg = OracleConfig(mu=0.1, seed=0)
         with pytest.raises(EvaluationError, match="objective returned nan") as err:
-            oracle_eval(f, x, u, OracleConfig(mu=0.1, seed=0), fx=np.zeros(4))
+            oracle_eval(f, x, u, cfg, fx=np.zeros(4))
         assert err.value.row == 2
+        # every failing pair, each with its own error, and the other pairs'
+        # estimate rows, bit for bit their own calls
+        assert [e.row for e in err.value.failures] == [2, 3]
+        assert err.value.failures[0] is err.value
+        singles = [oracle_eval(f, x[j], u[j], cfg, fx=0.0) for j in (0, 1)]
+        assert err.value.estimate.tobytes() == np.array(singles).tobytes()
 
     def test_mismatched_stacks_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):

@@ -342,6 +342,33 @@ class TestBlocks:
             else:
                 assert causes == (None, None)
 
+    def test_a_failed_shifted_point_costs_no_second_evaluation(self):
+        # the middle run of three fails at its first shifted point; the
+        # others keep the estimates that oracle_eval already computed, so the
+        # block makes 3 + 3 + 2 calls, and each run is still the run alone
+        problem = make_least_squares(3, 8, 0.1, 4)
+        x0 = np.random.default_rng(5).standard_normal(8)
+        cfgs = block_configs(3, mu=1e-3, step=1e-3, iters=1)
+        u = sample_directions(cfgs[1].oracle, 8, 0, 1)[0]
+        wall = (x0 + cfgs[1].oracle.mu * u).tobytes()
+        calls = []
+
+        def f(p):
+            calls.append(1)
+            return math.inf if p.tobytes() == wall else problem.objective(p)
+
+        block = random_search(f, x0, cfgs)
+        assert len(calls) == 8
+        for i, (cfg, outcome) in enumerate(zip(cfgs, block.outcomes)):
+            if i != 1:
+                assert_record_is(outcome, reference_run(f, x0, cfg))
+                continue
+            with pytest.raises(DivergenceError) as alone:
+                random_search(f, x0, cfg)
+            assert isinstance(outcome, DivergenceError) and outcome.iteration == 0
+            assert str(outcome) == str(alone.value)
+            assert str(outcome.__cause__) == str(alone.value.__cause__)
+
     def test_every_run_of_a_block_may_diverge(self):
         problem = scalar_problem()
         cfgs = block_configs(3, mu=1e-3, step=1e9, iters=500)
