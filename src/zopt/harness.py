@@ -64,9 +64,9 @@ __all__ = [
 
 # iterations * runs * dimension above this requires the --full opt-in
 FULL_GATE_COST = 1_000_000_000
-# so do more than this many f values, runs * (iterations + 1), which the
-# workers' blocks hold as dense float arrays (80 MB here) until each run is
-# reduced to its checkpoint rows
+# so do more than runs * (iterations + 1) values, the sigma overlay's rows
+# (80 MB here) and a worker's only per-iteration store; an unconstrained run
+# stores none, yet is gated alike until ROADMAP item 2 is settled
 FULL_GATE_VALUES = 10_000_000
 
 _CSV_MAGIC = "# zopt-aggregate-v1"
@@ -399,40 +399,49 @@ def _summarize_run(record: RunRecord, f_star: float | None) -> _RunSummary:
 
 class _Checkpoints:
     """solvers._run's recorder for a worker's block: each run's _RunSummary,
-    read at checkpoint_grid(num_iters) as the run goes, so that nothing it
-    holds grows with num_iters.
+    read at checkpoint_grid(num_iters) from _run's value calls as the run
+    goes, so that nothing it holds grows with num_iters.
 
     It has the bits of _summarize_run over the run's RunRecord: a running
     minimum of f(x_j) taken as np.minimum.accumulate takes it (on a tie the
     later value), and a running sum of f(x_j) - f_star added in order, as
     np.cumsum adds, from -0.0, which x + -0.0 leaves as x.
+
+    Given the problem and mu it also keeps the sigma overlay: sigma_hook,
+    the solver's on_iterate, stores |grad f(x_k)|^2 for every run and k, and
+    outcome turns the run's row into its c11 sigma^2 in place.
     """
 
-    def __init__(self, num_runs: int, num_iters: int, f_star: float):
+    def __init__(self, num_runs: int, num_iters: int, f_star: float, problem=None, mu=None):
         self.num_iters = num_iters
         self.f_star = f_star
-        self.ks = checkpoint_grid(num_iters).tolist()
-        self.column = 0
-        shape = (num_runs, len(self.ks))
+        self.column = {k: c for c, k in enumerate(checkpoint_grid(num_iters).tolist())}
+        shape = (num_runs, len(self.column))
         self.f, self.best_f, self.gap = np.empty(shape), np.empty(shape), np.empty(shape)
         self.best = [math.inf] * num_runs
         self.total = [-0.0] * num_runs
+        self.problem, self.mu = problem, mu
+        self.grad_sq = None if problem is None else np.empty((num_runs, num_iters + 1))
 
     def value(self, i: int, k: int, value: float, X: np.ndarray, j: int) -> None:
         if value <= self.best[i]:
             self.best[i] = value
         self.total[i] += value - self.f_star
-
-    def checkpoint(self, k: int, live: list, X: np.ndarray, fx: np.ndarray) -> int:
-        c = self.column
-        for i, value in zip(live, fx.tolist()):
+        c = self.column.get(k)
+        if c is not None:
             self.f[i, c] = value
             self.best_f[i, c] = self.best[i]
             self.gap[i, c] = self.total[i] / (k + 1.0)
-        self.column += 1
-        return self.ks[self.column] if self.column < len(self.ks) else -1
+
+    def sigma_hook(self, k: int, X: np.ndarray) -> None:
+        g = self.problem.grad(X)
+        self.grad_sq[:, k] = np.vecdot(g, g)
 
     def outcome(self, i: int, violations: int) -> _RunSummary:
+        sigma_sq = None if self.grad_sq is None else self.grad_sq[i]
+        if sigma_sq is not None:
+            p = self.problem
+            _c11_sigma_sq(self.mu, p.dim, p.lip_const, sigma_sq, out=sigma_sq)
         return _RunSummary(
             num_iters=self.num_iters,
             f=self.f[i],
@@ -440,6 +449,7 @@ class _Checkpoints:
             gap=self.gap[i],
             f_star=self.f_star,
             feasibility_violations=violations,
+            sigma_sq=sigma_sq,
         )
 
 
@@ -582,7 +592,7 @@ def read_series_csv(path) -> AggregateSeries:
         key = key.strip()
         value = value.strip()
         if key == "f_star":
-            f_star = None if value == "none" else float(value)
+            f_star = None if value == "none" else _csv_value(path, idx + 1, key, value)
         elif key == "num_runs":
             num_runs = _csv_value(path, idx + 1, key, value)
         else:
@@ -595,6 +605,9 @@ def read_series_csv(path) -> AggregateSeries:
     columns = lines[idx].split(",")
     if "k" not in columns:
         raise ValueError(f"{path}: line {idx + 1}: the column line has no k column")
+    for at, name in enumerate(columns):
+        if name in columns[:at]:
+            raise ValueError(f"{path}: line {idx + 1}: the column line repeats {name}")
     data = {name: [] for name in columns}
     for number, line in enumerate(lines[idx + 1 :], start=idx + 2):
         if not line:
@@ -636,16 +649,10 @@ def _execute_run(task: _RunTask) -> list[_RunSummary | DivergenceError]:
     collect_sigma, carrying its c11 sigma^2 row) or DivergenceError, in
     block order."""
     problem = task.problem
-    recorder = _Checkpoints(len(task.solvers), task.solvers[0].num_iters, task.f_star)
-    grad_sq = None
-    on_iterate = None
-    if task.collect_sigma:
-        grad_sq = np.empty((len(task.solvers), task.solvers[0].num_iters + 1))
-
-        def on_iterate(k, x):
-            g = problem.grad(x)
-            grad_sq[:, k] = np.vecdot(g, g)
-
+    cfg = task.solvers[0]  # the runs of a block share all but their seeds
+    overlay = (problem, cfg.oracle.mu) if task.collect_sigma else ()
+    recorder = _Checkpoints(len(task.solvers), cfg.num_iters, task.f_star, *overlay)
+    on_iterate = recorder.sigma_hook if task.collect_sigma else None
     if task.feasible_set is None:
         block = random_search(
             problem.objective, task.x0, task.solvers, on_iterate=on_iterate, _recorder=recorder
@@ -655,15 +662,7 @@ def _execute_run(task: _RunTask) -> list[_RunSummary | DivergenceError]:
             problem.objective, task.feasible_set, task.x0, task.solvers,
             on_iterate=on_iterate, _recorder=recorder,
         )
-    sigma_rows = [None] * len(task.solvers)
-    if grad_sq is not None:
-        mu = task.solvers[0].oracle.mu  # the runs of a block share it
-        # in place, so each run's row is a contiguous row of grad_sq
-        sigma_rows = _c11_sigma_sq(mu, problem.dim, problem.lip_const, grad_sq, out=grad_sq)
-    return [
-        o if isinstance(o, DivergenceError) else replace(o, sigma_sq=row)
-        for o, row in zip(block.outcomes, sigma_rows)
-    ]
+    return block.outcomes
 
 
 def _leave_interrupts() -> None:

@@ -142,13 +142,8 @@ def _same_but_seed(a: SolverConfig, b: SolverConfig) -> bool:
 
 class _Records:
     """What a block keeps by default, for its RunRecords: every f(x_k), the
-    iterates at the stride points and x_N, and each run's best point.
-
-    It is _run's recorder: _run calls value(i, k, value, X, j) for each run
-    i that passes iteration k, X[j] being its state; checkpoint(k, live, X,
-    fx) at k = 0 and then at each k the previous call returned (-1 for no
-    further one), after the rows that failed at k have left X and fx; and
-    outcome(i, violations) for each run that finished.
+    iterates at the stride points and x_N, and each run's best point, all
+    from _run's value calls (see there).
     """
 
     def __init__(self, cfgs: Sequence[SolverConfig], n: int):
@@ -156,10 +151,9 @@ class _Records:
         self.cfgs = cfgs
         self.num_iters = cfg.num_iters
         self.stride = cfg.record_stride
-        num_stored = cfg.num_iters // self.stride + 1 + (cfg.num_iters % self.stride > 0)
         self.values = np.empty((len(cfgs), cfg.num_iters + 1))
-        self.iterates = np.empty((len(cfgs), num_stored, n))
-        self.stored = 0
+        # slot -(-k // stride) holds x_k: the stride points, then x_N
+        self.iterates = np.empty((len(cfgs), -(-cfg.num_iters // self.stride) + 1, n))
         self.best_value = [math.inf] * len(cfgs)
         self.best_k = [0] * len(cfgs)
         # no state array is written in place, so a run's best point is kept
@@ -172,11 +166,8 @@ class _Records:
             self.best_value[i] = value
             self.best_k[i] = k
             self.best_at[i] = (X, j)
-
-    def checkpoint(self, k: int, live: list, X: np.ndarray, fx: np.ndarray) -> int:
-        self.iterates[live, self.stored] = X
-        self.stored += 1
-        return -1 if k == self.num_iters else min(k + self.stride, self.num_iters)
+        if k % self.stride == 0 or k == self.num_iters:
+            self.iterates[i, -(-k // self.stride)] = X[j]
 
     def outcome(self, i: int, violations: int) -> RunRecord:
         X, j = self.best_at[i]
@@ -206,9 +197,11 @@ def _run(
     row-exact, so each run is bit for bit the run it would be alone.  A run
     that diverges leaves the stack and the others go on.  on_iterate gets
     (k, X) as random_search describes.  What each run keeps is up to the
-    recorder (a _Records when None, see there): per run, in config order,
-    the result is the recorder's outcome or the DivergenceError that ended
-    the run.
+    recorder (a _Records when None), which has two calls: value(i, k,
+    value, X, j) for each run i that passes iteration k, X[j] being its
+    state, and outcome(i, violations) for each run that finished.  Per run,
+    in config order, the result is that outcome or the DivergenceError that
+    ended the run.
     """
     x = np.array(x0, dtype=float)
     if x.ndim != 1:
@@ -233,7 +226,6 @@ def _run(
     if recorder is None:
         recorder = _Records(cfgs, n)
     record = recorder.value
-    next_k = 0
 
     # per-run state is indexed by run; X, fx and the like by row, and
     # live[j] is the run of row j
@@ -274,8 +266,6 @@ def _run(
             X, fx = retire(k, failed, X, fx)
             if not live:
                 break
-        if k == next_k:
-            next_k = recorder.checkpoint(k, live, X, fx)
         if feasible_set is not None:
             for j, inside in enumerate(feasible_set.contains(X).tolist()):
                 if not inside:

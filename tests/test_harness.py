@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -437,6 +438,32 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=message):
             read_series_csv(path)
 
+    def pinned_lines(self, tmp_path):
+        path = tmp_path / "pinned.csv"
+        return path, (ROOT / "tests" / "data" / "pinned_desk.csv").read_text().splitlines()
+
+    def test_bad_f_star_header(self, tmp_path):
+        # used to end in float()'s own message, naming no file or line
+        path, lines = self.pinned_lines(tmp_path)
+        at = lines.index(next(line for line in lines if line.startswith("# f_star = "))) + 1
+        lines[at - 1] = "# f_star = abc"
+        path.write_text("\n".join(lines) + "\n")
+        message = rf"^{re.escape(str(path))}: line {at}: f_star must be a number, got 'abc'$"
+        with pytest.raises(ValueError, match=message):
+            read_series_csv(path)
+
+    def test_repeated_column(self, tmp_path):
+        # used to be read silently: every row's two cells went into one
+        # mean_f list, and std_f was None
+        path, lines = self.pinned_lines(tmp_path)
+        at = lines.index(next(line for line in lines if line.startswith("k,"))) + 1
+        lines[at - 1] = lines[at - 1].replace("std_f", "mean_f")
+        assert lines[at - 1].startswith("k,mean_f,mean_f,")
+        path.write_text("\n".join(lines) + "\n")
+        message = rf"^{re.escape(str(path))}: line {at}: the column line repeats mean_f$"
+        with pytest.raises(ValueError, match=message):
+            read_series_csv(path)
+
     def test_column_line_without_k(self, tmp_path):
         # used to raise a bare KeyError: 'k'
         path, lines = self.written_lines(tmp_path)
@@ -709,8 +736,10 @@ class TestConfigParsing:
         # analysis.sample_directions, block by block
         for name in (*layers, "rng.draw_batch", "analysis.probe_deviation"):
             assert tracer.calls[name] > 0, name
-        # one block at jobs 1: the loop layer counts its iterations once
+        # one block at jobs 1: the loop layer counts its iterations once, and
+        # the overlay is called once per iteration through the traced keyword
         assert tracer.counts["iters"] == load_config(full).num_iters
+        assert tracer.calls["analysis.sigma_hook"] == load_config(full).num_iters + 1
 
     def test_readme_config_block_names_exactly_the_schema_keys(self, tmp_path):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -1022,11 +1051,14 @@ class TestRunExperiment:
             cfg = load_config(path)
             assert cfg.num_runs * (cfg.num_iters + 1) <= harness.FULL_GATE_VALUES, path
 
-    def test_block_size_does_not_change_any_run(self):
+    @pytest.mark.parametrize("wall_at", [None, 60], ids=["all-finish", "run-2-diverges"])
+    def test_block_size_does_not_change_any_run(self, wall_at):
         # the same seven runs as one block and as seven blocks of one:
         # checkpoint rows and sigma^2 byte for byte, on the projected path
         # with the sigma hook; tests/test_solvers.py::TestBlocks holds each
-        # block's RunRecords to a run computed alone
+        # block's RunRecords to a run computed alone.  With wall_at, run 2's
+        # own x_60 is a wall, so it really diverges there and the sigma hook
+        # sees its NaN row from then on.
         problem = make_least_squares(10, 40, 0.1, 202)
         box = harness.set_from_spec({"kind": "box", "lower": "-0.5", "upper": "0.5"}, 40)
         x0 = box.project(np.random.default_rng(88).standard_normal(40))
@@ -1040,6 +1072,19 @@ class TestRunExperiment:
             )
             for i in range(7)
         )
+        if wall_at is not None:
+            visited = []
+            projected_random_search(
+                problem.objective, box, x0, solvers[2],
+                on_iterate=lambda k, x: visited.append(x.copy()),
+            )
+            wall, objective = visited[wall_at].tobytes(), problem.objective
+            problem = types.SimpleNamespace(
+                objective=lambda x: math.inf if x.tobytes() == wall else objective(x),
+                grad=problem.grad,
+                dim=problem.dim,
+                lip_const=problem.lip_const,
+            )
 
         def execute(block):
             task = harness._RunTask(problem, x0, block, box, collect_sigma=True, f_star=f_star)
@@ -1047,7 +1092,10 @@ class TestRunExperiment:
 
         together = execute(solvers)
         num_checkpoints = len(checkpoint_grid(200))
-        for solver, summary in zip(solvers, together, strict=True):
+        for i, (solver, summary) in enumerate(zip(solvers, together, strict=True)):
+            if wall_at is not None and i == 2:
+                assert isinstance(summary, DivergenceError) and summary.iteration == wall_at
+                continue
             (alone,) = execute((solver,))
             for name in ("f", "best_f", "gap"):
                 assert getattr(summary, name).shape == (num_checkpoints,)

@@ -412,6 +412,39 @@ class TestBlocks:
             random_search(problem.objective, np.array([1.0]), cfgs)
 
 
+class TestRecorder:
+    # _run's recorder has two calls: value for each run that passes an
+    # iteration, and outcome for each run that finished
+
+    @pytest.mark.parametrize("mu, passes_stop", [(1e-6, False), (0.5, True)])
+    def test_value_per_passed_iteration_and_outcome_per_finished_run(self, mu, passes_stop):
+        # of TestBlocks.wall's runs only the farthest-reaching one crosses
+        # the wall, so with it in the middle run 1 of three diverges midway:
+        # at f(x_k) for a small mu, at a shifted point (f(x_k) passed) for
+        # a large one
+        f, x0, cfgs, top = TestBlocks.wall(mu)
+        others = [cfg for i, cfg in enumerate(cfgs) if i != top]
+        cfgs = [others[0], cfgs[top], others[1]]
+        values, finished = [], []
+
+        class Spy:
+            def value(self, i, k, value, X, j):
+                assert value == f(X[j])
+                values.append((i, k))
+
+            def outcome(self, i, violations):
+                finished.append(i)
+                return f"run {i}"
+
+        block = random_search(f, x0, cfgs, _recorder=Spy())
+        diverged = block.outcomes[1]
+        assert isinstance(diverged, DivergenceError) and 0 < diverged.iteration < 200
+        assert ("objective returned inf" in str(diverged)) == passes_stop
+        assert block.outcomes[0::2] == ["run 0", "run 2"] and finished == [0, 2]
+        for i, last in enumerate((200, diverged.iteration - 1 + passes_stop, 200)):
+            assert [k for run, k in values if run == i] == list(range(last + 1))
+
+
 class TestBestIterate:
     # a real run tracks its best iterate online; ties break to the earliest k
 
