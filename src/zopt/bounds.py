@@ -55,6 +55,12 @@ class BoundInputs:
             )
 
 
+def _step(mode: str, inputs: BoundInputs, step_size: float | None) -> float:
+    if step_size is None:
+        return theorem_step_size(mode, inputs.n, inputs.lip_const)
+    return _check_real(step_size, "step_size")
+
+
 def unconstrained_gap_bound(
     inputs: BoundInputs, num_iters: int, step_size: float | None = None
 ) -> float:
@@ -67,11 +73,7 @@ def unconstrained_gap_bound(
     """
     num_iters = _check_count(num_iters, "num_iters", 0)
     n, lip, pl, mu = inputs.n, inputs.lip_const, inputs.pl_const, inputs.mu
-    h = (
-        theorem_step_size("unconstrained", n, lip)
-        if step_size is None
-        else _check_real(step_size, "step_size")
-    )
+    h = _step("unconstrained", inputs, step_size)
     gap = inputs.initial_gap
     return _closed_form(
         "bound",
@@ -106,11 +108,7 @@ def constrained_gap_bound(
         inputs.mu,
         inputs.d_x,
     )
-    h = (
-        theorem_step_size("constrained", n, lip)
-        if step_size is None
-        else _check_real(step_size, "step_size")
-    )
+    h = _step("constrained", inputs, step_size)
     sigma = inputs.sigma_seq[: num_iters + 1]
     sum_sigma = float(np.sum(sigma))
     sum_sigma_sq = float(np.sum(sigma**2))

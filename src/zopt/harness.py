@@ -70,8 +70,8 @@ FULL_GATE_COST = 1_000_000_000
 FULL_GATE_VALUES = 10_000_000
 
 _CSV_MAGIC = "# zopt-aggregate-v1"
-# the value columns of AggregateSeries, in file order after k; a None column
-# is left out of the file
+# the value columns of AggregateSeries, in file order after k; the first three
+# are never None, and a None column is left out of the file
 _VALUE_COLUMNS = (
     "mean_f",
     "std_f",
@@ -578,8 +578,11 @@ def _csv_value(path, number: int, name: str, text: str):
 
 def read_series_csv(path) -> AggregateSeries:
     """Read a CSV written by write_series_csv, reproducing it exactly."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: cannot read series: {exc}") from exc
     if not lines or lines[0] != _CSV_MAGIC:
         raise ValueError(f"{path}: not a {_CSV_MAGIC.lstrip('# ')} file")
     metadata = {}
@@ -603,11 +606,16 @@ def read_series_csv(path) -> AggregateSeries:
     if idx == len(lines):
         raise ValueError(f"{path}: line {idx + 1}: file ends before the column line")
     columns = lines[idx].split(",")
-    if "k" not in columns:
-        raise ValueError(f"{path}: line {idx + 1}: the column line has no k column")
+    column_line = f"{path}: line {idx + 1}: the column line"
     for at, name in enumerate(columns):
         if name in columns[:at]:
-            raise ValueError(f"{path}: line {idx + 1}: the column line repeats {name}")
+            raise ValueError(f"{column_line} repeats {name}")
+    for name in ("k", *_VALUE_COLUMNS[:3]):
+        if name not in columns:
+            raise ValueError(f"{column_line} has no {name} column")
+    for name in columns:
+        if name != "k" and name not in _VALUE_COLUMNS:
+            raise ValueError(f"{column_line} has an unknown column {name}")
     data = {name: [] for name in columns}
     for number, line in enumerate(lines[idx + 1 :], start=idx + 2):
         if not line:

@@ -25,8 +25,8 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _decades(lo: float, hi: float) -> list[int]:
-    return list(range(math.floor(lo), math.ceil(hi) + 1))
+def _decades(lo: float, hi: float) -> range:
+    return range(math.ceil(lo), math.floor(hi) + 1)
 
 
 def write_log_log_chart(
@@ -86,8 +86,6 @@ def write_log_log_chart(
     )
 
     for d in _decades(x_lo, x_hi):
-        if not x_lo <= d <= x_hi:
-            continue
         px = sx(d)
         parts.append(
             f'<line x1="{px:.1f}" y1="{_MARGIN_T}" x2="{px:.1f}" '
@@ -98,8 +96,6 @@ def write_log_log_chart(
             f'text-anchor="middle" font-family="sans-serif">1e{d}</text>'
         )
     for d in _decades(y_lo, y_hi):
-        if not y_lo <= d <= y_hi:
-            continue
         py = sy(d)
         parts.append(
             f'<line x1="{_MARGIN_L}" y1="{py:.1f}" x2="{_MARGIN_L + plot_w}" '

@@ -474,6 +474,48 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=message):
             read_series_csv(path)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("mean_f", "maen_f", "has no mean_f column"),
+            ("std_f", None, "has no std_f column"),
+            ("bound_rhs", "bound_rsh", "has an unknown column bound_rsh"),
+        ],
+        ids=["misspelled-mean_f", "missing-std_f", "misspelled-bound_rhs"],
+    )
+    def test_column_line_names_the_series_columns(self, tmp_path, old, new, message):
+        # a misspelled name used to read back as a None column (or be dropped),
+        # and write_series_csv then wrote the file without it
+        path, lines = self.pinned_lines(tmp_path)
+        at = lines.index(next(line for line in lines if line.startswith("k,"))) + 1
+        if new is None:
+            drop = lines[at - 1].split(",").index(old)
+            lines[at - 1 :] = [
+                ",".join(c for j, c in enumerate(line.split(",")) if j != drop)
+                for line in lines[at - 1 :]
+            ]
+        else:
+            lines[at - 1] = lines[at - 1].replace(old, new)
+        path.write_text("\n".join(lines) + "\n")
+        message = rf"^{re.escape(f'{path}: line {at}: the column line {message}')}$"
+        with pytest.raises(ValueError, match=message):
+            read_series_csv(path)
+
+    def test_non_ascii_byte_is_one_value_error(self, tmp_path):
+        # used to raise a bare UnicodeDecodeError naming no file
+        path, lines = self.pinned_lines(tmp_path)
+        at = lines.index("# scenario = unconstrained")
+        lines[at] = "# scenario = unconstrain\u00e9d"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        message = rf"^{re.escape(f'{path}: cannot read series: ')}'ascii' codec can't decode"
+        with pytest.raises(ValueError, match=message):
+            read_series_csv(path)
+
+    def test_pinned_file_round_trips_byte_for_byte(self, tmp_path):
+        pinned = ROOT / "tests" / "data" / "pinned_desk.csv"
+        write_series_csv(read_series_csv(pinned), tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == pinned.read_bytes()
+
 
 class TestConfigParsing:
     def test_good_config(self, tmp_path):

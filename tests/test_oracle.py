@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from zopt.oracle import (
+    _ARRAY_TEST_ROWS,
     EvaluationError,
     OracleConfig,
+    _stack_error,
     estimate_smoothed_gradient,
     oracle_eval,
     sample_directions,
@@ -398,6 +400,37 @@ class TestOracleEvalPaired:
     def test_mismatched_stacks_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             oracle_eval(quadratic_1d, np.zeros((3, 1)), np.ones((2, 1)), OracleConfig(mu=0.1))
+
+
+class TestStackError:
+    # a stack shorter than _ARRAY_TEST_ROWS is tested per row on Python
+    # floats, a longer one by one array test: the error must not tell them apart
+    @pytest.mark.parametrize(
+        "k, rows",
+        [
+            pytest.param(k, rows, id=f"{k}-{where}")
+            for k in (1, _ARRAY_TEST_ROWS - 1, _ARRAY_TEST_ROWS, 128)
+            for where, rows in [
+                ("none", []), ("first", [0]), ("last", [k - 1]), ("two", [k // 3, k - 1])
+            ]
+            if len(set(rows)) == len(rows)
+        ],
+    )
+    def test_same_error_on_both_sides_of_the_crossover(self, k, rows):
+        values = np.arange(k, dtype=float)
+        values[rows] = [np.nan, -np.inf][: len(rows)]
+        points = np.random.default_rng(k).standard_normal((k, 3))
+        error = _stack_error(values, points)
+        if not rows:
+            assert error is None
+            return
+        assert error.row == rows[0]
+        assert [e.row for e in error.failures] == rows
+        assert error.failures[0] is error
+        assert [str(e) for e in error.failures] == [
+            f"objective returned {values[r]} at a point with norm {np.linalg.norm(points[r]):.6g}"
+            for r in rows
+        ]
 
 
 class TestSmoothedEstimates:
