@@ -697,6 +697,35 @@ def _writing(path: str):
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+@contextmanager
+def _workers(num_blocks: int):
+    """A started pool of num_blocks workers, or None for one block.
+
+    Under fork the pool forks every worker at its first submit, so a no-op
+    submitted here forks them before the box reference solve loads scipy,
+    which the workers never use.  An exception in the body (an interrupt, a
+    refused solve, a block that failed) ends the workers at once rather than
+    waiting for them.
+    """
+    if num_blocks == 1:
+        yield None
+        return
+    others = set(multiprocessing.active_children())
+    pool = ProcessPoolExecutor(max_workers=num_blocks, initializer=_leave_interrupts)
+    try:
+        pool.submit(int)
+        yield pool
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        workers = set(multiprocessing.active_children()) - others
+        for worker in workers:
+            worker.terminate()
+        for worker in workers:
+            worker.join()
+        raise
+    pool.shutdown()
+
+
 def constrained_opt_value(problem: TestProblem, feasible_set: FeasibleSet) -> float:
     """analysis.constrained_opt_value, whose module (and scipy) loads on the first call."""
     from . import analysis
@@ -719,8 +748,10 @@ def run_experiment(
     recorded in the metadata, with the iteration each one diverged at in
     the returned series' diverged_at, and skipped by the aggregation; if
     every run diverges a RuntimeError is raised.  An output that cannot be
-    written raises a ConfigError that names its path.  An interrupt, or a
-    block that raises, ends the other pool workers at once and propagates.
+    written raises a ConfigError that names its path.  The pool workers
+    start after every check of the config and before the reference solve;
+    an interrupt, a refused solve or a block that raises ends them at once
+    and propagates.
     """
     jobs = _check_count(jobs, "jobs", 1)
     num_runs = _check_count(config.num_runs, "num_runs", 1)
@@ -805,11 +836,6 @@ def run_experiment(
             path=config.source_path,
         )
 
-    try:
-        f_star = problem.opt_value if feasible is None else constrained_opt_value(problem, feasible)
-    except ValueError as exc:
-        raise ConfigError(f"[set] {exc}", path=config.source_path) from exc
-
     if mode == "constrained" and step > analyzed:
         # once, before any block starts: the blocks may run in other processes
         warnings.warn(
@@ -836,33 +862,29 @@ def run_experiment(
     ]
     num_blocks = min(jobs, num_runs)
     edges = [num_runs * b // num_blocks for b in range(num_blocks + 1)]
-    tasks = [
-        _RunTask(
-            problem=problem,
-            x0=x0,
-            solvers=tuple(solvers[lo:hi]),
-            feasible_set=feasible,
-            collect_sigma=collect_sigma,
-            f_star=f_star,
-        )
-        for lo, hi in zip(edges, edges[1:])
-    ]
-    # both paths return the blocks, and so the outcomes, in run index order
-    if num_blocks == 1:
-        blocks = [_execute_run(t) for t in tasks]
-    else:
-        others = set(multiprocessing.active_children())
-        pool = ProcessPoolExecutor(max_workers=num_blocks, initializer=_leave_interrupts)
+    with _workers(num_blocks) as pool:
         try:
+            f_star = (
+                problem.opt_value if feasible is None else constrained_opt_value(problem, feasible)
+            )
+        except ValueError as exc:
+            raise ConfigError(f"[set] {exc}", path=config.source_path) from exc
+        tasks = [
+            _RunTask(
+                problem=problem,
+                x0=x0,
+                solvers=tuple(solvers[lo:hi]),
+                feasible_set=feasible,
+                collect_sigma=collect_sigma,
+                f_star=f_star,
+            )
+            for lo, hi in zip(edges, edges[1:])
+        ]
+        # both paths return the blocks, and so the outcomes, in run index order
+        if pool is None:
+            blocks = [_execute_run(t) for t in tasks]
+        else:
             blocks = list(pool.map(_execute_run, tasks))
-        except BaseException:
-            # an interrupt, or a block that failed: end the other blocks now
-            # rather than wait for them
-            pool.shutdown(wait=False, cancel_futures=True)
-            for worker in set(multiprocessing.active_children()) - others:
-                worker.terminate()
-            raise
-        pool.shutdown()
     outcomes = [outcome for block in blocks for outcome in block]
 
     summaries = [o for o in outcomes if isinstance(o, _RunSummary)]

@@ -18,6 +18,8 @@ _MARGIN_R = 30
 _MARGIN_T = 50
 _MARGIN_B = 60
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+_X_LABEL = "iteration (log)"
+_Y_LABEL = "value (log)"
 
 
 def _escape(text: str) -> str:
@@ -33,8 +35,6 @@ def write_log_log_chart(
     path,
     curves: list[tuple[str, list[float], list[float]]],
     title: str,
-    x_label: str = "iteration",
-    y_label: str = "value",
 ) -> None:
     """Write an SVG chart; curves is a list of (label, xs, ys)."""
     cleaned = []
@@ -108,12 +108,12 @@ def write_log_log_chart(
 
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 16}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif">{_escape(x_label)} (log)</text>'
+        f'text-anchor="middle" font-family="sans-serif">{_X_LABEL}</text>'
     )
     parts.append(
         f'<text x="20" y="{_MARGIN_T + plot_h / 2:.1f}" font-size="13" '
         f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 20 {_MARGIN_T + plot_h / 2:.1f})">{_escape(y_label)} (log)</text>'
+        f'transform="rotate(-90 20 {_MARGIN_T + plot_h / 2:.1f})">{_Y_LABEL}</text>'
     )
 
     for idx, (label, pts) in enumerate(cleaned):

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import multiprocessing
 import os
 import re
 import signal
@@ -251,41 +252,66 @@ class TestVerify:
 
 
 class TestImportGraph:
-    """Only zopt.analysis imports scipy, and only a box run or its names load
-    it.  Each case runs in a child, since this session has scipy already."""
+    """Only zopt.analysis imports scipy, and only a box run's parent or its
+    names load it: a box run's pool workers start before the reference solve
+    imports scipy.  Each case runs in a child, since this session has scipy
+    already; the child prints whether scipy was loaded before, the result,
+    whether it is loaded after, and per block where it ran and whether scipy
+    was loaded there."""
 
     CHILD = """\
+import os
 import sys
+from pathlib import Path
+
 import zopt
-from zopt import cli
+from zopt import cli, harness
+
+PARENT = os.getpid()
+execute_run = harness._execute_run
+
 
 def scipy_loaded():
     return any(name.split(".")[0] == "scipy" for name in sys.modules)
 
+
+def checked(task):
+    where = "parent" if os.getpid() == PARENT else "worker"
+    mark = Path(sys.argv[2], f"block-{task.solvers[0].oracle.seed}")
+    mark.write_text(f"{where}:{scipy_loaded()}")
+    return execute_run(task)
+
+
+harness._execute_run = checked
 before = scipy_loaded()
 if sys.argv[1] == "name":
     result = zopt.verify_oracle_inequalities.__module__
 else:
-    result = cli.main(["run", "--config", sys.argv[1], "--out-dir", sys.argv[2]])
-print(before, result, scipy_loaded())
+    argv = ["run", "--config", sys.argv[1], "--out-dir", sys.argv[2], "--jobs", sys.argv[3]]
+    result = cli.main(argv)
+blocks = [p.read_text() for p in sorted(Path(sys.argv[2]).glob("block-*"))]
+print(before, result, scipy_loaded(), ",".join(blocks))
 """
 
     @pytest.mark.parametrize(
-        "config, expected",
+        "config, jobs, expected",
         [
-            (RUN_CONFIG, "False 0 False"),
-            (BOX_RUN_CONFIG, "False 0 True"),
-            (None, "False zopt.analysis True"),
+            (RUN_CONFIG, "1", "False 0 False parent:False"),
+            (BOX_RUN_CONFIG, "1", "False 0 True parent:True"),
+            (RUN_CONFIG, "2", "False 0 False worker:False,worker:False"),
+            (BOX_RUN_CONFIG, "2", "False 0 True worker:False,worker:False"),
+            (None, "1", "False zopt.analysis True "),
         ],
-        ids=["unconstrained run", "box run", "analysis name"],
+        ids=["unconstrained run", "box run", "unconstrained pool run", "box pool run",
+             "analysis name"],
     )
-    def test_scipy_loads_only_for_the_box_reference(self, tmp_path, config, expected):
+    def test_scipy_loads_only_for_the_box_reference(self, tmp_path, config, jobs, expected):
         cfg = tmp_path / "exp.cfg"
         if config is not None:
             cfg.write_text(config)
         proc = subprocess.run(
             [sys.executable, "-c", self.CHILD, "name" if config is None else str(cfg),
-             str(tmp_path)],
+             str(tmp_path), jobs],
             env=_child_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -582,15 +608,21 @@ class TestRun:
         self, tmp_path, capsys, monkeypatch, solver, message
     ):
         # the c11 floor mu^2 L^2 (n + 6)^3 / 2 used to overflow in the sigma
-        # hook, inside a block, with an OverflowError traceback
+        # hook, inside a block, with an OverflowError traceback; at --jobs 2
+        # the refused config must fork no pool worker either
         def no_runs(task):
             raise AssertionError("a run started")
 
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started")
+
         monkeypatch.setattr(harness, "_execute_run", no_runs)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
         text = BOX_RUN_CONFIG.replace("m = 3", "m = 2").replace("n = 8", "n = 3")
         cfg = tmp_path / "huge_mu.cfg"
         cfg.write_text(text.replace("mu = 1e-5", solver))
-        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        argv = ["run", "--config", str(cfg), "--out-dir", str(tmp_path), "--jobs", "2"]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         prefix = f"{cfg}: [solver] mu is too large for the bound overlay: {message}"
         assert captured.err.startswith(prefix)
@@ -829,6 +861,25 @@ class TestInterruptions:
             os.close(write_end)
         assert proc.returncode == 141
         assert proc.stderr == ""
+
+    def test_a_refused_reference_solve_leaves_no_worker(self, tmp_path, monkeypatch):
+        # a box run's workers start before the reference solve, so a solve
+        # that fails must end them before its error propagates
+        before = set(multiprocessing.active_children())
+        started = []
+
+        def refuse(problem, feasible_set):
+            started.append(set(multiprocessing.active_children()) - before)
+            raise harness.ConfigError("refused")
+
+        monkeypatch.setattr(harness, "constrained_opt_value", refuse)
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text(BOX_RUN_CONFIG)
+        config = dataclasses.replace(harness.load_config(cfg), csv_path=None)
+        with pytest.raises(harness.ConfigError, match="refused"):
+            harness.run_experiment(config, jobs=2)
+        assert [len(workers) for workers in started] == [2]
+        assert set(multiprocessing.active_children()) == before
 
     def test_pool_workers_ignore_sigint(self, monkeypatch):
         # only the parent reports an interrupt; a block that fails ends the

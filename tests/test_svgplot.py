@@ -14,8 +14,6 @@ def test_chart_contains_curves_and_labels(tmp_path):
         path,
         [("alpha", xs, [100.0, 10.0, 1.0, 0.1]), ("beta", xs, [5.0, 5.0, 5.0, 5.0])],
         title="demo",
-        x_label="iteration",
-        y_label="value",
     )
     text = path.read_text()
     assert text.startswith("<svg")
@@ -36,17 +34,16 @@ def test_all_nonpositive_rejected(tmp_path):
 
 
 def test_markup_characters_are_escaped(tmp_path):
-    # title and labels used to be written raw, which made the file malformed
+    # the title and curve labels used to be written raw, which made the file
+    # malformed; the axis labels are fixed text
     path = tmp_path / "chart.svg"
     write_log_log_chart(
         path,
-        [("f<x> & co", [1, 10], [1.0, 2.0])],
-        title="a<b",
-        x_label="k > 0",
-        y_label="f & g",
+        [("f<x> & co", [1, 10], [1.0, 2.0]), ("k > 0", [1, 10], [3.0, 4.0])],
+        title="a<b & c",
     )
-    texts = [el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
-    assert {"a<b", "f<x> & co", "k > 0 (log)", "f & g (log)"} <= set(texts)
+    texts = [el.text for el in ET.parse(path).getroot().iter(SVG_TEXT)]
+    assert {"a<b & c", "f<x> & co", "k > 0", "iteration (log)", "value (log)"} <= set(texts)
 
 
 @pytest.mark.parametrize(
