@@ -92,11 +92,9 @@ def _cmd_run(args) -> int:
             f"  running-avg gap={series.running_avg_gap[last]:.6g} vs "
             f"bound={series.bound_rhs[last]:.6g}"
         )
-    out_dir = args.out_dir
     for label, path in (("csv", config.csv_path), ("svg", config.svg_path)):
         if path is not None:
-            resolved = harness.resolve_output_path(path, out_dir)
-            print(f"  wrote {label}: {resolved}")
+            print(f"  wrote {label}: {harness.resolve_output_path(path, args.out_dir)}")
     return 0
 
 
@@ -179,9 +177,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, message + "\n")
 
 
-def _add_number(parser, flag: str, rule, *bound, **kwargs) -> None:
-    """Add a numeric flag that the library's rule for its kind of value
-    judges; a refusal is the rule's one line, naming the flag."""
+def _add_flag(parser, flag: str, rule, *bound, **kwargs) -> None:
+    """Add a flag that the rule of its kind of value judges, as it judges a config value."""
     parse = harness._from_text(rule, *bound)
 
     def convert(text: str):
@@ -210,24 +207,24 @@ def main(argv=None) -> int:
         action="store_true",
         help="allow experiments above the default cost gate",
     )
-    _add_number(p_run, "--jobs", _check_count, 1, default=1, help="worker processes")
-    p_run.add_argument("--out-dir", default=None, help="directory for output files")
+    _add_flag(p_run, "--jobs", _check_count, 1, default=1, help="worker processes")
+    _add_flag(p_run, "--out-dir", harness._path, help="directory for output files")
     p_run.set_defaults(func=_cmd_run)
 
     p_sug = sub.add_parser("suggest", help="print smoothing and iteration choices")
     p_sug.add_argument("--mode", choices=["unc", "con"], required=True)
-    _add_number(p_sug, "--eps", _check_real, required=True, help="target gap")
-    _add_number(p_sug, "--n", _check_count, 1, required=True, help="dimension")
-    _add_number(p_sug, "--lip", _check_real, required=True, help="gradient Lipschitz constant")
-    _add_number(p_sug, "--pl", _check_real, required=True, help="gradient dominance constant")
-    _add_number(p_sug, "--dx", _check_real, help="feasible-set diameter (--mode con only)")
+    _add_flag(p_sug, "--eps", _check_real, required=True, help="target gap")
+    _add_flag(p_sug, "--n", _check_count, 1, required=True, help="dimension")
+    _add_flag(p_sug, "--lip", _check_real, required=True, help="gradient Lipschitz constant")
+    _add_flag(p_sug, "--pl", _check_real, required=True, help="gradient dominance constant")
+    _add_flag(p_sug, "--dx", _check_real, help="feasible-set diameter (--mode con only)")
     p_sug.set_defaults(func=_cmd_suggest)
 
     p_ver = sub.add_parser("verify", help="run the oracle inequality checks")
-    _add_number(p_ver, "--probes", _check_count, 1, default=1000)
-    _add_number(p_ver, "--samples", _check_count, 2, default=10000)
-    _add_number(p_ver, "--seed", _check_u64, default=0)
-    p_ver.add_argument("--csv", default=None, help="also write check rows as CSV")
+    _add_flag(p_ver, "--probes", _check_count, 1, default=1000)
+    _add_flag(p_ver, "--samples", _check_count, 2, default=10000)
+    _add_flag(p_ver, "--seed", _check_u64, default=0)
+    _add_flag(p_ver, "--csv", harness._path, help="also write check rows as CSV")
     p_ver.set_defaults(func=_cmd_verify)
 
     try:

@@ -38,6 +38,7 @@ from .problems import TestProblem, make_least_squares
 from .rng import _check_count, _check_real, _check_u64, substream
 from .sets import SET_KEYS, FeasibleSet, set_from_spec, spec_diameter
 from .solvers import (
+    _MODES,
     DivergenceError,
     RunRecord,
     SolverConfig,
@@ -89,11 +90,8 @@ class ConfigError(ValueError):
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
         self.path = path
         self.line = line
-        prefix = ""
-        if path is not None:
-            prefix = f"{path}:" if line is None else f"{path}:{line}:"
-            prefix += " "
-        super().__init__(prefix + message)
+        where = f"{path}:" if line is None else f"{path}:{line}:"
+        super().__init__(message if path is None else f"{where} {message}")
 
 
 class FullRunRequired(RuntimeError):
@@ -102,7 +100,7 @@ class FullRunRequired(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description.
+    """Experiment description, validated by load_config or, built in code, by run_experiment.
 
     mu is None when the config asked for 'auto' (resolved from eps at run
     time, once the instance constants are known); step_size None means the
@@ -130,11 +128,11 @@ class ExperimentConfig:
 
 
 def _from_text(rule, *bound, words: tuple[str, ...] = ()):
-    """A parser of a config value's or a flag's text: int or float, as the
-    rule takes, judged by the rule under the key's or flag's name; text
-    that is no number is judged as itself, so the message quotes it.  Any
-    of the words (case-insensitive) gives None."""
-    convert = float if rule is _check_real else int
+    """A parser of a config value's or a flag's text: int, float or the text
+    itself, as the rule takes, judged by the rule under the key's or flag's
+    name; text that is no number is judged as itself, so the message quotes
+    it.  Any of the words (case-insensitive) gives None."""
+    convert = {_check_real: float, _path: str}.get(rule, int)
 
     def parse(raw: str, name: str):
         if raw.lower() in words:
@@ -154,10 +152,14 @@ def _path(raw: str, name: str) -> str:
     return raw
 
 
+def _one_of(name: str, words, got) -> str:
+    return f"{name} must be one of {' | '.join(words)}, got {got!r}"
+
+
 def _word(mapping: dict):
     def parse(raw: str, name: str):
         if raw.lower() not in mapping:
-            raise ValueError(f"{name} must be one of {' | '.join(mapping)}, got {raw!r}")
+            raise ValueError(_one_of(name, mapping, raw))
         return mapping[raw.lower()]
 
     return parse
@@ -167,7 +169,7 @@ def _word(mapping: dict):
 # ExperimentConfig field it sets and a default of ... marks a required key.
 # load_config derives the None defaults of x0_seed and record_stride.
 CONFIG_SCHEMA = {
-    ("experiment", "scenario"): (_word({w: w for w in ("unconstrained", "constrained")}), ...),
+    ("experiment", "scenario"): (_word({w: w for w in _MODES}), ...),
     ("experiment", "num_runs"): (_from_text(_check_count, 1), ...),
     ("experiment", "run_seed_base"): (_from_text(_check_u64), ...),
     ("experiment", "x0_seed"): (_from_text(_check_u64), None),
@@ -255,71 +257,71 @@ def load_config(path) -> ExperimentConfig:
         except ValueError as exc:
             fail(section, key, str(exc))
 
-    if values["n"] < values["m"]:
-        fail("problem", "n", f"n must be >= m, got m={values['m']}, n={values['n']}")
-    if values["mu"] is None and values["eps"] is None:
-        fail("solver", "mu", "[solver] eps is required when mu = auto")
-    if values["mu"] is not None and values["eps"] is not None:
-        fail("solver", "eps", "[solver] eps is only valid with mu = auto")
     if values["x0_seed"] is None:
         values["x0_seed"] = values["problem_seed"] + 1
     if values["record_stride"] is None:
         values["record_stride"] = max(1, values["num_iters"] // 200)
-    constrained = values["scenario"] == "constrained"
-    if constrained and not parser.has_section("set"):
-        fail("experiment", "scenario", "constrained scenario requires a [set] section")
-    if not constrained and parser.has_section("set"):
-        fail("set", None, "[set] is only valid for the constrained scenario")
-    set_spec = dict(parser["set"]) if constrained else None
-
+    set_spec = dict(parser["set"]) if parser.has_section("set") else None
     cfg = ExperimentConfig(**values, set_spec=set_spec, source_path=path)
-    bad_seed = _seed_range_error(cfg)
-    if bad_seed is not None:
-        fail(*bad_seed)
-    if set_spec is not None:
-        try:
-            _finite_diameter(spec_diameter(set_spec, cfg.n))
-        except ValueError as exc:
-            # spec_diameter starts a message about one key's value with that key
-            key = str(exc).split(" ", 1)[0]
-            if key in set_spec:
-                fail("set", key, f"[set] {exc}")
-            fail("set", None, str(exc))
+    broken = _broken_rule(cfg)
+    if broken is not None:
+        fail(*broken)
     return cfg
 
 
-def _finite_diameter(d_x: float, path: str | None = None) -> float:
-    """The diameter of a constrained experiment's set, which must be finite."""
-    if not math.isfinite(d_x):
-        raise ConfigError("constrained scenario requires a finite-diameter set", path=path)
-    return d_x
-
-
-def _seed_range_error(config: ExperimentConfig) -> tuple[str, str, str] | None:
-    """(section, key, message) for the first seed the seed rule refuses, else
-    None: a defaulted x0_seed, the last run seed, or a rebased seed, none of
-    which a key line holds."""
-    last_run_seed = config.run_seed_base + config.num_runs - 1
-    for section, key, label, value in (
-        ("problem", "problem_seed", "problem_seed", config.problem_seed),
-        ("experiment", "x0_seed", "x0_seed", config.x0_seed),
-        ("experiment", "run_seed_base", "run_seed_base + num_runs - 1", last_run_seed),
-    ):
+def _broken_rule(config: ExperimentConfig) -> tuple[str, str | None, str] | None:
+    """(section, key, message) for the first rule spanning the config's keys
+    that it breaks, else None; key None stands for the section's line."""
+    if config.scenario not in _MODES:
+        return "experiment", "scenario", _one_of("[experiment] scenario", _MODES, config.scenario)
+    # make_least_squares's rule for each, which the comparison needs
+    m, n = _check_count(config.m, "m", 1), _check_count(config.n, "n", 1)
+    if n < m:
+        return "problem", "n", f"n must be >= m, got m={m}, n={n}"
+    if config.mu is None and config.eps is None:
+        return "solver", "mu", "[solver] eps is required when mu = auto"
+    if config.mu is not None and config.eps is not None:
+        return "solver", "eps", "[solver] eps is only valid with mu = auto"
+    constrained = config.scenario == "constrained"
+    if constrained and config.set_spec is None:
+        return "experiment", "scenario", "constrained scenario requires a [set] section"
+    if not constrained and config.set_spec is not None:
+        return "set", None, "[set] is only valid for the constrained scenario"
+    try:
+        for section, key, seed in (
+            ("problem", "problem_seed", config.problem_seed),
+            ("experiment", "x0_seed", config.x0_seed),
+            ("experiment", "run_seed_base", config.run_seed_base),
+        ):
+            _check_u64(seed, f"[{section}] {key}")
+        # the last run's seed, which no line holds: refused at run_seed_base's
+        last = config.run_seed_base + config.num_runs - 1
+        _check_u64(last, "[experiment] run_seed_base + num_runs - 1")
+    except ValueError as exc:
+        return section, key, str(exc)
+    if constrained:
         try:
-            _check_u64(value, f"[{section}] {label}")
+            diameter = spec_diameter(config.set_spec, n)
         except ValueError as exc:
-            return section, key, str(exc)
+            # spec_diameter starts a message about one key's value with that key
+            key = str(exc).split(" ", 1)[0]
+            if key in config.set_spec:
+                return "set", key, f"[set] {exc}"
+            return "set", None, str(exc)
+        if not math.isfinite(diameter):
+            return "set", None, "constrained scenario requires a finite-diameter set"
+    if config.svg_path is not None and config.num_iters == 0:
+        message = "[outputs] svg_path needs [solver] num_iters >= 1 (a log-log chart needs k > 0)"
+        return "outputs", "svg_path", message
     return None
 
 
 def apply_seed_override(config: ExperimentConfig, seed: int) -> ExperimentConfig:
     """Rebase all seeds on one value (problem, x0, and run seeds)."""
-    config = replace(
-        config, problem_seed=seed, x0_seed=seed + 1, run_seed_base=seed + 2
-    )
-    bad_seed = _seed_range_error(config)
-    if bad_seed is not None:
-        raise ConfigError(f"seed override {seed}: {bad_seed[2]}", path=config.source_path)
+    config = replace(config, problem_seed=seed, x0_seed=seed + 1, run_seed_base=seed + 2)
+    broken = _broken_rule(config)
+    if broken is not None:
+        raise ConfigError(f"seed override {seed}: {broken[2]}", path=config.source_path)
     return config
 
 
@@ -681,9 +683,7 @@ def _leave_interrupts() -> None:
 
 def resolve_output_path(path: str | None, out_dir: str | None) -> str | None:
     """Join a config-relative output path with --out-dir when given."""
-    if path is None:
-        return None
-    if out_dir is None:
+    if path is None or out_dir is None:
         return path
     return str(Path(out_dir) / path)
 
@@ -741,23 +741,23 @@ def run_experiment(
 ) -> AggregateSeries:
     """Execute an experiment and write its outputs.
 
-    The runs are split into min(jobs, num_runs) contiguous blocks, one per
-    pool worker (in-process for one block), and each block is advanced in
-    lockstep; a run's bits do not depend on its block, so the result does
-    not depend on the worker count.  Diverged runs are
-    recorded in the metadata, with the iteration each one diverged at in
-    the returned series' diverged_at, and skipped by the aggregation; if
-    every run diverges a RuntimeError is raised.  An output that cannot be
-    written raises a ConfigError that names its path.  The pool workers
-    start after every check of the config and before the reference solve;
-    an interrupt, a refused solve or a block that raises ends them at once
-    and propagates.
+    A config that breaks a rule spanning its keys is refused first, with a
+    file's message.  The runs are split into min(jobs, num_runs) contiguous
+    blocks, one per pool worker (in-process for one block), each advanced
+    in lockstep; a run's bits do not depend on its block, so the result
+    does not depend on the worker count.  Diverged runs are recorded in the
+    metadata, with the iteration each one diverged at in the returned
+    series' diverged_at, and skipped by the aggregation; if every run
+    diverges a RuntimeError is raised.  An output that cannot be written
+    raises a ConfigError that names its path.  The pool workers start after
+    every check of the config and before the reference solve; an interrupt,
+    a refused solve or a block that raises ends them at once and propagates.
     """
     jobs = _check_count(jobs, "jobs", 1)
     num_runs = _check_count(config.num_runs, "num_runs", 1)
-    if config.num_iters == 0 and config.svg_path is not None:
-        message = "[outputs] svg_path needs [solver] num_iters >= 1 (a log-log chart needs k > 0)"
-        raise ConfigError(message, path=config.source_path)
+    broken = _broken_rule(config)
+    if broken is not None:
+        raise ConfigError(broken[2], path=config.source_path)
     cost = config.num_iters * num_runs * config.n
     if cost > FULL_GATE_COST and not full:
         raise FullRunRequired(
@@ -791,11 +791,9 @@ def run_experiment(
     n = config.n
     mode = config.scenario
 
-    feasible = None
-    d_x = None
-    if mode == "constrained":
-        feasible = set_from_spec(config.set_spec or {}, n)
-        d_x = _finite_diameter(feasible.diameter(), config.source_path)
+    # _broken_rule gives a constrained config, and only one, a finite-diameter box
+    feasible = None if config.set_spec is None else set_from_spec(config.set_spec, n)
+    d_x = None if feasible is None else feasible.diameter()
 
     mu = config.mu
     if mu is None:

@@ -35,6 +35,8 @@ __all__ = [
 
 # Abort threshold for runaway trajectories, relative to max(1, f(x0)).
 DIVERGENCE_FACTOR = 1e12
+# The paper's two scenarios; a harness config names one as its scenario.
+_MODES = ("unconstrained", "constrained")
 
 
 class DivergenceError(RuntimeError):
@@ -360,14 +362,18 @@ def projected_random_search(
     return _solve(f, x0, cfg, feasible_set, on_iterate, _recorder)
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, _MODES))}, got {mode!r}")
+
+
 def theorem_step_size(mode: str, n: int, lip_const: float) -> float:
     """Step size assumed by the gap bounds in zopt.bounds.
 
     unconstrained: 1 / (4 (n + 4) lip_const); constrained: 1 / lip_const.
     A lip_const whose step would be 0 or inf raises ValueError.
     """
-    if mode not in ("unconstrained", "constrained"):
-        raise ValueError(f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
+    _check_mode(mode)
     n = _check_count(n, "n", 1)
     lip_const = _check_real(lip_const, "lip_const")
     return _closed_form(
@@ -395,8 +401,7 @@ def suggest_params(
     calibrated starting point rather than a certificate.  Raises ValueError
     unless the inputs and mu are positive and finite and N is finite.
     """
-    if mode not in ("unconstrained", "constrained"):
-        raise ValueError(f"mode must be 'unconstrained' or 'constrained', got {mode!r}")
+    _check_mode(mode)
     eps = _check_real(eps, "eps")
     n = _check_count(n, "n", 1)
     lip_const = _check_real(lip_const, "lip_const")

@@ -36,7 +36,7 @@ from zopt.harness import (
 )
 from zopt.oracle import OracleConfig
 from zopt.problems import make_least_squares
-from zopt.sets import SET_KEYS, Box
+from zopt.sets import SET_KEYS, Box, set_from_spec, spec_diameter
 from zopt.solvers import (
     DivergenceError,
     RunRecord,
@@ -796,6 +796,133 @@ class TestConfigParsing:
         assert load_config(path).scenario == "constrained"
 
 
+U64_PAST = f"must be a 64-bit unsigned integer, got {2**64}"
+BOX = {"kind": "box", "lower": "-0.5", "upper": "0.5"}
+
+
+def must_not_be_called(*args, **kwargs):
+    raise AssertionError("called after a refusal")
+
+
+class TestRulesSpanningKeys:
+    # A config built in code meets the rules a file meets: run_experiment
+    # refuses it with the file's message, before it builds anything
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"eps": 0.1}, "[solver] eps is only valid with mu = auto"),
+            ({"mu": None}, "[solver] eps is required when mu = auto"),
+            ({"set_spec": BOX}, "[set] is only valid for the constrained scenario"),
+            ({"scenario": "constrained"}, "constrained scenario requires a [set] section"),
+            ({"m": 9}, "n must be >= m, got m=9, n=8"),
+            ({"problem_seed": 2**64}, f"[problem] problem_seed {U64_PAST}"),
+            ({"x0_seed": 2**64}, f"[experiment] x0_seed {U64_PAST}"),
+            # the two runs use seeds run_seed_base and run_seed_base + 1
+            (
+                {"run_seed_base": 2**64 - 1},
+                f"[experiment] run_seed_base + num_runs - 1 {U64_PAST}",
+            ),
+            (
+                {"run_seed_base": -1},
+                "[experiment] run_seed_base must be a 64-bit unsigned integer, got -1",
+            ),
+            (
+                {"scenario": "constrained", "set_spec": {"kind": "ball", "radius": "1"}},
+                "unknown set kind 'ball'",
+            ),
+            (
+                {"scenario": "constrained", "set_spec": {**BOX, "lower": "-0.5x"}},
+                "[set] lower must be a number or a list of numbers, got '-0.5x'",
+            ),
+            (
+                {"scenario": "constrianed"},
+                "[experiment] scenario must be one of unconstrained | constrained, "
+                "got 'constrianed'",
+            ),
+        ],
+        ids=[
+            "mu-and-eps", "auto-mu-without-eps", "unconstrained-with-set",
+            "constrained-without-set", "m-above-n", "problem-seed", "x0-seed",
+            "last-run-seed", "first-run-seed", "ball", "bad-bound", "misspelled-scenario",
+        ],
+    )
+    def test_config_built_in_code_is_refused_with_the_file_message(
+        self, monkeypatch, fields, message
+    ):
+        monkeypatch.setattr(harness, "make_least_squares", must_not_be_called)
+        monkeypatch.setattr(harness, "_execute_run", must_not_be_called)
+        with pytest.raises(ConfigError) as err:
+            run_experiment(small_config(num_runs=2, **fields), jobs=1)
+        assert str(err.value) == message
+        assert err.value.line is None
+
+    @pytest.mark.parametrize("key, value", [("m", None), ("n", "8"), ("n", 8.0)])
+    def test_m_and_n_meet_the_instance_rule_before_they_are_compared(
+        self, monkeypatch, key, value
+    ):
+        # make_least_squares's own message, not a TypeError from n < m
+        monkeypatch.setattr(harness, "make_least_squares", must_not_be_called)
+        with pytest.raises(ValueError, match=f"^{key} must be an integer >= 1, got {value!r}$"):
+            run_experiment(small_config(**{key: value}), jobs=1)
+
+    def test_svg_path_without_iterations_is_refused_at_its_line(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        text = GOOD_CONFIG.replace("num_iters = 200", "num_iters = 0")
+        path.write_text(text + "svg_path = out.svg\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        line = len(text.splitlines()) + 1
+        assert err.value.line == line
+        assert str(err.value) == (
+            f"{path}:{line}: [outputs] svg_path needs [solver] num_iters >= 1 "
+            "(a log-log chart needs k > 0)"
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 40, 1000])
+    def test_spec_and_built_box_agree_on_finiteness_at_the_largest_float(self, n):
+        # run_experiment takes the built box's diameter as finite because the
+        # spec's is: at the largest uniform width w whose w * sqrt(n) is
+        # finite, and at the next float up, both fall back to w * sqrt(n)
+        root = math.sqrt(n)
+        width = sys.float_info.max / root
+        while math.isinf(width * root):
+            width = math.nextafter(width, 0.0)
+        while math.isfinite(math.nextafter(width, math.inf) * root):
+            width = math.nextafter(width, math.inf)
+        for w, finite in ((width, True), (math.nextafter(width, math.inf), False)):
+            spec = {"kind": "box", "lower": "0", "upper": repr(w)}
+            assert math.isfinite(spec_diameter(spec, n)) is finite
+            assert math.isfinite(set_from_spec(spec, n).diameter()) is finite
+
+
+class TestEmptyPathFlags:
+    # --csv and --out-dir meet the config's non-empty path rule, before any
+    # check or run starts
+    def test_verify_csv(self, tmp_path, capsys, monkeypatch):
+        from zopt import analysis
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(analysis, "verify_oracle_inequalities", must_not_be_called)
+        assert main(["verify", "--probes", "5", "--samples", "50", "--csv", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "--csv must be a non-empty path\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_out_dir(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(GOOD_CONFIG)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(harness, "make_least_squares", must_not_be_called)
+        assert main(["run", "--config", str(cfg), "--out-dir", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "--out-dir must be a non-empty path\n"
+        assert captured.out == ""
+        assert list(work.iterdir()) == []
+
+
 class TestBenchmarkDigests:
     # The benchmark checks each workload's output against perfbench/digests.json;
     # at the tiny scale that check also runs here, in-process: the 25-run
@@ -1071,8 +1198,9 @@ class TestRunExperiment:
             run_experiment(cfg, jobs=1, full=False)
 
     def test_stored_values_gate(self):
-        # runs * (iterations + 1) f values are held densely: n = 1 does not
-        # make 10**8 iterations cheap
+        # runs * (iterations + 1) is the size of the sigma overlay's rows, the
+        # only per-iteration values a worker stores; the gate counts it for
+        # every run, so n = 1 does not make 10**8 iterations cheap
         cfg = small_config(num_iters=10**8, num_runs=1, n=1, m=1)
         assert cfg.num_iters * cfg.num_runs * cfg.n <= harness.FULL_GATE_COST
         with pytest.raises(FullRunRequired, match=r"runs \* \(iterations \+ 1\).*--full"):
